@@ -1,8 +1,9 @@
 """Command-line surface: transmit, sweep, ratio, from-table, physical, validate.
 
 Exit codes: 0 success; 2 usage; 3 convergence failure (partial result on
-stderr); 4 unwritable output path; 5 malformed density-table CSV; 6
-relativistic regime; validate returns 1 when any check fails.
+stderr); 4 unwritable output path; 5 density-table CSV that is malformed,
+unreadable or has no density at y > 0; 6 relativistic regime; validate
+returns 1 when any check fails.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .transmission import (
 
 SWEEP_HEADER = "A,B,gamma,method,ln_T,log10_T,quad_error_ln,planewave_ok"
 RATIO_HEADER = "A,B,gamma,ln_T_quad,ln_T_star,R"
+SWEEP_KEYS = SWEEP_HEADER.split(",") + ["note"]
 
 # user-facing method names -> internal enums
 METHOD_FLAGS = {
@@ -45,28 +45,21 @@ METHOD_FLAGS = {
 }
 
 
-def _fmt(x) -> str:
-    """Serialize one value: 12 significant digits, scientific notation."""
+def _token(x, json=False) -> str:
+    """One value as a CSV cell or, with ``json``, a JSON token; numbers
+    carry 12 significant digits in scientific notation."""
     if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return f"{x:.11e}"
-
-
-def _json_token(x) -> str:
-    if x is None:
-        return "null"
+        return "null" if json else ""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, str):
-        return f'"{x}"'
+        return f'"{x}"' if json else x
     return f"{x:.11e}"
 
 
 def _render_json(pairs) -> str:
-    """Deterministic one-object JSON with numbers as scientific tokens."""
-    body = ", ".join(f'"{k}": {_json_token(v)}' for k, v in pairs)
+    """Deterministic one-line JSON object from (key, value) pairs."""
+    body = ", ".join(f'"{k}": {_token(v, json=True)}' for k, v in pairs)
     return "{" + body + "}"
 
 
@@ -89,73 +82,50 @@ def _result_pairs(res):
     return pairs
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Validated sweep request: Cartesian grid plus output destination."""
-
-    A_values: tuple
-    B_grid: tuple  # (min, max, count, spacing)
-    gamma_values: tuple
-    methods: tuple
-    output_path: str
-    format: str
-
-    def __post_init__(self):
-        b_min, b_max, count, spacing = self.B_grid
-        if not self.A_values or not self.gamma_values or not self.methods:
-            raise DomainError("A, gamma, and method lists must be non-empty")
-        if not (0.0 < b_min < b_max) or count < 2:
-            raise DomainError("B grid requires 0 < min < max and count >= 2")
-        if spacing not in ("log", "linear"):
-            raise DomainError(f"unknown spacing {spacing!r}")
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"unknown format {self.format!r}")
-
-    def b_values(self) -> np.ndarray:
-        b_min, b_max, count, spacing = self.B_grid
-        if spacing == "log":
-            return np.logspace(math.log10(b_min), math.log10(b_max), count)
-        return np.linspace(b_min, b_max, count)
+def _b_values(b_min, b_max, count, spacing="log"):
+    """The B grid shared by ``sweep`` and ``ratio``."""
+    if not (0.0 < b_min < b_max) or count < 2:
+        raise DomainError("B grid requires 0 < min < max and count >= 2")
+    if spacing == "log":
+        return np.logspace(math.log10(b_min), math.log10(b_max), count)
+    return np.linspace(b_min, b_max, count)
 
 
-def _evaluate_grid(queries, threads):
-    """Evaluate queries preserving input order; pure evaluators make the
-    parallel result identical to the serial one."""
-    def one(q):
+def _evaluate_grid(queries):
+    """Evaluate queries in order; a ConvergenceError stands in for the
+    result of the query that raised it."""
+    results = []
+    for q in queries:
         try:
-            return evaluate(q)
+            results.append(evaluate(q))
         except ConvergenceError as exc:
-            return exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, queries))
-    return [one(q) for q in queries]
+            results.append(exc)
+    return results
 
 
-def _write_rows(path, header, rows):
+def _write_lines(path, lines) -> int:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
     except OSError as exc:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
         return 4
     return 0
 
 
-def _row_json(pairs) -> str:
-    """One sweep row as JSON; CSV string cells map to typed JSON values."""
-    parts = []
-    for k, v in pairs:
-        if k in ("method", "note"):
-            parts.append(f'"{k}": "{v}"')
-        elif v == "":
-            parts.append(f'"{k}": null')
-        else:
-            parts.append(f'"{k}": {v}')  # already a numeric/boolean token
-    return "{" + ", ".join(parts) + "}"
+def _csv_lines(header, rows):
+    yield header
+    for row in rows:
+        yield ",".join(map(_token, row))
+
+
+def _json_lines(keys, rows):
+    yield "["
+    for i, row in enumerate(rows, 1):
+        sep = "," if i < len(rows) else ""
+        yield "  " + _render_json(zip(keys, row)) + sep
+    yield "]"
 
 
 def cmd_transmit(args) -> int:
@@ -178,61 +148,34 @@ def cmd_transmit(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        config = SweepConfig(
-            A_values=tuple(args.A),
-            B_grid=(args.B_min, args.B_max, args.B_count, args.B_spacing),
-            gamma_values=tuple(args.gammas),
-            methods=tuple(METHOD_FLAGS[m] for m in args.method),
-            output_path=args.out,
-            format=args.format,
-        )
-        b_vals = config.b_values()
-        queries = [BarrierQuery(A, float(B), g, m)
-                   for A in config.A_values
-                   for g in config.gamma_values
+        b_vals = _b_values(args.B_min, args.B_max, args.B_count,
+                           args.B_spacing)
+        queries = [BarrierQuery(A, float(B), g, METHOD_FLAGS[m])
+                   for A in args.A
+                   for g in args.gammas
                    for B in b_vals
-                   for m in config.methods]
+                   for m in args.method]
     except (DomainError, RangeError) as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return 2
 
-    results = _evaluate_grid(queries, args.threads)
     rows = []
-    for q, res in zip(queries, results):
-        prefix = [_fmt(q.A), _fmt(q.B), _fmt(q.gamma)]
+    for q, res in zip(queries, _evaluate_grid(queries)):
         if isinstance(res, ConvergenceError):
             ok = planewave_validity(q.A, q.B)[1]
-            rows.append(prefix + [q.method, "", "", "", _fmt(ok),
-                                  f"no convergence; best ln_T={res.ln_T}"])
+            rows.append((q.A, q.B, q.gamma, q.method, None, None, None, ok,
+                         f"no convergence; best ln_T={res.ln_T}"))
         else:
-            rows.append(prefix + [res.method_used, _fmt(res.ln_T),
-                                  _fmt(res.log10_T), _fmt(res.quad_error_ln),
-                                  _fmt(res.planewave_ok)])
-    if config.format == "csv":
-        return _write_rows(config.output_path, SWEEP_HEADER, rows)
-
-    keys = SWEEP_HEADER.split(",") + ["note"]
-    try:
-        with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("[\n")
-            for i, row in enumerate(rows):
-                sep = "," if i + 1 < len(rows) else ""
-                fh.write("  " + _row_json(zip(keys, row)) + sep + "\n")
-            fh.write("]\n")
-    except OSError as exc:
-        print(f"cannot write {config.output_path}: {exc}", file=sys.stderr)
-        return 4
-    return 0
+            rows.append((q.A, q.B, q.gamma, res.method_used, res.ln_T,
+                         res.log10_T, res.quad_error_ln, res.planewave_ok))
+    if args.format == "csv":
+        return _write_lines(args.out, _csv_lines(SWEEP_HEADER, rows))
+    return _write_lines(args.out, _json_lines(SWEEP_KEYS, rows))
 
 
 def cmd_ratio(args) -> int:
     try:
-        if not args.gammas:
-            raise DomainError("gamma list must be non-empty")
-        if not (0.0 < args.B_min < args.B_max) or args.B_count < 2:
-            raise DomainError("B grid requires 0 < min < max and count >= 2")
-        b_vals = np.logspace(math.log10(args.B_min), math.log10(args.B_max),
-                             args.B_count)
+        b_vals = _b_values(args.B_min, args.B_max, args.B_count)
         quad_queries = [BarrierQuery(args.A, float(B), g, "quadrature")
                         for g in args.gammas for B in b_vals]
         star_queries = [BarrierQuery(args.A, float(B), g, "steepest_descent")
@@ -241,35 +184,29 @@ def cmd_ratio(args) -> int:
         print(f"invalid ratio study: {exc}", file=sys.stderr)
         return 2
 
-    quad_results = _evaluate_grid(quad_queries, args.threads)
-    star_results = _evaluate_grid(star_queries, args.threads)
     rows = []
-    for q, rq, rs in zip(quad_queries, quad_results, star_results):
-        prefix = [_fmt(args.A), _fmt(q.B), _fmt(q.gamma)]
+    for q, rq, rs in zip(quad_queries, _evaluate_grid(quad_queries),
+                         _evaluate_grid(star_queries)):
         if isinstance(rq, ConvergenceError) or isinstance(rs, ConvergenceError):
-            rows.append(prefix + ["", "", "", "no convergence"])
+            rows.append((q.A, q.B, q.gamma, None, None, None, "no convergence"))
             continue
-        ln_R = rs.ln_T - rq.ln_T
         # R can under/overflow a float; render via its log instead.
-        # 11 decimals = 12 significant digits, same as _fmt.
-        rows.append(prefix + [_fmt(rq.ln_T), _fmt(rs.ln_T),
-                              LogMagnitude(ln_R).scientific(11)])
-    return _write_rows(args.out, RATIO_HEADER, rows)
+        # 11 decimals = 12 significant digits, same as _token.
+        rows.append((q.A, q.B, q.gamma, rq.ln_T, rs.ln_T,
+                     LogMagnitude(rs.ln_T - rq.ln_T).scientific(11)))
+    return _write_lines(args.out, _csv_lines(RATIO_HEADER, rows))
 
 
 def cmd_from_table(args) -> int:
     try:
         table = read_density_table(args.file)
-    except FileNotFoundError:
-        print(f"no such file: {args.file}", file=sys.stderr)
-        return 5
+        if args.A <= 0 or not math.isfinite(args.A):
+            print(f"invalid A: {args.A!r}", file=sys.stderr)
+            return 2
+        res = ln_T_from_table(table, args.A)
     except TableFormatError as exc:
         print(f"malformed density table: {exc}", file=sys.stderr)
         return 5
-    if args.A <= 0 or not math.isfinite(args.A):
-        print(f"invalid A: {args.A!r}", file=sys.stderr)
-        return 2
-    res = ln_T_from_table(table, args.A)
     print(_render_json(_result_pairs(res)))
     return 0
 
@@ -310,11 +247,6 @@ def cmd_validate(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _add_threads(p):
-    p.add_argument("--threads", type=int, default=1,
-                   help="max worker threads (default 1, serial)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coulombpacket",
@@ -341,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=["auto"])
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ratio", help="steepest-descent vs quadrature study")
@@ -352,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B-max", type=float, default=10.0)
     p.add_argument("--B-count", type=int, default=25)
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("from-table", help="average exp(-A/y) over a CSV density")

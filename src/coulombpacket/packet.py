@@ -263,7 +263,4 @@ def read_density_table(path) -> DensityTable:
         raise TableFormatError(f"cannot read table file: {exc}") from exc
     if not header_seen:
         raise TableFormatError("missing 'y,density' header", line=1)
-    try:
-        return DensityTable(y=np.asarray(ys), density=np.asarray(ds))
-    except TableFormatError:
-        raise
+    return DensityTable(y=np.asarray(ys), density=np.asarray(ds))

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .errors import ConvergenceError, DomainError, RangeError, RegimeError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    RangeError,
+    RegimeError,
+    TableFormatError,
+)
 from .packet import DensityTable, PacketShape, shape_constants
 from .specfun import (
     LogMagnitude,
@@ -607,7 +613,11 @@ def ln_T_bessel_gamma1(A: float, B: float) -> TransmissionResult:
 
 
 def ln_T_from_table(table: DensityTable, A: float) -> TransmissionResult:
-    """Log-domain trapezoid average of exp(-A/y) over a tabulated density."""
+    """Log-domain trapezoid average of exp(-A/y) over a tabulated density.
+
+    Raises TableFormatError when no trapezoid term carries density at
+    y > 0, since ln T would then be -inf.
+    """
     if not math.isfinite(A) or A <= 0.0:
         raise DomainError(f"A must be positive and finite, got {A!r}")
     y = table.y
@@ -620,9 +630,8 @@ def ln_T_from_table(table: DensityTable, A: float) -> TransmissionResult:
     terms = np.concatenate([lng[:-1], lng[1:]])
     weights = np.concatenate([0.5 * dy, 0.5 * dy])
     if np.all(terms == -np.inf):
-        ln_T = -math.inf
-    else:
-        ln_T = log_sum_exp(terms, weights)
+        raise TableFormatError("table has no density at y > 0")
+    ln_T = log_sum_exp(terms, weights)
     B_eff = table.reduced_variance()
     pw_ok = bool(A * math.sqrt(B_eff) < PLANEWAVE_THRESHOLD) \
         if math.isfinite(B_eff) else False

@@ -3,14 +3,18 @@
 import filecmp
 import json
 import math
+import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coulombpacket.cli import RATIO_HEADER, SWEEP_HEADER
+import coulombpacket
+from coulombpacket.cli import RATIO_HEADER, SWEEP_HEADER, SWEEP_KEYS
 from coulombpacket.errors import ConvergenceError
 from coulombpacket.transmission import BarrierQuery, evaluate
 
@@ -18,6 +22,26 @@ RESULT_KEYS = ["ln_T", "log10_T", "G", "y_star_numeric", "y_star_approx",
                "quad_error_ln", "planewave_ok", "method_used"]
 
 SCI12 = re.compile(r"^-?\d\.\d{11}e[+-]\d+$")
+
+
+def _strict_json(text, **kw):
+    """json.loads that refuses the NaN/Infinity extensions."""
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=refuse, **kw)
+
+
+def _fail_above(monkeypatch, b_limit):
+    """Make cli.evaluate raise ConvergenceError for every query with B > b_limit."""
+    import coulombpacket.cli as cli_mod
+    real_evaluate = cli_mod.evaluate
+
+    def flaky(query):
+        if query.B > b_limit:
+            raise ConvergenceError("forced", ln_T=-1.0, quad_error_ln=0.5)
+        return real_evaluate(query)
+
+    monkeypatch.setattr(cli_mod, "evaluate", flaky)
 
 
 # --- transmit -------------------------------------------------------------
@@ -136,13 +160,30 @@ def test_sweep_rows_recompute_exactly(run_cli, tmp_path):
             2.0 * float(cells[6]), 1e-9)
 
 
-def test_sweep_deterministic_and_thread_invariant(run_cli, tmp_path):
-    a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
+def test_sweep_deterministic_and_json_matches_csv(run_cli, tmp_path,
+                                                  monkeypatch):
+    _fail_above(monkeypatch, 1e-5)              # the B = 1e-4 rows fail
+    a, b, j = (tmp_path / n for n in ("a.csv", "b.csv", "j.json"))
     _sweep(run_cli, a)
     _sweep(run_cli, b)
-    _sweep(run_cli, c, "--threads", 4)
+    _sweep(run_cli, j, "--format", "json")
     assert filecmp.cmp(a, b, shallow=False)     # byte-identical reruns
-    assert filecmp.cmp(a, c, shallow=False)     # parallel == serial
+    # the JSON file holds the CSV's tokens cell for cell ("" <-> null);
+    # parse_float=str keeps each JSON number as its literal token
+    rows = [line.split(",")
+            for line in a.read_text(encoding="utf-8").splitlines()[1:]]
+    docs = _strict_json(j.read_text(encoding="utf-8"), parse_float=str)
+    assert len(docs) == len(rows) == 12
+    assert sum(len(r) == 9 for r in rows) == 4
+    for cells, doc in zip(rows, docs):
+        assert list(doc) == SWEEP_KEYS[:len(cells)]
+        for cell, value in zip(cells, doc.values()):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            else:
+                assert cell == value
 
 
 def test_sweep_json_format(run_cli, tmp_path):
@@ -159,15 +200,7 @@ def test_sweep_json_format(run_cli, tmp_path):
 
 
 def test_sweep_records_failure_rows(run_cli, tmp_path, monkeypatch):
-    import coulombpacket.cli as cli_mod
-    real_evaluate = cli_mod.evaluate
-
-    def flaky(query):
-        if query.B > 1e-5:
-            raise ConvergenceError("forced", ln_T=-1.0, quad_error_ln=0.5)
-        return real_evaluate(query)
-
-    monkeypatch.setattr(cli_mod, "evaluate", flaky)
+    _fail_above(monkeypatch, 1e-5)
     out = tmp_path / "s.csv"
     code, _, _ = run_cli("sweep", "--A", 10, "--gammas", 2,
                          "--B-min", 1e-6, "--B-max", 1e-4, "--B-count", 2,
@@ -197,6 +230,8 @@ def test_sweep_unwritable_path_exits_4(run_cli):
      "1e-3", "--B-count", "1", "--out", "x.csv"),           # count < 2
     ("sweep", "--A", "10", "--gammas", "25", "--B-min", "1e-4", "--B-max",
      "1e-3", "--out", "x.csv"),                             # gamma range
+    ("sweep", "--A", "10", "--gammas", "2", "--B-min", "1e-4", "--B-max",
+     "1e-3", "--out", "x.csv", "--threads", "2"),           # retired option
 ])
 def test_sweep_usage_errors_exit_2(run_cli, tmp_path, argv):
     code, _, _ = run_cli(*argv)
@@ -287,6 +322,19 @@ def test_from_table_invalid_A_exits_2(run_cli, gaussian_table):
     assert code == 2
 
 
+@pytest.mark.parametrize("rows", [
+    ["0.5,0", "1.0,0", "1.5,0"],     # no density anywhere
+    ["0,1", "1,0"],                  # all of it at y = 0, where T = 0
+])
+def test_from_table_without_density_above_zero_exits_5(run_cli, tmp_path,
+                                                       rows):
+    table = tmp_path / "t.csv"
+    table.write_text("y,density\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run_cli("from-table", "--file", table, "--A", 50)
+    assert (code, out) == (5, "")
+    assert "no density at y > 0" in err
+
+
 # --- physical ----------------------------------------------------------------
 
 def test_physical_json(run_cli):
@@ -324,6 +372,63 @@ def test_physical_invalid_spec_exits_2(run_cli):
     assert code == 2
 
 
+# --- output contract -------------------------------------------------------
+
+def test_every_json_output_is_strict(run_cli, tmp_path, monkeypatch,
+                                     gaussian_table):
+    texts = []
+    for method, gamma in (("quad", 2), ("saddle", 2), ("bessel", 1),
+                          ("auto", 1)):
+        code, out, _ = run_cli("transmit", "--A", 700, "--B", 1e-2,
+                               "--gamma", gamma, "--method", method)
+        assert code == 0
+        texts.append(out)
+    code, out, _ = run_cli("from-table", "--file", gaussian_table, "--A", 50)
+    assert code == 0
+    texts.append(out)
+    code, out, _ = run_cli("physical", "--Z", 1, "--mass-amu", 2,
+                           "--energy-eV", 1e4)
+    assert code == 0
+    texts.append(out)
+    _fail_above(monkeypatch, 1e-5)
+    sweep = tmp_path / "s.json"
+    assert _sweep(run_cli, sweep, "--format", "json")[0] == 0
+    texts.append(sweep.read_text(encoding="utf-8"))
+    code, _, err = run_cli("transmit", "--A", 10, "--B", 1e-4, "--gamma", 2)
+    assert code == 3
+    texts.append(err.splitlines()[0])
+    docs = [_strict_json(t) for t in texts]
+    assert any(d.get("note") for d in docs[-2])     # the failure rows
+    assert docs[-1] == {"ln_T": -1.0, "quad_error_ln": 0.5}
+
+
+def _readme_example(command):
+    """(argv, shown output lines) of the README block `$ coulombpacket command`."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").replace("\\\n", " ")
+    block = re.search(rf"\n\$ coulombpacket ({command} .*?)\n```", text,
+                      re.S).group(1)
+    cmd, *shown = block.split("\n")
+    return shlex.split(cmd), shown
+
+
+def test_readme_sweep_example_bytes(run_cli, tmp_path, monkeypatch):
+    # the rows come from the gamma = 1 closed form, so they are exact
+    argv, shown = _readme_example("sweep")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == (0, "", "")
+    assert shown[0] == "$ head -4 sweep.csv"
+    data = (tmp_path / "sweep.csv").read_bytes()
+    assert data.split(b"\n")[:4] == [line.encode() for line in shown[1:]]
+
+
+def test_readme_physical_example_bytes(run_cli):
+    argv, shown = _readme_example("physical")
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert out == " ".join(line.strip() for line in shown) + "\n"
+
+
 # --- validate ---------------------------------------------------------------
 
 def test_validate_reports_every_check(run_cli):
@@ -354,17 +459,23 @@ def test_validate_unreadable_targets_exit_1(run_cli, tmp_path):
 
 # --- packaging ----------------------------------------------------------
 
+def _run_module(*argv):
+    """`python -m coulombpacket` on the package these tests import."""
+    src = str(Path(coulombpacket.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "coulombpacket", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_module_entrypoint_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "coulombpacket", "physical", "--Z", "1",
-         "--mass-amu", "2.013553212745", "--energy-eV", "1e4"],
-        capture_output=True, text=True)
+    proc = _run_module("physical", "--Z", "1", "--mass-amu", "2.013553212745",
+                       "--energy-eV", "1e4")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["A"] == pytest.approx(14.0411219254,
                                                          rel=1e-9)
 
 
 def test_no_arguments_is_usage_error():
-    proc = subprocess.run([sys.executable, "-m", "coulombpacket"],
-                          capture_output=True, text=True)
+    proc = _run_module()
     assert proc.returncode == 2
