@@ -42,11 +42,17 @@ def main(argv=None):
         return code
 
     worst = defaultdict(float)
+    skipped = 0
     with open(args.out, encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
+            if not (row["ln_T_star"] and row["ln_T_quad"]):
+                skipped += 1  # a "no convergence" row
+                continue
             g = float(row["gamma"])
             ln_r = float(row["ln_T_star"]) - float(row["ln_T_quad"])
             worst[g] = max(worst[g], abs(ln_r))
+    if skipped:
+        print(f"skipped {skipped} rows without convergence")
     for g in sorted(worst):
         w = worst[g]
         if w < math.log(2.0):

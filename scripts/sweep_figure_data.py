@@ -19,7 +19,8 @@ import sys
 
 import numpy as np
 
-from coulombpacket.transmission import BarrierQuery, evaluate
+from coulombpacket.errors import ConvergenceError
+from coulombpacket.transmission import BarrierQuery, evaluate_many
 
 
 def main(argv=None):
@@ -34,15 +35,18 @@ def main(argv=None):
 
     b_vals = np.logspace(math.log10(args.B_min), math.log10(args.B_max),
                          args.B_count)
-    rows = 0
+    rows = skipped = 0
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["A", "B", "gamma", "ln_T", "ln_T_planewave",
                     "gain_efolds", "method"])
         for g in args.gammas:
             best = 0.0
-            for B in b_vals:
-                res = evaluate(BarrierQuery(args.A, float(B), g))
+            queries = [BarrierQuery(args.A, float(B), g) for B in b_vals]
+            for B, res in zip(b_vals, evaluate_many(queries)):
+                if isinstance(res, ConvergenceError):
+                    skipped += 1
+                    continue
                 gain = res.ln_T + args.A
                 best = max(best, gain)
                 w.writerow([f"{args.A:.12e}", f"{B:.12e}", f"{g:.12e}",
@@ -51,6 +55,8 @@ def main(argv=None):
                 rows += 1
             print(f"gamma={g:g}: peak gain {best:.1f} e-folds over the "
                   f"plane wave")
+    if skipped:
+        print(f"skipped {skipped} points without convergence")
     print(f"wrote {rows} rows to {args.out}")
     return 0
 

@@ -52,6 +52,7 @@ from .transmission import (
     TransmissionResult,
     G_param,
     evaluate,
+    evaluate_many,
     ln_T_bessel_gamma1,
     ln_T_from_table,
     ln_T_quadrature,
@@ -90,6 +91,7 @@ __all__ = [
     "big_A",
     "central_moment",
     "evaluate",
+    "evaluate_many",
     "leading_exponent_gamma2",
     "little_a",
     "ln_T_bessel_gamma1",

@@ -27,9 +27,10 @@ from .packet import read_density_table
 from .specfun import LogMagnitude
 from .transmission import (
     BarrierQuery,
-    evaluate,
+    evaluate_many,
     ln_T_from_table,
     planewave_validity,
+    route,
 )
 
 SWEEP_HEADER = "A,B,gamma,method,ln_T,log10_T,quad_error_ln,planewave_ok"
@@ -91,18 +92,6 @@ def _b_values(b_min, b_max, count, spacing="log"):
     return np.linspace(b_min, b_max, count)
 
 
-def _evaluate_grid(queries):
-    """Evaluate queries in order; a ConvergenceError stands in for the
-    result of the query that raised it."""
-    results = []
-    for q in queries:
-        try:
-            results.append(evaluate(q))
-        except ConvergenceError as exc:
-            results.append(exc)
-    return results
-
-
 def _write_lines(path, lines) -> int:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -135,12 +124,11 @@ def cmd_transmit(args) -> int:
     except (DomainError, RangeError) as exc:
         print(f"invalid query: {exc}", file=sys.stderr)
         return 2
-    try:
-        res = evaluate(query)
-    except ConvergenceError as exc:
-        partial = [("ln_T", exc.ln_T), ("quad_error_ln", exc.quad_error_ln)]
+    res, = evaluate_many([query])
+    if isinstance(res, ConvergenceError):
+        partial = [("ln_T", res.ln_T), ("quad_error_ln", res.quad_error_ln)]
         print(_render_json(partial), file=sys.stderr)
-        print(f"quadrature did not converge: {exc}", file=sys.stderr)
+        print(f"quadrature did not converge: {res}", file=sys.stderr)
         return 3
     print(_render_json(_result_pairs(res)))
     return 0
@@ -160,11 +148,11 @@ def cmd_sweep(args) -> int:
         return 2
 
     rows = []
-    for q, res in zip(queries, _evaluate_grid(queries)):
+    for q, res in zip(queries, evaluate_many(queries)):
         if isinstance(res, ConvergenceError):
             ok = planewave_validity(q.A, q.B)[1]
-            rows.append((q.A, q.B, q.gamma, q.method, None, None, None, ok,
-                         f"no convergence; best ln_T={res.ln_T}"))
+            rows.append((q.A, q.B, q.gamma, route(q), None, None, None, ok,
+                         f"no convergence; best ln_T={_token(res.ln_T)}"))
         else:
             rows.append((q.A, q.B, q.gamma, res.method_used, res.ln_T,
                          res.log10_T, res.quad_error_ln, res.planewave_ok))
@@ -185,8 +173,8 @@ def cmd_ratio(args) -> int:
         return 2
 
     rows = []
-    for q, rq, rs in zip(quad_queries, _evaluate_grid(quad_queries),
-                         _evaluate_grid(star_queries)):
+    for q, rq, rs in zip(quad_queries, evaluate_many(quad_queries),
+                         evaluate_many(star_queries)):
         if isinstance(rq, ConvergenceError) or isinstance(rs, ConvergenceError):
             rows.append((q.A, q.B, q.gamma, None, None, None, "no convergence"))
             continue

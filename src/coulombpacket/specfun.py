@@ -23,6 +23,7 @@ __all__ = [
     "log_bessel_k1",
     "log_bessel_k1_asymptotic",
     "log_sum_exp",
+    "log_sum_exp_segments",
     "log_diff_exp",
 ]
 
@@ -129,21 +130,43 @@ def log_sum_exp(terms, weights=None) -> float:
     """ln Σᵢ wᵢ exp(termᵢ) with positive weights, stabilized by the max term.
 
     ``terms`` of -inf are allowed (zero contributions); an all--inf input
-    returns -inf.  Exact under a uniform additive shift of all terms.
+    returns -inf.  Exact under a uniform additive shift of all terms.  The
+    validated one-segment form of :func:`log_sum_exp_segments`.
     """
     terms = np.asarray(terms, dtype=float)
     if terms.size == 0:
         raise DomainError("log_sum_exp needs at least one term")
     if np.any(np.isnan(terms)) or np.any(terms == np.inf):
         raise DomainError("log_sum_exp terms must be < +inf and not NaN")
-    if weights is None:
-        return float(sp.logsumexp(terms))
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != terms.shape:
-        raise DomainError("weights must match terms in shape")
-    if np.any(~np.isfinite(weights)) or np.any(weights <= 0.0):
-        raise DomainError("weights must be positive and finite")
-    return float(sp.logsumexp(terms, b=weights))
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != terms.shape:
+            raise DomainError("weights must match terms in shape")
+        if np.any(~np.isfinite(weights)) or np.any(weights <= 0.0):
+            raise DomainError("weights must be positive and finite")
+        weights = weights.ravel()
+    one = np.zeros(terms.size, dtype=np.intp)
+    return float(log_sum_exp_segments(terms.ravel(), one, 1, weights)[0])
+
+
+def log_sum_exp_segments(terms, segments, count, weights=None):
+    """ln Σ wᵢ exp(termᵢ) over the terms of each of ``count`` segments.
+
+    ``segments[i]`` in [0, count) names the segment of ``terms[i]``; each
+    segment is shifted by its own max and summed in input order, so its
+    result does not depend on the other segments.  A segment with no terms,
+    or only -inf terms, gives -inf.  Unvalidated: terms must be < +inf and
+    not NaN, and weights positive and finite.
+    """
+    peak = np.full(count, -np.inf)
+    np.maximum.at(peak, segments, terms)
+    peak = np.where(peak > -np.inf, peak, 0.0)
+    scaled = np.exp(terms - peak[segments])
+    if weights is not None:
+        scaled *= weights
+    with np.errstate(divide="ignore"):
+        return peak + np.log(np.bincount(segments, weights=scaled,
+                                         minlength=count))
 
 
 def log_diff_exp(ln_hi: float, ln_lo: float) -> float:

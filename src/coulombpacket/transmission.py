@@ -16,7 +16,6 @@ T itself -- only ln T.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -36,6 +35,7 @@ from .specfun import (
     log_bessel_k1,
     log_bessel_k1_asymptotic,
     log_sum_exp,
+    log_sum_exp_segments,
 )
 
 __all__ = [
@@ -52,6 +52,8 @@ __all__ = [
     "ln_T_bessel_gamma1",
     "ln_T_from_table",
     "evaluate",
+    "evaluate_many",
+    "route",
 ]
 
 _LN10 = math.log(10.0)
@@ -84,9 +86,21 @@ _WG = np.array([
 ])
 
 _NODES15 = np.concatenate((-_XGK[:-1], _XGK[::-1]))
-_WK15 = np.concatenate((_WGK[:-1], _WGK[::-1]))
-# Gauss nodes sit at the odd indices of the Kronrod set
-_WG7 = np.concatenate((_WG[:-1], _WG[::-1]))
+# Kronrod weights, then Gauss weights, which sit at the odd Kronrod nodes
+_W15 = np.zeros((2, 15))
+_W15[0] = np.concatenate((_WGK[:-1], _WGK[::-1]))
+_W15[1, 1::2] = np.concatenate((_WG[:-1], _WG[::-1]))
+
+# seed panel boundaries (see _quadrature_panels): density exponents of the
+# ladder, multiples of the kernel scale 1/A, and of the saddle width
+_LADDER_Q = np.logspace(-3.0, 2.5, 12)
+_KERNEL_SCALES = np.array([1.0, 8.0, 64.0])
+_SADDLE_OFFSETS = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0])
+
+# panel coordinates of the quadrature engine (see _log_integrand)
+_U, _TAIL, _S_RIGHT, _S_LEFT = range(4)
+# queries per engine call in evaluate_many; bounds the engine's memory
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -284,154 +298,188 @@ def _curvature_width(A: float, shape: PacketShape, u_star: float) -> float:
     return min(max(w, 1e-13 * y), 10.0 * y)
 
 
-def _log_gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One 7-15 Gauss-Kronrod panel of exp(f) in log domain.
+def _columns(k):
+    """The constants of rows k of a _query_consts table as (P, 1) columns:
+    A, gamma, beta, ln(B)/2, sqrt(B), ln(beta), the s-coordinate Jacobian
+    constant and its power of s, 1/gamma - 1."""
+    return k.T[:, :, None]
 
-    Returns (ln of Kronrod estimate, ln of |Kronrod - Gauss|).  Values are
-    shifted by the panel max before exponentiation, so panels whose whole
-    integrand sits 1000s of e-folds below the global peak still come out
-    with finite, comparable logs.
+
+def _query_consts(A: float, shape: PacketShape) -> tuple[float, ...]:
+    """One query's row of the engine's constant table (see _columns)."""
+    g = shape.gamma
+    lnB = math.log(shape.B)
+    ln_beta = math.log(shape.beta)
+    return (A, g, shape.beta, 0.5 * lnB, math.sqrt(shape.B), ln_beta,
+            0.5 * lnB - math.log(g) - ln_beta / g, 1.0 / g - 1.0)
+
+
+def _log_integrand(x, coord, k):
+    """ln of the integrand at the nodes x (P, 15) of P panels.
+
+    Row r lies in coordinate coord[r] and k[r] holds its query's constants.
+    The coordinates are u = y - 1 on both sides of the density peak and
+    t = 1/y on the far tail.  For gamma < 1 the density exponent has a cusp
+    at u = 0 with infinite one-sided slope, so both near-peak regions are
+    traversed in s = beta (|u|/sqrt(B))^gamma instead, where the exponent
+    is exactly linear and the cusp becomes an integrable endpoint power.
+    """
+    out = np.full(x.shape, -np.inf)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = np.flatnonzero(coord == _U)
+        if r.size:
+            A, g, beta, half_lnB = _columns(k[r])[:4]
+            u = x[r]
+            dens = beta * np.exp(g * (np.log(np.abs(u)) - half_lnB))
+            out[r] = np.where(u > -1.0, -A / (1.0 + u) - dens, -np.inf)
+        r = np.flatnonzero(coord == _TAIL)
+        if r.size:
+            A, g, beta, half_lnB = _columns(k[r])[:4]
+            t = x[r]
+            dens = beta * np.exp(g * (np.log((1.0 - t) / t) - half_lnB))
+            out[r] = np.where((t > 0.0) & (t < 1.0),
+                              -A * t - dens - 2.0 * np.log(t), -np.inf)
+        r = np.flatnonzero(coord >= _S_RIGHT)
+        if r.size:
+            A, g, _, _, sqB, ln_beta, ln_jac, power = _columns(k[r])
+            side = np.where(coord[r] == _S_LEFT, -1.0, 1.0)[:, None]
+            s = x[r]
+            ln_s = np.log(s)
+            y = 1.0 + side * sqB * np.exp((ln_s - ln_beta) / g)
+            out[r] = np.where((s > 0.0) & (y > 0.0),
+                              -A / y - s + ln_jac + power * ln_s, -np.inf)
+    return out
+
+
+def _gk15(coord, a, b, k):
+    """One 7-15 Gauss-Kronrod rule of exp(integrand) on each panel [a, b].
+
+    Returns (ln of Kronrod estimate, ln of |Kronrod - Gauss|) per panel.
+    Each panel's values are shifted by its own max before exponentiation,
+    so panels whose whole integrand sits 1000s of e-folds below the global
+    peak still come out with finite, comparable logs.  The weighted sums
+    are a fixed tree of elementwise adds, not a BLAS product, so a panel's
+    bits do not depend on which other panels share the call.
     """
     hw = 0.5 * (b - a)
-    x = 0.5 * (a + b) + hw * _NODES15
-    v = f(x)
-    m = float(np.max(v))
-    if not math.isfinite(m):
-        return -math.inf, -math.inf
-    e = np.exp(v - m)
-    sk = float(np.dot(_WK15, e))
-    sg = float(np.dot(_WG7, e[1::2]))
-    ln_hw = math.log(hw)
-    ln_I = m + math.log(sk) + ln_hw
-    diff = abs(sk - sg)
-    ln_err = (m + math.log(diff) + ln_hw) if diff > 0.0 else -math.inf
+    v = _log_integrand((0.5 * (a + b))[:, None] + hw[:, None] * _NODES15,
+                       coord, k)
+    m = v.max(axis=1)
+    finite = np.isfinite(m)
+    m = np.where(finite, m, 0.0)
+    with np.errstate(invalid="ignore"):
+        terms = np.exp(v - m[:, None])[:, None, :] * _W15  # (P, 2, 15)
+    sums = terms[..., :8].copy()
+    sums[..., :7] += terms[..., 8:]
+    sums = sums[..., :4] + sums[..., 4:]
+    sums = sums[..., :2] + sums[..., 2:]
+    sk, sg = np.ascontiguousarray((sums[..., 0] + sums[..., 1]).T)
+    diff = np.abs(sk - sg)
+    with np.errstate(divide="ignore"):
+        ln_hw = np.log(hw)
+        ln_I = np.where(finite, m + np.log(sk) + ln_hw, -np.inf)
+        ln_err = np.where(finite & (diff > 0.0),
+                          m + np.log(diff) + ln_hw, -np.inf)
     return ln_I, ln_err
 
 
-def _adaptive_log_quadrature(seed_panels, rel_target=1e-7, hard_rel=1e-6,
-                             max_depth=20, max_panels=4000):
-    """Greedy worst-panel refinement of a union of log-domain GK panels.
+def _splittable(a, b, depth, max_depth):
+    """Panels that may still be bisected: below max_depth and wide enough
+    that their midpoint is a double strictly inside them."""
+    mid = 0.5 * (a + b)
+    return (depth < max_depth) & (a < mid) & (mid < b)
 
-    seed_panels: iterable of (f, a, b) with f vectorized, returning ln-values.
-    Returns (ln_integral, rel_error, converged); rel_error is the summed
-    panel error divided by the integral, which in log domain is also the
-    absolute uncertainty of ln_integral.
+
+def _rel_error(ln_I, ln_err):
+    """Summed panel error over the integral, from their logs."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        rel = np.exp(np.minimum(ln_err - ln_I, 700.0))
+    zero = ln_I == -np.inf
+    return np.where(zero, np.where(ln_err == -np.inf, 0.0, np.inf), rel)
+
+
+def _log_quadrature(k, seeds, rel_target=1e-7, hard_rel=1e-6, max_depth=20,
+                    max_panels=4000):
+    """Greedy worst-panel refinement of a batch of log-domain GK15 integrals.
+
+    k is the (Q, 8) constant table of Q queries (one _query_consts row
+    each) and seeds[i] the (coord, a, b) arrays of query i's seed panels.
+    Panels live in flat arrays in creation order.  Refinement runs in
+    rounds: in each round every unconverged query bisects its live panel of
+    highest ln_err (the earliest created on ties), and all the children are
+    evaluated in one call.  A panel at max_depth or too narrow to halve is
+    frozen: it keeps contributing value and error but is never split.  A
+    query stops at rel <= rel_target, when no live panel is left, when its
+    worst live panel reports zero error, or once it has created max_panels
+    panels.  So each query takes the same steps whatever else is batched
+    with it.
+
+    Returns per-query arrays (ln_integral, rel_error, converged);
+    rel_error is the summed panel error divided by the integral, which in
+    log domain is also the absolute uncertainty of ln_integral, and
+    converged is rel_error <= hard_rel.
     """
-    heap = []
-    frozen = []  # panels at max depth keep contributing value and error
-    seq = 0
-    created = 0
-    for f, a, b in seed_panels:
-        if not (b > a):
-            continue
-        ln_I, ln_err = _log_gk15(f, a, b)
-        heapq.heappush(heap, (-ln_err, seq, f, a, b, 0, ln_I, ln_err))
-        seq += 1
-        created += 1
+    nq = len(seeds)
+    q = np.concatenate([np.full(len(s[0]), i) for i, s in enumerate(seeds)])
+    coord, a, b = (np.concatenate([s[j] for s in seeds]) for j in range(3))
+    keep = b > a
+    q, coord, a, b = q[keep], coord[keep], a[keep], b[keep]
+    depth = np.zeros(q.size, dtype=int)
+    ln_I, ln_err = _gk15(coord, a, b, k[q])
+    counted = np.ones(q.size, dtype=bool)  # not yet replaced by children
+    live = _splittable(a, b, depth, max_depth)
+    created = np.bincount(q, minlength=nq)
+    tot_I = log_sum_exp_segments(ln_I, q, nq)
+    tot_err = log_sum_exp_segments(ln_err, q, nq)
+    rel = _rel_error(tot_I, tot_err)
+    active = (rel > rel_target) & (created < max_panels)
 
-    def totals():
-        lead = [(p[6], p[7]) for p in heap] + frozen
-        ln_Is = np.array([q[0] for q in lead])
-        ln_es = np.array([q[1] for q in lead])
-        with np.errstate(invalid="ignore"):
-            ln_I_tot = float(log_sum_exp(ln_Is)) if len(ln_Is) else -math.inf
-            ln_e_tot = float(log_sum_exp(ln_es)) if len(ln_es) else -math.inf
-        return ln_I_tot, ln_e_tot
-
-    while True:
-        ln_I_tot, ln_e_tot = totals()
-        if ln_I_tot == -math.inf:
-            rel = 0.0 if ln_e_tot == -math.inf else math.inf
-        else:
-            rel = math.exp(min(ln_e_tot - ln_I_tot, 700.0))
-        if rel <= rel_target or not heap or created >= max_panels:
+    while active.any():
+        cand = np.flatnonzero(live & active[q])
+        # lexsort is stable, so equal ln_err keeps creation order
+        order = cand[np.lexsort((-ln_err[cand], q[cand]))]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = q[order[1:]] != q[order[:-1]]
+        worst = order[first]
+        worst = worst[ln_err[worst] > -np.inf]
+        active[:] = False
+        if not worst.size:
             break
-        neg_err, _, f, a, b, depth, ln_I, ln_err = heapq.heappop(heap)
-        if ln_err == -math.inf:
-            heapq.heappush(heap, (neg_err, _, f, a, b, depth, ln_I, ln_err))
-            break  # remaining panels all report zero error; nothing to refine
-        if depth >= max_depth:
-            frozen.append((ln_I, ln_err))
-            continue
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            frozen.append((ln_I, ln_err))  # width below double resolution
-            continue
-        for aa, bb in ((a, mid), (mid, b)):
-            ln_I2, ln_err2 = _log_gk15(f, aa, bb)
-            heapq.heappush(heap, (-ln_err2, seq, f, aa, bb, depth + 1,
-                                  ln_I2, ln_err2))
-            seq += 1
-            created += 1
+        split_q = q[worst]
+        lo, hi = a[worst], b[worst]
+        mid = 0.5 * (lo + hi)
+        counted[worst] = live[worst] = False
+        ca = np.column_stack((lo, mid)).ravel()
+        cb = np.column_stack((mid, hi)).ravel()
+        cq = np.repeat(split_q, 2)
+        cc = np.repeat(coord[worst], 2)
+        cd = np.repeat(depth[worst] + 1, 2)
+        c_I, c_err = _gk15(cc, ca, cb, k[cq])
+        q, coord, a, b = (np.concatenate(p) for p in
+                          ((q, cq), (coord, cc), (a, ca), (b, cb)))
+        depth = np.concatenate((depth, cd))
+        ln_I = np.concatenate((ln_I, c_I))
+        ln_err = np.concatenate((ln_err, c_err))
+        counted = np.concatenate((counted, np.ones(cq.size, dtype=bool)))
+        live = np.concatenate((live, _splittable(ca, cb, cd, max_depth)))
+        created[split_q] += 2
 
-    ln_I_tot, ln_e_tot = totals()
-    if ln_I_tot == -math.inf:
-        rel = 0.0 if ln_e_tot == -math.inf else math.inf
-    else:
-        rel = math.exp(min(ln_e_tot - ln_I_tot, 700.0))
-    return ln_I_tot, rel, rel <= hard_rel
+        member = np.zeros(nq, dtype=bool)
+        member[split_q] = True
+        sel = counted & member[q]
+        tot_I[split_q] = log_sum_exp_segments(ln_I[sel], q[sel], nq)[split_q]
+        tot_err[split_q] = log_sum_exp_segments(ln_err[sel], q[sel],
+                                                nq)[split_q]
+        rel[split_q] = _rel_error(tot_I[split_q], tot_err[split_q])
+        active[split_q] = ((rel[split_q] > rel_target)
+                           & (created[split_q] < max_panels))
 
-
-def _make_integrands(A: float, shape: PacketShape):
-    """Vectorized log-integrands in the three working coordinates.
-
-    u = y - 1 on both sides of the density peak, and t = 1/y on the far
-    tail.  For gamma < 1 the density exponent has a cusp at u = 0 with
-    infinite one-sided slope, so both near-peak regions are traversed in
-    s = beta (|u|/sqrt(B))^gamma instead, where the exponent is exactly
-    linear and the cusp becomes an integrable endpoint power.
-    """
-    g = shape.gamma
-    beta = shape.beta
-    lnB = math.log(shape.B)
-    sqB = math.sqrt(shape.B)
-
-    def f_u(u):
-        u = np.asarray(u, dtype=float)
-        out = np.full(u.shape, -np.inf)
-        mask = u > -1.0
-        um = u[mask]
-        with np.errstate(divide="ignore", over="ignore"):
-            dens = beta * np.exp(g * (np.log(np.abs(um)) - 0.5 * lnB))
-            out[mask] = -A / (1.0 + um) - dens
-        return out
-
-    def f_tail(t):
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, -np.inf)
-        mask = (t > 0.0) & (t < 1.0)
-        tm = t[mask]
-        u = (1.0 - tm) / tm
-        with np.errstate(divide="ignore", over="ignore"):
-            dens = beta * np.exp(g * (np.log(u) - 0.5 * lnB))
-            out[mask] = -A * tm - dens - 2.0 * np.log(tm)
-        return out
-
-    ln_jac_const = 0.5 * lnB - math.log(g) - math.log(beta) / g
-
-    def make_f_s(side):
-        def f_s(s):
-            s = np.asarray(s, dtype=float)
-            out = np.full(s.shape, -np.inf)
-            pos = s > 0.0
-            sp_ = s[pos]
-            with np.errstate(over="ignore"):
-                ln_s = np.log(sp_)
-                u = side * sqB * np.exp((ln_s - math.log(beta)) / g)
-                y = 1.0 + u
-                val = np.full(sp_.shape, -np.inf)
-                ok = y > 0.0
-                val[ok] = (-A / y[ok] - sp_[ok] + ln_jac_const
-                           + (1.0 / g - 1.0) * ln_s[ok])
-            out[pos] = val
-            return out
-        return f_s
-
-    return f_u, f_tail, make_f_s(+1.0), make_f_s(-1.0)
+    return tot_I, rel, rel <= hard_rel
 
 
 def _quadrature_panels(A: float, shape: PacketShape, y_star: float | None):
-    """Seed panels straddling every known feature of the integrand.
+    """Seed panels straddling every known feature of the integrand, as
+    (coord, a, b) arrays in the coordinates of _log_integrand.
 
     Boundaries come from three length scales: the density ladder (points
     where the density exponent equals fixed values from 1e-3 to ~300), the
@@ -441,21 +489,18 @@ def _quadrature_panels(A: float, shape: PacketShape, y_star: float | None):
     g = shape.gamma
     beta = shape.beta
     sqB = math.sqrt(shape.B)
-    f_u, f_tail, f_s_right, f_s_left = _make_integrands(A, shape)
 
-    ladder_q = np.logspace(-3.0, 2.5, 12)
     with np.errstate(over="ignore"):
-        ladder_u = sqB * (ladder_q / beta) ** (1.0 / g)
+        ladder_u = sqB * (_LADDER_Q / beta) ** (1.0 / g)
     ladder_u = ladder_u[np.isfinite(ladder_u)]
-    kernel_u = np.array([1.0, 8.0, 64.0]) / max(A, 1.0)
+    kernel_u = _KERNEL_SCALES / max(A, 1.0)
 
     saddle_u = np.array([])
     u_star = None
     if y_star is not None and y_star > 1.0:
         u_star = y_star - 1.0
         w = _curvature_width(A, shape, u_star)
-        offs = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0])
-        saddle_u = u_star + offs * w
+        saddle_u = u_star + _SADDLE_OFFSETS * w
         saddle_u = saddle_u[saddle_u > 0.0]
 
     u_hi = max(float(ladder_u.max(initial=0.0)), float(kernel_u.max()), 7.0)
@@ -473,31 +518,64 @@ def _quadrature_panels(A: float, shape: PacketShape, y_star: float | None):
     left_pts = left_pts[(left_pts > -1.0) & (left_pts < 0.0)]
     left_b = np.unique(np.concatenate([np.array([-1.0, 0.0]), left_pts]))
 
-    panels = []
     if g >= 1.0:
-        for lo, hi in zip(right_b[:-1], right_b[1:]):
-            panels.append((f_u, float(lo), float(hi)))
-        for lo, hi in zip(left_b[:-1], left_b[1:]):
-            panels.append((f_u, float(lo), float(hi)))
+        edges = [(_U, right_b), (_U, left_b)]
     else:
         # remap the same boundaries into s, where the cusp is integrable
         def s_of_u(u):
             return beta * (np.abs(u) / sqB) ** g
 
-        s_right = np.unique(np.concatenate(
-            [np.array([0.0]), s_of_u(right_b[1:])]))
-        for lo, hi in zip(s_right[:-1], s_right[1:]):
-            panels.append((f_s_right, float(lo), float(hi)))
-        s_left = np.unique(np.concatenate(
-            [np.array([0.0]), s_of_u(left_b[left_b < 0.0])]))
-        for lo, hi in zip(s_left[:-1], s_left[1:]):
-            panels.append((f_s_left, float(lo), float(hi)))
-
+        edges = [(_S_RIGHT, np.unique(np.concatenate(
+                     [np.array([0.0]), s_of_u(right_b[1:])]))),
+                 (_S_LEFT, np.unique(np.concatenate(
+                     [np.array([0.0]), s_of_u(left_b[left_b < 0.0])])))]
     t_hi = 1.0 / (1.0 + u_hi)
-    for lo, hi in ((0.0, 0.25 * t_hi), (0.25 * t_hi, 0.5 * t_hi),
-                   (0.5 * t_hi, t_hi)):
-        panels.append((f_tail, lo, hi))
-    return panels
+    edges.append((_TAIL, np.array([0.0, 0.25 * t_hi, 0.5 * t_hi, t_hi])))
+    coord = np.concatenate([np.full(e.size - 1, c) for c, e in edges])
+    a = np.concatenate([e[:-1] for _, e in edges])
+    b = np.concatenate([e[1:] for _, e in edges])
+    return coord, a, b
+
+
+def _quadrature_block(queries):
+    """ln_T_quadrature of each query, with one engine call for all of them;
+    a ConvergenceError stands in for the result of a query that fails."""
+    results = [None] * len(queries)
+    heads, consts, seeds = [], [], []
+    for i, query in enumerate(queries):
+        shape = PacketShape.from_gamma(query.gamma, query.B)
+        A = float(query.A)
+        _, pw_ok = planewave_validity(A, query.B)
+        G = G_param(A, query.B, query.gamma)
+        # gamma < 1 may have no stationary point; the peak then sits at y = 1
+        y_num, y_app = _try_saddle(G, query.gamma)
+        head = dict(G=G, method_used="quadrature",
+                    y_star_numeric=_public_y_star(y_num), y_star_approx=y_app)
+        if query.B < B_DELTA_CUTOFF:
+            # delta packet at double precision; quadrature would waste effort
+            results[i] = TransmissionResult(ln_T=-A, planewave_ok=True,
+                                            quad_error_ln=0.0, **head)
+            continue
+        heads.append((i, query, shape, pw_ok, head))
+        consts.append(_query_consts(A, shape))
+        seeds.append(_quadrature_panels(A, shape, y_num))
+    if not heads:
+        return results
+
+    ln_I, rel, ok = _log_quadrature(np.array(consts), seeds)
+    for (i, query, shape, pw_ok, head), ln_Ii, rel_err, ok_i in zip(
+            heads, ln_I.tolist(), rel.tolist(), ok.tolist()):
+        ln_T = shape.log_N - 0.5 * math.log(shape.B) + ln_Ii
+        ln_T = min(ln_T, 0.0)
+        if not ok_i:
+            results[i] = ConvergenceError(
+                f"quadrature failed to reach 1e-6 (got {rel_err:.2e}) for "
+                f"A={float(query.A)}, B={query.B}, gamma={query.gamma}",
+                ln_T=ln_T, quad_error_ln=rel_err)
+        else:
+            results[i] = TransmissionResult(ln_T=ln_T, planewave_ok=pw_ok,
+                                            quad_error_ln=rel_err, **head)
+    return results
 
 
 def ln_T_quadrature(query: BarrierQuery) -> TransmissionResult:
@@ -507,35 +585,12 @@ def ln_T_quadrature(query: BarrierQuery) -> TransmissionResult:
     branch, which is monotone increasing toward y = 1), the domain is split
     at the peak and the y = 1 cusp, and panels are refined greedily until
     the estimated relative error drops below 1e-7 (reported bound 1e-6).
+    This is evaluate_many's quadrature engine run on a batch of one.
     """
-    shape = PacketShape.from_gamma(query.gamma, query.B)
-    A = float(query.A)
-    _, pw_ok = planewave_validity(A, query.B)
-    G = G_param(A, query.B, query.gamma)
-
-    # gamma < 1 may have no stationary point; the peak then sits at y = 1
-    y_num, y_app = _try_saddle(G, query.gamma)
-
-    if query.B < B_DELTA_CUTOFF:
-        # delta packet at double precision; quadrature would waste effort
-        return TransmissionResult(
-            ln_T=-A, G=G, planewave_ok=True, method_used="quadrature",
-            y_star_numeric=_public_y_star(y_num), y_star_approx=y_app,
-            quad_error_ln=0.0)
-
-    panels = _quadrature_panels(A, shape, y_num)
-    ln_I, rel_err, ok = _adaptive_log_quadrature(panels)
-    ln_T = shape.log_N - 0.5 * math.log(shape.B) + ln_I
-    ln_T = min(ln_T, 0.0)
-    if not ok:
-        raise ConvergenceError(
-            f"quadrature failed to reach 1e-6 (got {rel_err:.2e}) for "
-            f"A={A}, B={query.B}, gamma={query.gamma}",
-            ln_T=ln_T, quad_error_ln=rel_err)
-    return TransmissionResult(
-        ln_T=ln_T, G=G, planewave_ok=pw_ok, method_used="quadrature",
-        y_star_numeric=_public_y_star(y_num), y_star_approx=y_app,
-        quad_error_ln=rel_err)
+    res, = _quadrature_block([query])
+    if isinstance(res, ConvergenceError):
+        raise res
+    return res
 
 
 def ln_T_steepest(query: BarrierQuery) -> TransmissionResult:
@@ -639,24 +694,58 @@ def ln_T_from_table(table: DensityTable, A: float) -> TransmissionResult:
                               method_used="table_trapezoid")
 
 
-def evaluate(query: BarrierQuery) -> TransmissionResult:
-    """Dispatch a query to the right evaluator.
+def route(query: BarrierQuery) -> str:
+    """The evaluator that evaluate and evaluate_many send a query to.
 
-    ``auto`` prefers the exact gamma = 1 closed form where its derivation
-    holds (A >= 10 and A^2 B not small, so the y < 1 misweighting stays
-    suppressed) and falls back to quadrature everywhere else.
+    An explicit method is used as given.  ``auto`` prefers the exact
+    gamma = 1 closed form where its derivation holds (A >= 10 and A^2 B not
+    small, so the y < 1 misweighting stays suppressed) and takes quadrature
+    everywhere else.
     """
-    method = query.method
-    if method == "auto":
-        if (query.gamma == 1.0 and query.A >= BESSEL_MIN_A
-                and query.A * query.A * query.B >= 8.0):
-            method = "bessel_gamma1"
-        else:
-            method = "quadrature"
-    if method == "quadrature":
-        return ln_T_quadrature(query)
-    if method == "steepest_descent":
-        return ln_T_steepest(query)
-    if method == "bessel_gamma1":
-        return ln_T_bessel_gamma1(query.A, query.B)
-    raise DomainError(f"unknown method {query.method!r}")
+    if query.method != "auto":
+        return query.method
+    if (query.gamma == 1.0 and query.A >= BESSEL_MIN_A
+            and query.A * query.A * query.B >= 8.0):
+        return "bessel_gamma1"
+    return "quadrature"
+
+
+def evaluate_many(queries) -> list:
+    """Evaluate queries; one result per query, in order.
+
+    A query that fails to converge gets its ConvergenceError in place of a
+    result, so one failure costs the batch nothing else.  Quadrature
+    queries run through one vectorised engine, 32 queries per call; every
+    query takes the same refinement steps as it would alone, so each
+    value is bit-identical however the queries are batched or ordered.
+    The closed-form routes are evaluated query by query.
+    """
+    queries = list(queries)
+    results = [None] * len(queries)
+    quad = []
+    for i, query in enumerate(queries):
+        method = route(query)
+        if method == "quadrature":
+            quad.append(i)
+            continue
+        try:
+            if method == "steepest_descent":
+                results[i] = ln_T_steepest(query)
+            else:
+                results[i] = ln_T_bessel_gamma1(query.A, query.B)
+        except ConvergenceError as exc:
+            results[i] = exc
+    for lo in range(0, len(quad), _BLOCK):
+        block = quad[lo:lo + _BLOCK]
+        for i, res in zip(block, _quadrature_block([queries[i] for i in block])):
+            results[i] = res
+    return results
+
+
+def evaluate(query: BarrierQuery) -> TransmissionResult:
+    """Evaluate one query on the route that route() picks; evaluate_many
+    with a batch of one.  Raises ConvergenceError if quadrature fails."""
+    res, = evaluate_many([query])
+    if isinstance(res, ConvergenceError):
+        raise res
+    return res

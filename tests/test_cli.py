@@ -1,6 +1,7 @@
 """Command-line surface: schemas, grids, determinism, exit codes."""
 
 import filecmp
+import importlib.util
 import json
 import math
 import os
@@ -31,17 +32,28 @@ def _strict_json(text, **kw):
     return json.loads(text, parse_constant=refuse, **kw)
 
 
-def _fail_above(monkeypatch, b_limit):
-    """Make cli.evaluate raise ConvergenceError for every query with B > b_limit."""
+def _fail_above(monkeypatch, b_limit, module=None):
+    """Make module.evaluate_many (the CLI's by default) give a
+    ConvergenceError in place of the result of every query with B > b_limit."""
     import coulombpacket.cli as cli_mod
-    real_evaluate = cli_mod.evaluate
+    module = module or cli_mod
+    real_evaluate_many = module.evaluate_many
 
-    def flaky(query):
+    def one(query):
         if query.B > b_limit:
             raise ConvergenceError("forced", ln_T=-1.0, quad_error_ln=0.5)
-        return real_evaluate(query)
+        return real_evaluate_many([query])[0]
 
-    monkeypatch.setattr(cli_mod, "evaluate", flaky)
+    def flaky(queries):
+        results = []
+        for query in queries:
+            try:
+                results.append(one(query))
+            except ConvergenceError as exc:
+                results.append(exc)
+        return results
+
+    monkeypatch.setattr(module, "evaluate_many", flaky)
 
 
 # --- transmit -------------------------------------------------------------
@@ -107,10 +119,11 @@ def test_transmit_usage_errors_exit_2(run_cli, argv):
 def test_transmit_convergence_failure_exits_3(run_cli, monkeypatch):
     import coulombpacket.cli as cli_mod
 
-    def always_fails(query):
-        raise ConvergenceError("forced", ln_T=-12.5, quad_error_ln=0.25)
+    def always_fails(queries):
+        return [ConvergenceError("forced", ln_T=-12.5, quad_error_ln=0.25)
+                for _ in queries]
 
-    monkeypatch.setattr(cli_mod, "evaluate", always_fails)
+    monkeypatch.setattr(cli_mod, "evaluate_many", always_fails)
     code, out, err = run_cli("transmit", "--A", 10, "--B", 1e-4, "--gamma", 2)
     assert code == 3
     assert out == ""
@@ -209,10 +222,12 @@ def test_sweep_records_failure_rows(run_cli, tmp_path, monkeypatch):
     lines = out.read_text(encoding="utf-8").splitlines()
     good, bad = lines[1].split(","), lines[2].split(",")
     assert len(good) == 8
-    # failed rows blank the numeric cells and append a note column
+    # failed rows blank the numeric cells and append a note column; like
+    # good rows they name the route that ran
     assert len(bad) == 9
+    assert bad[3] == good[3] == "quadrature"
     assert bad[4] == bad[5] == bad[6] == ""
-    assert bad[8].startswith("no convergence")
+    assert bad[8] == "no convergence; best ln_T=-1.00000000000e+00"
 
 
 def test_sweep_unwritable_path_exits_4(run_cli):
@@ -427,6 +442,42 @@ def test_readme_physical_example_bytes(run_cli):
     code, out, err = run_cli(*argv)
     assert (code, err) == (0, "")
     assert out == " ".join(line.strip() for line in shown) + "\n"
+
+
+# --- scripts ----------------------------------------------------------------
+
+def _script(name):
+    """scripts/<name>.py loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ratio_study_skips_failed_rows(tmp_path, monkeypatch, capsys):
+    _fail_above(monkeypatch, 1.0)               # B = 3.16 and 10 fail
+    out = tmp_path / "ratio.csv"
+    code = _script("ratio_study").main(["--gammas", "2", "--B-count", "5",
+                                        "--out", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "skipped 2 rows without convergence" in printed
+    assert "gamma=2:" in printed
+
+
+def test_sweep_figure_data_skips_failed_points(tmp_path, monkeypatch, capsys):
+    script = _script("sweep_figure_data")
+    _fail_above(monkeypatch, 1e-3, script)      # B = 1e-2 and 1 fail
+    out = tmp_path / "fig.csv"
+    code = script.main(["--gammas", "2", "--B-min", "1e-6", "--B-max", "1",
+                        "--B-count", "4", "--out", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "skipped 2 points without convergence" in printed
+    assert "wrote 2 rows" in printed
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == pytest.approx([1e-6, 1e-4])
 
 
 # --- validate ---------------------------------------------------------------

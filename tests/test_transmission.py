@@ -25,6 +25,7 @@ from coulombpacket.transmission import (
     BarrierQuery,
     G_param,
     evaluate,
+    evaluate_many,
     ln_T_bessel_gamma1,
     ln_T_from_table,
     ln_T_quadrature,
@@ -230,14 +231,164 @@ def test_delta_packet_short_circuit():
 def test_quadrature_failure_carries_partial_estimate(monkeypatch):
     from coulombpacket import transmission as tr
 
-    def unconverged(seed_panels, **kwargs):
-        return -123.0, 3.4e-4, False
+    def unconverged(consts, seeds, **kwargs):
+        return np.array([-123.0]), np.array([3.4e-4]), np.array([False])
 
-    monkeypatch.setattr(tr, "_adaptive_log_quadrature", unconverged)
+    monkeypatch.setattr(tr, "_log_quadrature", unconverged)
     with pytest.raises(ConvergenceError) as exc_info:
         tr.ln_T_quadrature(BarrierQuery(50.0, 0.1, 2.0))
     assert exc_info.value.quad_error_ln == pytest.approx(3.4e-4)
     assert exc_info.value.ln_T is not None and exc_info.value.ln_T <= 0.0
+
+
+# (A, B, gamma, ln_T, quad_error_ln) of the per-panel heap quadrature that
+# the batch engine replaced.  The engine takes the same refinement steps, so
+# only the order of its sums differs: ln_T may move by a few ulps, and
+# quad_error_ln, a difference of nearly equal sums, by up to about 1e-3
+# relative.  Rows cover every panel coordinate: u (gamma >= 1), s+ and s-
+# (gamma < 1) and the tail t (all), and the delta-packet shortcut.
+QUAD_PINNED = [
+    # a spread over gamma, A and B
+    (0.3, 1e-12, 0.3,
+     -0.3000000000002423, 6.898218368498826e-08),
+    (5.0, 1e-07, 0.3,
+     -4.999999250007157, 6.83651072437472e-08),
+    (70.0, 0.01, 0.3,
+     -22.130460900343213, 2.6413383171134833e-10),
+    (700.0, 1000.0, 0.3,
+     -8.296892237585974, 9.793574396524007e-09),
+    (5.0, 1e-12, 0.5,
+     -4.999999999992511, 6.492174513276972e-08),
+    (70.0, 1e-07, 0.5,
+     -69.99976181727469, 3.0383245408996593e-09),
+    (700.0, 0.01, 0.5,
+     -73.60232228297998, 4.2391582176563983e-10),
+    (10000.0, 1000.0, 0.5,
+     -24.439417858537844, 2.188590891728624e-08),
+    (70.0, 1e-12, 0.8,
+     -69.99999999293142, 8.05220084333739e-08),
+    (700.0, 1e-07, 0.8,
+     -699.9750057360446, 9.18558689339586e-08),
+    (10000.0, 0.01, 0.8,
+     -463.06925168107745, 4.325521285512766e-08),
+    (0.3, 1000.0, 0.8,
+     -0.7052438647601567, 7.336334079954179e-08),
+    (700.0, 1e-12, 1.0,
+     -699.9999997557001, 3.5839721107603415e-08),
+    (10000.0, 1e-07, 1.0,
+     -8898.386908282822, 2.7052959210750523e-08),
+    (0.3, 0.01, 1.0,
+     -0.30267230167628556, 4.3207959607019457e-10),
+    (5.0, 1000.0, 1.0,
+     -1.118410230364964, 5.110623478156069e-08),
+    (10000.0, 1e-12, 1.5,
+     -9999.999950009684, 3.1701192900282254e-10),
+    (0.3, 1e-07, 1.5,
+     -0.30000002549982163, 5.890218360099569e-10),
+    (5.0, 0.01, 1.5,
+     -4.929033684261542, 1.1070276771587659e-10),
+    (70.0, 1000.0, 1.5,
+     -3.1264449525940545, 1.2090037458866628e-10),
+    (0.3, 1e-12, 2.0,
+     -0.3000000000002583, 3.4252932956447356e-11),
+    (5.0, 1e-07, 2.0,
+     -4.999999250000403, 3.424351609579252e-11),
+    (70.0, 0.01, 2.0,
+     -58.15722524637299, 4.713578222390776e-09),
+    (700.0, 1000.0, 2.0,
+     -12.289307161331788, 1.0254983417331656e-09),
+    (5.0, 1e-12, 4.0,
+     -4.999999999992504, 4.815528433845033e-12),
+    (70.0, 1e-07, 4.0,
+     -69.99976201002153, 3.909362831248411e-12),
+    (700.0, 0.01, 4.0,
+     -530.4000182529671, 1.3990831015525196e-08),
+    (10000.0, 1000.0, 4.0,
+     -108.0853980705111, 4.3906509372578714e-09),
+    (70.0, 1e-12, 10.0,
+     -69.99999999762, 1.5247775515620301e-12),
+    (700.0, 1e-07, 10.0,
+     -699.9756821257483, 1.026066425746158e-12),
+    (10000.0, 0.01, 10.0,
+     -7877.883235416047, 1.4153882222033408e-08),
+    (0.3, 1000.0, 10.0,
+     -0.7060330297867337, 3.554379944618202e-08),
+    # ln T near -7000, where 4 ulp exceed the 1e-12 floor
+    (10000.0, 2.424462017082331e-12, 0.5,
+     -7037.743634144159, 6.772509459394811e-08),
+    (10000.0, 1.7012542798525893e-08, 0.8,
+     -7320.2908316784615, 3.741678493254848e-08),
+    # 6 and 7 refinement rounds, the most over the benchmark's 3600 points
+    (0.3, 170.12542798525928, 0.8,
+     -0.696428267256398, 7.029125365901291e-08),
+    (0.11315520413101747, 733.1297463847716, 0.16274496763917376,
+     -0.32650351518230547, 4.940887060225204e-08),
+    (0.1080997374049099, 211.71257382213278, 0.27548866729559013,
+     -0.4267174739417361, 2.5178646352346505e-08),
+    (0.19320325234797608, 9431.636817348428, 0.1234885739036991,
+     -0.40075343844883626, 4.5433715762002314e-08),
+    (0.12892498192197635, 6.74706836167088, 0.9833538600976859,
+     -0.47859758770529315, 7.875326640686505e-08),
+    # the largest moves of ln_T (1 ulp) and of quad_error_ln (8.4e-4 rel)
+    (10000.0, 3.455107294592218e-11, 0.8,
+     -9999.998270013086, 8.449195620954905e-08),
+    (1.7414092782177555, 0.00019435866581828367, 5.9331779075915065,
+     -1.7414529985729255, 6.920666972429961e-14),
+    # below B_DELTA_CUTOFF: ln T = -A exactly, without quadrature
+    (100.0, 1e-15, 2.0, -100.0, 0.0),
+    (50.0, 5e-15, 0.5, -50.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("A, B, gamma, ln_T, err", QUAD_PINNED)
+def test_quadrature_pinned_to_heap_engine(A, B, gamma, ln_T, err):
+    res = ln_T_quadrature(BarrierQuery(A, B, gamma))
+    assert abs(res.ln_T - ln_T) <= max(1e-12, 4.0 * math.ulp(ln_T))
+    assert res.quad_error_ln == pytest.approx(err, rel=1e-2)
+
+
+def _bits(results):
+    return [(r.ln_T, r.quad_error_ln) for r in results]
+
+
+def test_evaluate_many_bits_do_not_depend_on_batching():
+    rng = np.random.default_rng(7)
+    n = 75   # three engine blocks
+    cols = [np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+            for lo, hi in ((0.1, 1e4), (1e-13, 1e3), (0.11, 10.0))]
+    queries = [BarrierQuery(A, B, g) for A, B, g in zip(*cols)]
+    alone = _bits(evaluate_many([q])[0] for q in queries)
+    assert _bits(evaluate_many(queries)) == alone
+    order = rng.permutation(n)
+    shuffled = _bits(evaluate_many([queries[i] for i in order]))
+    assert [shuffled[k] for k in np.argsort(order)] == alone
+    split = evaluate_many(queries[:45]) + evaluate_many(queries[45:])
+    assert _bits(split) == alone
+
+
+def test_failed_query_leaves_its_block_unchanged(monkeypatch):
+    from coulombpacket import transmission as tr
+    rng = np.random.default_rng(11)
+    queries = [BarrierQuery(A, B, g) for A, B, g in zip(
+        np.exp(rng.uniform(math.log(0.1), math.log(1e4), 31)),
+        np.exp(rng.uniform(math.log(1e-12), math.log(1e3), 31)),
+        rng.uniform(0.2, 6.0, 31))]
+    doomed = BarrierQuery(7.77, 1e-3, 2.0, method="quadrature")
+    real_gk15 = tr._gk15
+
+    def no_error_decay(coord, a, b, k):
+        # every panel of the doomed query reports an error as large as its
+        # value, so it refines until max_panels and fails
+        ln_I, ln_err = real_gk15(coord, a, b, k)
+        return ln_I, np.where(k[:, 0] == doomed.A, ln_I, ln_err)
+
+    monkeypatch.setattr(tr, "_gk15", no_error_decay)
+    without = evaluate_many(queries)
+    with_doomed = evaluate_many(queries[:10] + [doomed] + queries[10:])
+    failure = with_doomed.pop(10)
+    assert isinstance(failure, ConvergenceError)
+    assert failure.quad_error_ln == pytest.approx(1.0)
+    assert _bits(with_doomed) == _bits(without)
 
 
 def test_result_log10_and_magnitude():
