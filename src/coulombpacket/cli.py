@@ -187,11 +187,10 @@ def cmd_ratio(args) -> int:
 
 def cmd_from_table(args) -> int:
     try:
-        table = read_density_table(args.file)
-        if args.A <= 0 or not math.isfinite(args.A):
-            print(f"invalid A: {args.A!r}", file=sys.stderr)
-            return 2
-        res = ln_T_from_table(table, args.A)
+        res = ln_T_from_table(read_density_table(args.file), args.A)
+    except DomainError as exc:
+        print(f"invalid A: {exc}", file=sys.stderr)
+        return 2
     except TableFormatError as exc:
         print(f"malformed density table: {exc}", file=sys.stderr)
         return 5

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 
 __all__ = [
     "CorrelatedPacket",
@@ -52,9 +52,7 @@ class CorrelatedPacket:
     def __post_init__(self):
         _check_r(self.r)
         for name in ("sigma_p0", "a_squared_over_sigma"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
+            require_positive(name, getattr(self, name))
 
 
 class ScalingComparison(NamedTuple):
@@ -75,9 +73,7 @@ def leading_exponent_gamma2(a2_over_sigma: float) -> float:
     leading_exponent_gamma2(x (1-r^2)) =
         (1-r^2)^(1/3) * leading_exponent_gamma2(x).
     """
-    x = float(a2_over_sigma)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"a^2/sigma must be positive and finite, got {x!r}")
+    x = require_positive("a^2/sigma", a2_over_sigma)
     return -1.5 * float(np.cbrt(x))
 
 

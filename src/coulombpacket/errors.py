@@ -4,8 +4,10 @@ All domain/range violations raise subclasses of ValueError so that callers
 who do not care about the distinction can catch the builtin.  Convergence
 failures are RuntimeError subclasses and carry the best available estimate,
 because a partially converged log-probability is still useful diagnostic
-output.
+output.  require_positive is the one positive-and-finite input check.
 """
+
+import math
 
 
 class DomainError(ValueError):
@@ -53,3 +55,11 @@ class TableFormatError(ValueError):
 
 class AcceptanceDataError(RuntimeError):
     """The frozen acceptance-target data file is missing or unreadable."""
+
+
+def require_positive(name: str, value) -> float:
+    """value as a float; DomainError unless it is positive and finite."""
+    v = float(value)
+    if not (v > 0.0 and math.isfinite(v)):
+        raise DomainError(f"{name} must be positive and finite, got {v!r}")
+    return v

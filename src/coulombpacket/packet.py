@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
-from .errors import DomainError, RangeError, TableFormatError
+from .errors import DomainError, RangeError, TableFormatError, require_positive
 from .specfun import log_gamma
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "PacketShape",
     "DensityTable",
     "shape_constants",
+    "density_exponent",
+    "exponent_offset",
     "log_density",
     "central_moment",
     "read_density_table",
@@ -52,9 +54,7 @@ def shape_constants(gamma: float) -> tuple[float, float]:
     Gamma(1.5) is bit-for-bit half of Gamma(0.5)).  The normalizer is O(1)
     but kept as a log since it always enters log-domain sums.
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma <= 0.0:
-        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = require_positive("gamma", gamma)
     if gamma >= 3.0 / 170.0:
         beta = float((sp.gamma(3.0 / gamma) / sp.gamma(1.0 / gamma))
                      ** (0.5 * gamma))
@@ -76,14 +76,12 @@ class PacketShape:
     log_N: float
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise DomainError("gamma must be finite")
+        require_positive("gamma", self.gamma)
         if not (GAMMA_MIN < self.gamma <= GAMMA_MAX):
             raise RangeError(
                 f"gamma={self.gamma} outside supported range "
                 f"({GAMMA_MIN}, {GAMMA_MAX}]")
-        if not math.isfinite(self.B) or self.B <= 0.0:
-            raise DomainError(f"B must be positive and finite, got {self.B!r}")
+        require_positive("B", self.B)
 
     @classmethod
     def from_gamma(cls, gamma: float, B: float) -> "PacketShape":
@@ -94,20 +92,34 @@ class PacketShape:
         return cls(gamma=float(gamma), B=float(B), beta=beta, log_N=log_N)
 
 
+def density_exponent(u, beta, gamma, half_lnB):
+    """The density exponent s = beta (|u|^2 / B)^(gamma/2) at u = y - 1.
+
+    Evaluated as beta exp(gamma (ln|u| - (1/2) ln B)), so extreme B cause
+    no premature under/overflow; at u = 0, ln|u| = -inf gives exactly 0,
+    the gamma > 0 limit.  Takes floats or arrays, including the quadrature
+    engine's (P, 1) constant columns.  Inverse of exponent_offset.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        return beta * np.exp(gamma * (np.log(np.abs(u)) - half_lnB))
+
+
+def exponent_offset(s, ln_beta, gamma, sqB):
+    """The offset |u| = |y - 1| at which the density exponent equals s >= 0:
+    sqrt(B) exp((ln s - ln beta) / gamma).  Inverse of density_exponent."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return sqB * np.exp((np.log(s) - ln_beta) / gamma)
+
+
 def log_density(y, shape: PacketShape):
     """ln of the dimensionless momentum density at y (scalar or array).
 
     log_N - (1/2) ln B - beta (|y-1|^2 / B)^(gamma/2), finite for every
-    finite y.  The power is evaluated as exp(gamma (ln|y-1| - ln sqrt(B)))
-    so extreme B cause no premature under/overflow; at y = 1 the exponent
-    term is exactly zero (for gamma > 0 the |u|^gamma limit).
+    finite y (see density_exponent).
     """
-    y_arr = np.asarray(y, dtype=float)
-    u = np.abs(y_arr - 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        # ln|u| = -inf at u=0 gives exp(-inf) = 0, the correct limit
-        pow_term = np.exp(shape.gamma * (np.log(u) - 0.5 * math.log(shape.B)))
-    out = shape.log_N - 0.5 * math.log(shape.B) - shape.beta * pow_term
+    half_lnB = 0.5 * math.log(shape.B)
+    out = shape.log_N - half_lnB - density_exponent(
+        np.asarray(y, dtype=float) - 1.0, shape.beta, shape.gamma, half_lnB)
     if np.ndim(y) == 0:
         return float(out)
     return out
@@ -140,19 +152,18 @@ def _moment_integrand_factory(shape: PacketShape, k: int):
 
         return f
 
-    ln_du_ds_const = 0.5 * math.log(shape.B) - math.log(g) - math.log(shape.beta) / g
+    ln_beta = math.log(shape.beta)
+    ln_du_ds_const = 0.5 * math.log(shape.B) - math.log(g) - ln_beta / g
 
     def f(s):
         if s <= 0.0:
             return 0.0
-        ln_s = math.log(s)
-        ln_u = math.log(sqB) + (ln_s - math.log(shape.beta)) / g
-        with np.errstate(over="ignore"):
-            u = float(np.exp(ln_u))  # inf at extreme probe points is harmless
-        ln_jac = ln_du_ds_const + (1.0 / g - 1.0) * ln_s
+        # inf at extreme probe points is harmless
+        u = float(exponent_offset(s, ln_beta, g, sqB))
+        ln_jac = ln_du_ds_const + (1.0 / g - 1.0) * math.log(s)
         ln_val = log_density(1.0 + u, shape) + ln_jac
         if k:
-            ln_val += k * ln_u
+            ln_val += k * math.log(u) if u > 0.0 else -math.inf
         if ln_val != ln_val or ln_val == -math.inf:
             return 0.0
         return math.exp(ln_val) if ln_val < 700.0 else math.inf

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, RegimeError
+from .errors import RegimeError, require_positive
 
 __all__ = [
     "FINE_STRUCTURE",
@@ -56,9 +56,7 @@ class ParticleSpec:
 
     def __post_init__(self):
         for name in ("Z", "mass_amu", "kinetic_energy_ev"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
+            require_positive(name, getattr(self, name))
 
 
 class BarrierScale(NamedTuple):
@@ -78,17 +76,11 @@ def v0_over_c(spec: ParticleSpec, reduced_mass: bool = False) -> float:
 
 
 def big_A(spec: ParticleSpec, reduced_mass: bool = False) -> float:
-    """Reduced barrier strength A = 2 pi Z alpha / (v0/c).
+    """Reduced barrier strength A = a/p0 = 2 pi Z alpha / (v0/c).
 
-    Raises RegimeError when v0/c exceeds 0.1: the map uses p0 = m v0 and
-    E = p0^2/(2m), neither of which survives relativistic speeds.
+    Raises RegimeError when v0/c exceeds 0.1 (see little_a).
     """
-    v0c = v0_over_c(spec, reduced_mass)
-    if v0c > RELATIVISTIC_THRESHOLD:
-        raise RegimeError(
-            f"v0/c = {v0c:.4f} exceeds {RELATIVISTIC_THRESHOLD}; "
-            "non-relativistic map invalid")
-    return 2.0 * math.pi * spec.Z * FINE_STRUCTURE / v0c
+    return little_a(spec, reduced_mass).a_over_mc / v0_over_c(spec, reduced_mass)
 
 
 def little_a(spec: ParticleSpec, reduced_mass: bool = False) -> BarrierScale:
@@ -97,6 +89,9 @@ def little_a(spec: ParticleSpec, reduced_mass: bool = False) -> BarrierScale:
     Dimensionless form a/(m c) = 2 pi Z alpha does not depend on energy or
     mass; the SI value scales it by m c.  Consistency: big_A = a/p0 with
     p0 = m v0, i.e. big_A = (a/(m c)) / (v0/c).
+
+    Raises RegimeError when v0/c exceeds 0.1: the map uses p0 = m v0 and
+    E = p0^2/(2m), neither of which survives relativistic speeds.
     """
     v0c = v0_over_c(spec, reduced_mass)
     if v0c > RELATIVISTIC_THRESHOLD:

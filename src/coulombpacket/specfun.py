@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 
 __all__ = [
     "LogMagnitude",
@@ -48,9 +48,7 @@ class LogMagnitude:
 
     @classmethod
     def from_value(cls, x: float) -> "LogMagnitude":
-        if not (x > 0) or not math.isfinite(x):
-            raise DomainError("LogMagnitude.from_value needs x > 0, got %r" % (x,))
-        return cls(math.log(x))
+        return cls(math.log(require_positive("x", x)))
 
     @property
     def log10(self) -> float:
@@ -87,20 +85,13 @@ class LogMagnitude:
         return f"{mantissa:.{digits}f}e{exp10:+d}"
 
 
-def _require_positive_scalar(x, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"{name} must be a positive finite real, got {x!r}")
-    return x
-
-
 def log_gamma(x: float) -> float:
     """ln Γ(x) for x > 0.
 
     Thin validated wrapper over :func:`scipy.special.gammaln`; only
     positive arguments arise here (1/γ and 3/γ with γ > 0).
     """
-    x = _require_positive_scalar(x, "x")
+    x = require_positive("x", x)
     return float(sp.gammaln(x))
 
 
@@ -111,7 +102,7 @@ def log_bessel_k1(z: float) -> float:
     accurate for arguments up to 10⁴ and beyond where K₁ itself underflows
     (K₁(1000) ≈ e^-1003).
     """
-    z = _require_positive_scalar(z, "z")
+    z = require_positive("z", z)
     return float(np.log(sp.k1e(z)) - z)
 
 
@@ -122,7 +113,7 @@ def log_bessel_k1_asymptotic(z: float) -> float:
     quoted with this replacement; the difference from :func:`log_bessel_k1`
     is ln(1 + 3/(8z) + ...) and vanishes as z → ∞.
     """
-    z = _require_positive_scalar(z, "z")
+    z = require_positive("z", z)
     return 0.5 * math.log(math.pi / (2.0 * z)) - z
 
 
@@ -142,8 +133,9 @@ def log_sum_exp(terms, weights=None) -> float:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != terms.shape:
             raise DomainError("weights must match terms in shape")
-        if np.any(~np.isfinite(weights)) or np.any(weights <= 0.0):
-            raise DomainError("weights must be positive and finite")
+        # every weight is positive and finite when both extremes are
+        require_positive("weights", weights.min())
+        require_positive("weights", weights.max())
         weights = weights.ravel()
     one = np.zeros(terms.size, dtype=np.intp)
     return float(log_sum_exp_segments(terms.ravel(), one, 1, weights)[0])

@@ -28,8 +28,17 @@ from .errors import (
     RangeError,
     RegimeError,
     TableFormatError,
+    require_positive,
 )
-from .packet import DensityTable, PacketShape, shape_constants
+from .packet import (
+    GAMMA_MAX,
+    GAMMA_MIN,
+    DensityTable,
+    PacketShape,
+    density_exponent,
+    exponent_offset,
+    shape_constants,
+)
 from .specfun import (
     LogMagnitude,
     log_bessel_k1,
@@ -114,15 +123,17 @@ class BarrierQuery:
 
     def __post_init__(self):
         for name in ("A", "B", "gamma"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
-        if not (0.1 < self.gamma <= 10.0):
-            raise RangeError(f"gamma={self.gamma} outside supported range (0.1, 10]")
+            require_positive(name, getattr(self, name))
+        if not (GAMMA_MIN < self.gamma <= GAMMA_MAX):
+            raise RangeError(f"gamma={self.gamma} outside supported range "
+                             f"({GAMMA_MIN}, {GAMMA_MAX}]")
         if self.method not in METHODS:
             raise DomainError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.method == "bessel_gamma1" and self.gamma != 1.0:
             raise DomainError("method bessel_gamma1 requires gamma = 1")
+        if self.method == "bessel_gamma1" and self.A < BESSEL_MIN_A:
+            raise DomainError(
+                f"method bessel_gamma1 requires A >= {BESSEL_MIN_A}, got A={self.A}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +161,7 @@ class TransmissionResult:
 
 def plane_wave_log_D(A: float, y: float) -> float:
     """ln D for a single plane wave of reduced momentum y: -A/y."""
-    if not (A > 0.0) or not math.isfinite(A):
-        raise DomainError(f"A must be positive and finite, got {A!r}")
+    require_positive("A", A)
     if not (y > 0.0):
         raise DomainError(f"plane-wave kernel needs y > 0 (right-movers), got {y!r}")
     return -A / y
@@ -163,19 +173,26 @@ def planewave_validity(A: float, B: float) -> tuple[float, bool]:
     return v, v < PLANEWAVE_THRESHOLD
 
 
-def G_param(A: float, B: float, gamma: float) -> float:
-    """Saddle-equation parameter G = A B^(gamma/2) / (gamma beta)."""
-    for name, v in (("A", A), ("B", B), ("gamma", gamma)):
-        if not math.isfinite(v) or v <= 0.0:
-            raise DomainError(f"{name} must be positive and finite, got {v!r}")
-    beta, _ = shape_constants(gamma)
-    with np.errstate(over="ignore", under="ignore"):
+def _G(A: float, B: float, gamma: float, beta: float) -> float:
+    """G = A B^(gamma/2) / (gamma beta) in plain arithmetic, or from its log
+    where the power leaves the double range; inf where G itself does."""
+    try:
         G = A * B ** (gamma / 2.0) / (gamma * beta)
-    if G == 0.0 or not math.isfinite(G):
-        # rescue plain arithmetic only at extreme B where powers leave range
-        G = float(np.exp(math.log(A) + 0.5 * gamma * math.log(B)
-                         - math.log(gamma * beta)))
-    return float(G)
+    except OverflowError:
+        G = math.inf
+    if G == 0.0 or G == math.inf:
+        with np.errstate(over="ignore"):
+            G = float(np.exp(math.log(A) + 0.5 * gamma * math.log(B)
+                             - math.log(gamma * beta)))
+    return G
+
+
+def G_param(A: float, B: float, gamma: float) -> float:
+    """Saddle-equation parameter G = A B^(gamma/2) / (gamma beta); inf
+    beyond the double range."""
+    A, B, gamma = (require_positive(name, v) for name, v in
+                   (("A", A), ("B", B), ("gamma", gamma)))
+    return _G(A, B, gamma, shape_constants(gamma)[0])
 
 
 def _saddle_shifted(t: float, lnG: float, gamma: float) -> float:
@@ -190,10 +207,8 @@ def saddle_point_numeric(G: float, gamma: float) -> float:
     monotone for gamma >= 1 and has a well-separated upper branch for
     gamma < 1.  For gamma = 1 the root is sqrt(G) in closed form.
     """
-    if not math.isfinite(G) or G <= 0.0:
-        raise DomainError(f"G must be positive and finite, got {G!r}")
-    if not math.isfinite(gamma) or gamma <= 0.0:
-        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
+    G = require_positive("G", G)
+    gamma = require_positive("gamma", gamma)
     if gamma == 1.0:
         return math.sqrt(G)
 
@@ -201,23 +216,9 @@ def saddle_point_numeric(G: float, gamma: float) -> float:
     t_cap = math.log(1e6)  # search window (1, 1 + 1e6) in y
 
     if gamma > 1.0:
-        # strictly decreasing in t; bracket and solve
+        # strictly decreasing in t
         t_hi = max(lnG / (gamma + 1.0), 0.0) + 1.0
-        steps = 0
-        while _saddle_shifted(t_hi, lnG, gamma) > 0.0:
-            t_hi += 2.0
-            steps += 1
-            if t_hi > t_cap or steps > 400:
-                raise ConvergenceError(
-                    f"no saddle bracket below y = 1 + 1e6 (G={G}, gamma={gamma})")
         t_lo = min(lnG / (gamma + 1.0), lnG / (gamma - 1.0), 0.0) - 1.0
-        step = 2.0
-        while _saddle_shifted(t_lo, lnG, gamma) < 0.0:
-            t_lo -= step
-            step *= 2.0
-            if t_lo < -1e8:
-                raise ConvergenceError(
-                    f"saddle point indistinguishable from 1 (G={G}, gamma={gamma})")
     else:
         # two branches; the upper one (local maximum of h) lies right of the
         # critical point y_c = 2/(gamma+1)
@@ -228,13 +229,21 @@ def saddle_point_numeric(G: float, gamma: float) -> float:
                 f"for G={G}, gamma={gamma}")
         t_lo = t_c
         t_hi = max(t_c, lnG / (gamma + 1.0)) + 1.0
-        steps = 0
-        while _saddle_shifted(t_hi, lnG, gamma) > 0.0:
-            t_hi += 2.0
-            steps += 1
-            if t_hi > t_cap or steps > 400:
-                raise ConvergenceError(
-                    f"no saddle bracket below y = 1 + 1e6 (G={G}, gamma={gamma})")
+    steps = 0
+    while _saddle_shifted(t_hi, lnG, gamma) > 0.0:
+        t_hi += 2.0
+        steps += 1
+        if t_hi > t_cap or steps > 400:
+            raise ConvergenceError(
+                f"no saddle bracket below y = 1 + 1e6 (G={G}, gamma={gamma})")
+    # for gamma < 1 the residual is already positive at t_lo = t_c
+    step = 2.0
+    while _saddle_shifted(t_lo, lnG, gamma) < 0.0:
+        t_lo -= step
+        step *= 2.0
+        if t_lo < -1e8:
+            raise ConvergenceError(
+                f"saddle point indistinguishable from 1 (G={G}, gamma={gamma})")
 
     t_star = optimize.brentq(_saddle_shifted, t_lo, t_hi, args=(lnG, gamma),
                              xtol=1e-14, rtol=8.9e-16, maxiter=200)
@@ -247,40 +256,43 @@ def saddle_point_numeric(G: float, gamma: float) -> float:
 
 def saddle_point_approx(G: float, gamma: float) -> float:
     """Large-G approximation y* ~= G^(1/(gamma+1)) + (gamma-1)/(gamma+1)."""
-    if not math.isfinite(G) or G <= 0.0:
-        raise DomainError(f"G must be positive and finite, got {G!r}")
-    if not math.isfinite(gamma) or gamma <= 0.0:
-        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
+    G = require_positive("G", G)
+    gamma = require_positive("gamma", gamma)
     return G ** (1.0 / (gamma + 1.0)) + (gamma - 1.0) / (gamma + 1.0)
 
 
-def _try_saddle(G: float, gamma: float):
-    """(y_numeric, y_approx) or Nones when no stationary point is reachable."""
-    if not (G > 0.0) or not math.isfinite(G):
-        return None, None
-    y_app = saddle_point_approx(G, gamma)
-    try:
-        return saddle_point_numeric(G, gamma), y_app
-    except ConvergenceError:
-        return None, y_app
+def _head(A: float, shape: PacketShape, method_used: str) -> dict:
+    """The result fields every (A, B, gamma) route shares: G, the
+    plane-wave verdict, the route and the stationary points.
 
-
-def _public_y_star(y):
-    """Results only publish interior stationary points, which lie above 1;
-    the gamma=1 sqrt(G) root drops below 1 when G < 1 (peak at the cusp)."""
-    return y if (y is not None and y > 1.0) else None
+    G is None when it overflows.  y_star_numeric is None when no interior
+    stationary point is reachable, and results publish only those above 1:
+    the gamma = 1 root sqrt(G) drops below 1 when G < 1 (peak at the cusp).
+    """
+    G = _G(A, shape.B, shape.gamma, shape.beta)
+    y_num = y_app = None
+    if 0.0 < G < math.inf:
+        y_app = saddle_point_approx(G, shape.gamma)
+        try:
+            y_num = saddle_point_numeric(G, shape.gamma)
+        except ConvergenceError:
+            pass
+    return dict(G=G if G < math.inf else None,
+                planewave_ok=planewave_validity(A, shape.B)[1],
+                method_used=method_used, y_star_approx=y_app,
+                y_star_numeric=y_num if y_num and y_num > 1.0 else None)
 
 
 def log_integrand(y, A: float, shape: PacketShape):
-    """The exponent h(y) = -A/y - beta (|y-1|^2/B)^(gamma/2); -inf for y <= 0."""
-    y_arr = np.asarray(y, dtype=float)
-    out = np.full(y_arr.shape, -np.inf)
-    mask = y_arr > 0.0
-    ym = y_arr[mask]
-    with np.errstate(divide="ignore", over="ignore"):
-        dens = shape.beta * np.exp(
-            shape.gamma * (np.log(np.abs(ym - 1.0)) - 0.5 * math.log(shape.B)))
-        out[mask] = -A / ym - dens
+    """The exponent h(y) = -A/y - beta (|y-1|^2/B)^(gamma/2); -inf for y <= 0.
+
+    The quadrature engine's u = y - 1 coordinate run on one row.  It keeps
+    that coordinate's rounding: near y = 0 the kernel -A/(1 + (y - 1)) is
+    off by about 1e-16/y relative, and below y ~ 1e-16 it is -inf.
+    """
+    u = np.asarray(y, dtype=float) - 1.0
+    out = _log_integrand(u.reshape(1, -1), np.array([_U]),
+                         np.array([_query_consts(A, shape)])).reshape(u.shape)
     if np.ndim(y) == 0:
         return float(out)
     return out
@@ -330,13 +342,14 @@ def _log_integrand(x, coord, k):
         if r.size:
             A, g, beta, half_lnB = _columns(k[r])[:4]
             u = x[r]
-            dens = beta * np.exp(g * (np.log(np.abs(u)) - half_lnB))
-            out[r] = np.where(u > -1.0, -A / (1.0 + u) - dens, -np.inf)
+            out[r] = np.where(
+                u > -1.0, -A / (1.0 + u) - density_exponent(u, beta, g, half_lnB),
+                -np.inf)
         r = np.flatnonzero(coord == _TAIL)
         if r.size:
             A, g, beta, half_lnB = _columns(k[r])[:4]
             t = x[r]
-            dens = beta * np.exp(g * (np.log((1.0 - t) / t) - half_lnB))
+            dens = density_exponent((1.0 - t) / t, beta, g, half_lnB)
             out[r] = np.where((t > 0.0) & (t < 1.0),
                               -A * t - dens - 2.0 * np.log(t), -np.inf)
         r = np.flatnonzero(coord >= _S_RIGHT)
@@ -344,10 +357,9 @@ def _log_integrand(x, coord, k):
             A, g, _, _, sqB, ln_beta, ln_jac, power = _columns(k[r])
             side = np.where(coord[r] == _S_LEFT, -1.0, 1.0)[:, None]
             s = x[r]
-            ln_s = np.log(s)
-            y = 1.0 + side * sqB * np.exp((ln_s - ln_beta) / g)
+            y = 1.0 + side * exponent_offset(s, ln_beta, g, sqB)
             out[r] = np.where((s > 0.0) & (y > 0.0),
-                              -A / y - s + ln_jac + power * ln_s, -np.inf)
+                              -A / y - s + ln_jac + power * np.log(s), -np.inf)
     return out
 
 
@@ -477,21 +489,18 @@ def _log_quadrature(k, seeds, rel_target=1e-7, hard_rel=1e-6, max_depth=20,
     return tot_I, rel, rel <= hard_rel
 
 
-def _quadrature_panels(A: float, shape: PacketShape, y_star: float | None):
+def _quadrature_panels(k, shape: PacketShape, y_star: float | None):
     """Seed panels straddling every known feature of the integrand, as
-    (coord, a, b) arrays in the coordinates of _log_integrand.
+    (coord, a, b) arrays in the coordinates of _log_integrand; k is the
+    query's _query_consts row.
 
     Boundaries come from three length scales: the density ladder (points
     where the density exponent equals fixed values from 1e-3 to ~300), the
     kernel scale 1/A where exp(-A/y) turns over, and the saddle width when
     a saddle exists.  The adaptive pass only has to polish from there.
     """
-    g = shape.gamma
-    beta = shape.beta
-    sqB = math.sqrt(shape.B)
-
-    with np.errstate(over="ignore"):
-        ladder_u = sqB * (_LADDER_Q / beta) ** (1.0 / g)
+    A, g, beta, half_lnB, sqB, ln_beta = k[:6]
+    ladder_u = exponent_offset(_LADDER_Q, ln_beta, g, sqB)
     ladder_u = ladder_u[np.isfinite(ladder_u)]
     kernel_u = _KERNEL_SCALES / max(A, 1.0)
 
@@ -522,13 +531,10 @@ def _quadrature_panels(A: float, shape: PacketShape, y_star: float | None):
         edges = [(_U, right_b), (_U, left_b)]
     else:
         # remap the same boundaries into s, where the cusp is integrable
-        def s_of_u(u):
-            return beta * (np.abs(u) / sqB) ** g
-
-        edges = [(_S_RIGHT, np.unique(np.concatenate(
-                     [np.array([0.0]), s_of_u(right_b[1:])]))),
-                 (_S_LEFT, np.unique(np.concatenate(
-                     [np.array([0.0]), s_of_u(left_b[left_b < 0.0])])))]
+        edges = [(c, np.unique(np.concatenate(
+                     [np.array([0.0]), density_exponent(u, beta, g, half_lnB)])))
+                 for c, u in ((_S_RIGHT, right_b[1:]),
+                              (_S_LEFT, left_b[left_b < 0.0]))]
     t_hi = 1.0 / (1.0 + u_hi)
     edges.append((_TAIL, np.array([0.0, 0.25 * t_hi, 0.5 * t_hi, t_hi])))
     coord = np.concatenate([np.full(e.size - 1, c) for c, e in edges])
@@ -545,25 +551,22 @@ def _quadrature_block(queries):
     for i, query in enumerate(queries):
         shape = PacketShape.from_gamma(query.gamma, query.B)
         A = float(query.A)
-        _, pw_ok = planewave_validity(A, query.B)
-        G = G_param(A, query.B, query.gamma)
-        # gamma < 1 may have no stationary point; the peak then sits at y = 1
-        y_num, y_app = _try_saddle(G, query.gamma)
-        head = dict(G=G, method_used="quadrature",
-                    y_star_numeric=_public_y_star(y_num), y_star_approx=y_app)
+        head = _head(A, shape, "quadrature")
         if query.B < B_DELTA_CUTOFF:
             # delta packet at double precision; quadrature would waste effort
-            results[i] = TransmissionResult(ln_T=-A, planewave_ok=True,
-                                            quad_error_ln=0.0, **head)
+            head["planewave_ok"] = True
+            results[i] = TransmissionResult(ln_T=-A, quad_error_ln=0.0, **head)
             continue
-        heads.append((i, query, shape, pw_ok, head))
+        heads.append((i, query, shape, head))
         consts.append(_query_consts(A, shape))
-        seeds.append(_quadrature_panels(A, shape, y_num))
+        # gamma < 1 may have no stationary point; the peak then sits at y = 1
+        seeds.append(_quadrature_panels(consts[-1], shape,
+                                        head["y_star_numeric"]))
     if not heads:
         return results
 
     ln_I, rel, ok = _log_quadrature(np.array(consts), seeds)
-    for (i, query, shape, pw_ok, head), ln_Ii, rel_err, ok_i in zip(
+    for (i, query, shape, head), ln_Ii, rel_err, ok_i in zip(
             heads, ln_I.tolist(), rel.tolist(), ok.tolist()):
         ln_T = shape.log_N - 0.5 * math.log(shape.B) + ln_Ii
         ln_T = min(ln_T, 0.0)
@@ -573,8 +576,8 @@ def _quadrature_block(queries):
                 f"A={float(query.A)}, B={query.B}, gamma={query.gamma}",
                 ln_T=ln_T, quad_error_ln=rel_err)
         else:
-            results[i] = TransmissionResult(ln_T=ln_T, planewave_ok=pw_ok,
-                                            quad_error_ln=rel_err, **head)
+            results[i] = TransmissionResult(ln_T=ln_T, quad_error_ln=rel_err,
+                                            **head)
     return results
 
 
@@ -607,12 +610,10 @@ def ln_T_steepest(query: BarrierQuery) -> TransmissionResult:
     shape = PacketShape.from_gamma(query.gamma, query.B)
     A = float(query.A)
     g = query.gamma
-    _, pw_ok = planewave_validity(A, query.B)
     gb = g * shape.beta
     lnA = math.log(A)
     lnB = math.log(query.B)
     lnG = lnA + 0.5 * g * lnB - math.log(gb)
-    G = G_param(A, query.B, g)
     gp1 = g + 1.0
 
     ln_pref = (shape.log_N + 0.5 * math.log(2.0 * math.pi / gp1)
@@ -623,11 +624,8 @@ def ln_T_steepest(query: BarrierQuery) -> TransmissionResult:
         correction = gp1 / g - float(np.exp(-lnG / gp1))
         ln_T = ln_pref - big * correction
 
-    y_num, y_app = _try_saddle(G, g)
     return TransmissionResult(
-        ln_T=float(ln_T), G=G, planewave_ok=pw_ok,
-        method_used="steepest_descent",
-        y_star_numeric=_public_y_star(y_num), y_star_approx=y_app,
+        ln_T=float(ln_T), **_head(A, shape, "steepest_descent"),
         low_confidence=bool(float(np.exp(lnG / gp1)) < LOW_CONFIDENCE_THRESHOLD))
 
 
@@ -645,9 +643,8 @@ def ln_T_bessel_gamma1(A: float, B: float) -> TransmissionResult:
     replacement overestimates and the (clamped) value loses meaning --
     that regime belongs to the quadrature path.
     """
-    for name, v in (("A", A), ("B", B)):
-        if not math.isfinite(v) or v <= 0.0:
-            raise DomainError(f"{name} must be positive and finite, got {v!r}")
+    A = require_positive("A", A)
+    B = require_positive("B", B)
     if A < BESSEL_MIN_A:
         raise RegimeError(
             f"gamma=1 closed form needs A >= {BESSEL_MIN_A} "
@@ -658,12 +655,8 @@ def ln_T_bessel_gamma1(A: float, B: float) -> TransmissionResult:
     ln_common = (shape.log_N - 0.5 * math.log(B) + eta + math.log(2.0)
                  + 0.5 * (math.log(A) - math.log(eta)))
     ln_T = min(ln_common + log_bessel_k1(z), 0.0)
-    _, pw_ok = planewave_validity(A, B)
-    G = G_param(A, B, 1.0)
-    y_star = math.sqrt(G)
     return TransmissionResult(
-        ln_T=ln_T, G=G, planewave_ok=pw_ok, method_used="bessel_gamma1",
-        y_star_numeric=_public_y_star(y_star), y_star_approx=y_star,
+        ln_T=ln_T, **_head(A, shape, "bessel_gamma1"),
         ln_T_asymptotic=ln_common + log_bessel_k1_asymptotic(z))
 
 
@@ -673,8 +666,7 @@ def ln_T_from_table(table: DensityTable, A: float) -> TransmissionResult:
     Raises TableFormatError when no trapezoid term carries density at
     y > 0, since ln T would then be -inf.
     """
-    if not math.isfinite(A) or A <= 0.0:
-        raise DomainError(f"A must be positive and finite, got {A!r}")
+    A = require_positive("A", A)
     y = table.y
     d = table.density
     lng = np.full(y.shape, -np.inf)
@@ -687,9 +679,8 @@ def ln_T_from_table(table: DensityTable, A: float) -> TransmissionResult:
     if np.all(terms == -np.inf):
         raise TableFormatError("table has no density at y > 0")
     ln_T = log_sum_exp(terms, weights)
-    B_eff = table.reduced_variance()
-    pw_ok = bool(A * math.sqrt(B_eff) < PLANEWAVE_THRESHOLD) \
-        if math.isfinite(B_eff) else False
+    # an infinite reduced variance fails the plane-wave test, as it should
+    _, pw_ok = planewave_validity(A, table.reduced_variance())
     return TransmissionResult(ln_T=float(ln_T), G=None, planewave_ok=pw_ok,
                               method_used="table_trapezoid")
 

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, grids, determinism, exit codes."""
 
+import csv
 import filecmp
 import importlib.util
 import json
@@ -114,6 +115,33 @@ def test_transmit_usage_errors_exit_2(run_cli, argv):
     code, out, err = run_cli(*argv)
     assert code == 2
     assert out == ""
+
+
+def test_bessel_below_min_A_is_refused_with_exit_2(run_cli, tmp_path):
+    # the gamma = 1 closed form needs A >= 10; the query is refused up front
+    # instead of raising out of the evaluation
+    code, out, err = run_cli("transmit", "--A", 5, "--B", 1e-3, "--gamma", 1,
+                             "--method", "bessel")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid query: ") and "A >= 10" in err
+    code, _, err = run_cli("sweep", "--A", 5, "--gammas", 1, "--B-min", 1e-3,
+                           "--B-max", 1e-2, "--B-count", 2, "--method",
+                           "bessel", "--out", tmp_path / "s.csv")
+    assert code == 2
+    assert err.startswith("invalid sweep: ") and "A >= 10" in err
+
+
+@pytest.mark.parametrize("method", ["quad", "saddle"])
+@pytest.mark.parametrize("A, B, gamma", [(1, 1e100, 10), (1e12, 1e300, 2)])
+def test_overflowing_G_prints_strict_json(run_cli, method, A, B, gamma):
+    code, out, err = run_cli("transmit", "--A", A, "--B", B, "--gamma", gamma,
+                             "--method", method)
+    assert (code, err) == (0, "")
+    doc = _strict_json(out)
+    assert doc["G"] is None
+    if method == "quad":
+        # half the packet sits at y < 0 and the rest crosses: T = 1/2
+        assert doc["ln_T"] == pytest.approx(-math.log(2.0), abs=1e-11)
 
 
 def test_transmit_convergence_failure_exits_3(run_cli, monkeypatch):
@@ -417,6 +445,37 @@ def test_every_json_output_is_strict(run_cli, tmp_path, monkeypatch,
     assert docs[-1] == {"ln_T": -1.0, "quad_error_ln": 0.5}
 
 
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh, strict=True))
+
+
+def test_every_csv_output_parses(run_cli, tmp_path, monkeypatch):
+    # success rows have a cell per header column; failure rows add the one
+    # note cell that README documents
+    _fail_above(monkeypatch, 1e-5)
+    sweep = tmp_path / "s.csv"
+    assert _sweep(run_cli, sweep)[0] == 0
+    ratio = tmp_path / "r.csv"
+    assert run_cli("ratio", "--A", 700, "--gammas", 2, "--B-min", 1e-6,
+                   "--B-max", 1e-4, "--B-count", 3, "--out", ratio)[0] == 0
+    for path, header, numeric in ((sweep, SWEEP_HEADER, slice(4, 7)),
+                                  (ratio, RATIO_HEADER, slice(3, 6))):
+        head, *rows = _csv_rows(path)
+        assert head == header.split(",")
+        assert {len(row) for row in rows} == {len(head), len(head) + 1}
+        for row in rows:
+            failed = len(row) == len(head) + 1
+            assert row[-1].startswith("no convergence") is failed
+            for cell in row[:3]:
+                float(cell)                 # coordinates are always kept
+            if failed:
+                assert row[numeric] == ["", "", ""]
+            else:
+                for cell in row[numeric]:
+                    float(cell)
+
+
 def _readme_example(command):
     """(argv, shown output lines) of the README block `$ coulombpacket command`."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -435,6 +494,13 @@ def test_readme_sweep_example_bytes(run_cli, tmp_path, monkeypatch):
     assert shown[0] == "$ head -4 sweep.csv"
     data = (tmp_path / "sweep.csv").read_bytes()
     assert data.split(b"\n")[:4] == [line.encode() for line in shown[1:]]
+
+
+def test_readme_transmit_example_bytes(run_cli):
+    argv, shown = _readme_example("transmit")
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert out == " ".join(line.strip() for line in shown) + "\n"
 
 
 def test_readme_physical_example_bytes(run_cli):

@@ -12,6 +12,8 @@ from coulombpacket.packet import (
     DensityTable,
     PacketShape,
     central_moment,
+    density_exponent,
+    exponent_offset,
     log_density,
     read_density_table,
     shape_constants,
@@ -103,6 +105,27 @@ def test_log_density_scalar_array_parity():
         v = log_density(y, shape)
         assert isinstance(v, float)
         assert v == a
+
+
+@pytest.mark.parametrize("gamma, B", [(0.3, 1e-6), (1.0, 0.5), (2.0, 1e-3),
+                                      (7.5, 40.0)])
+def test_density_exponent_and_its_inverse(gamma, B):
+    shape = PacketShape.from_gamma(gamma, B)
+    half_lnB = 0.5 * math.log(B)
+    u = np.array([-0.7, -1e-3, 0.0, 2e-4, 0.25, 3.0, 40.0])
+    s = density_exponent(u, shape.beta, gamma, half_lnB)
+    np.testing.assert_allclose(
+        s, shape.beta * (np.abs(u) / math.sqrt(B)) ** gamma, rtol=1e-13)
+    assert s[2] == 0.0
+    back = exponent_offset(s, math.log(shape.beta), gamma, math.sqrt(B))
+    np.testing.assert_allclose(back, np.abs(u), rtol=1e-12)
+    # the quadrature engine passes its constants as (P, 1) columns
+    cols = [np.full((2, 1), c) for c in (shape.beta, gamma, half_lnB)]
+    grid = np.vstack([u, -u])
+    np.testing.assert_array_equal(density_exponent(grid, *cols),
+                                  np.vstack([s, s]))
+    # a float, as the moment integrand passes it, gives the same value
+    assert density_exponent(0.25, shape.beta, gamma, half_lnB) == s[4]
 
 
 @given(

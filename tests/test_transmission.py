@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from coulombpacket import transmission as tr
 from coulombpacket.errors import (
     ConvergenceError,
     DomainError,
@@ -20,7 +21,12 @@ from coulombpacket.errors import (
     RegimeError,
     TableFormatError,
 )
-from coulombpacket.packet import DensityTable, PacketShape, log_density
+from coulombpacket.packet import (
+    DensityTable,
+    PacketShape,
+    density_exponent,
+    log_density,
+)
 from coulombpacket.transmission import (
     BarrierQuery,
     G_param,
@@ -65,6 +71,23 @@ def test_G_param_worked_value():
     assert G_param(700.0, 0.1, 2.0) == 70.0
     assert G_param(700.0, 1e-4, 1.0) == pytest.approx(
         7.0 / math.sqrt(2.0), rel=1e-13)
+
+
+def test_G_param_overflow_gives_inf():
+    # B^(gamma/2) = 1e500 overflows a Python float power, which raises
+    # rather than returning inf; G itself is out of range too
+    assert G_param(1.0, 1e100, 10.0) == math.inf
+    assert G_param(1e12, 1e300, 2.0) == math.inf
+
+
+@pytest.mark.parametrize("method", ["quadrature", "steepest_descent"])
+@pytest.mark.parametrize("A, B, gamma", [(1.0, 1e100, 10.0),
+                                         (1e12, 1e300, 2.0)])
+def test_overflowing_G_is_reported_as_none(method, A, B, gamma):
+    res = evaluate(BarrierQuery(A, B, gamma, method=method))
+    assert res.G is None
+    assert res.y_star_numeric is None and res.y_star_approx is None
+    assert math.isfinite(res.ln_T)
 
 
 def test_G_param_survives_power_underflow():
@@ -167,6 +190,33 @@ def test_log_integrand_closed_form():
     assert log_integrand(-2.0, 3.0, shape) == -math.inf
     arr = log_integrand(np.array([0.5, 1.0, 2.0]), 3.0, shape)
     assert arr.shape == (3,) and arr[1] == -3.0
+
+
+def _engine(x, coord, k):
+    """The engine's log-integrand at one node x of a coord panel."""
+    return float(tr._log_integrand(np.array([[x]]), np.array([coord]), k)[0, 0])
+
+
+@pytest.mark.parametrize("A, B, gamma", [
+    (700.0, 1e-3, 2.0), (5.0, 2.0, 3.0), (20.0, 0.5, 1.2), (10.0, 1.0, 1.0),
+    (50.0, 0.02, 0.5), (10.0, 0.3, 0.3)])
+@pytest.mark.parametrize("y", [0.3, 0.97, 1.02, 1.6, 6.0, 45.0])
+def test_engine_coordinates_agree_with_log_integrand(A, B, gamma, y):
+    # every panel coordinate of the engine, stripped of its Jacobian, must
+    # give the exponent h(y) of the same point
+    shape = PacketShape.from_gamma(gamma, B)
+    k = np.array([tr._query_consts(A, shape)])
+    _, _, beta, half_lnB, _, _, ln_jac, power = k[0]
+    h = log_integrand(y, A, shape)
+    assert _engine(y - 1.0, tr._U, k) == pytest.approx(h, rel=1e-12)
+    if y > 1.0:
+        t = 1.0 / y
+        assert (_engine(t, tr._TAIL, k) + 2.0 * math.log(t)
+                == pytest.approx(h, rel=1e-12))
+    s = float(density_exponent(y - 1.0, beta, gamma, half_lnB))
+    side = tr._S_RIGHT if y > 1.0 else tr._S_LEFT
+    assert (_engine(s, side, k) - ln_jac - power * math.log(s)
+            == pytest.approx(h, rel=1e-12))
 
 
 # --- quadrature -----------------------------------------------------------
@@ -574,3 +624,33 @@ def test_barrier_query_validation():
         BarrierQuery(1.0, 1.0, 2.0, method="simpson")
     with pytest.raises(DomainError):
         BarrierQuery(1.0, 1.0, 2.0, method="bessel_gamma1")   # needs gamma=1
+
+
+def test_bessel_query_needs_min_A():
+    # the closed form raises RegimeError below A = 10, so the query itself
+    # is refused there, as for gamma != 1
+    with pytest.raises(DomainError, match="A >= 10"):
+        BarrierQuery(5.0, 1e-3, 1.0, method="bessel_gamma1")
+    assert BarrierQuery(10.0, 1e-3, 1.0, method="bessel_gamma1").A == 10.0
+    assert evaluate_many([BarrierQuery(5.0, 1e-3, 1.0)])[0].method_used \
+        == "quadrature"
+
+
+@pytest.mark.parametrize("method, A, gamma", [
+    ("quadrature", 700.0, 2.0), ("quadrature", 50.0, 0.5),
+    ("steepest_descent", 700.0, 2.0), ("bessel_gamma1", 700.0, 1.0)])
+def test_each_route_derives_shape_constants_once(monkeypatch, method, A,
+                                                 gamma):
+    import coulombpacket.packet as packet_mod
+    real = packet_mod.shape_constants
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    # every module that binds the function gets the counter
+    for module in (packet_mod, tr):
+        monkeypatch.setattr(module, "shape_constants", counted)
+    evaluate(BarrierQuery(A, 1e-3, gamma, method=method))
+    assert calls == [gamma]
