@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy import special as sp
 
 from .errors import DomainError, RangeError, TableFormatError, require_positive
 from .specfun import log_gamma
@@ -44,20 +42,39 @@ GAMMA_MIN = 0.1
 GAMMA_MAX = 10.0
 
 
+def _gamma_reduced(z: float) -> tuple[float, float]:
+    """(f, r) with Gamma(z) = f Gamma(r) and r in [1, 2), by the recurrence
+    Gamma(z + 1) = z Gamma(z)."""
+    f = 1.0
+    while z >= 2.0:
+        z -= 1.0
+        f *= z
+    while z < 1.0:
+        f /= z
+        z += 1.0
+    return f, z
+
+
 def shape_constants(gamma: float) -> tuple[float, float]:
     """Return (beta, log_N) for a shape exponent gamma > 0.
 
-    beta is evaluated as the direct ratio power [Gamma(3/g)/Gamma(1/g)]^(g/2)
-    rather than exp(lgamma differences): the Gamma arguments stay below 30
-    across the supported range so nothing overflows, and the direct ratio is
-    exact at the reference points (sqrt(2) at gamma=1, 1/2 at gamma=2, where
-    Gamma(1.5) is bit-for-bit half of Gamma(0.5)).  The normalizer is O(1)
-    but kept as a log since it always enters log-domain sums.
+    beta is the ratio power [Gamma(3/g)/Gamma(1/g)]^(g/2).  Both Gamma
+    arguments are first reduced into [1, 2) by the recurrence, Gamma(z) =
+    f Gamma(r), and the ratio is taken as (f3/f1) (Gamma(r3)/Gamma(r1)).
+    Wherever 2/g is an integer the two reduced arguments coincide, the
+    Gamma values cancel exactly and beta is the rational ratio of the
+    recurrence factors raised to g/2: sqrt(2) at gamma=1 and exactly 1/2
+    at gamma=2.  A plain math.gamma ratio is 1 ulp off there, because
+    math.gamma(1.5) is not bit-for-bit half of math.gamma(0.5).  For
+    gamma < 3/170, where Gamma(3/g) overflows, beta comes from ln Gamma.
+    The normalizer is O(1) but kept as a log since it always enters
+    log-domain sums.
     """
     gamma = require_positive("gamma", gamma)
     if gamma >= 3.0 / 170.0:
-        beta = float((sp.gamma(3.0 / gamma) / sp.gamma(1.0 / gamma))
-                     ** (0.5 * gamma))
+        f3, r3 = _gamma_reduced(3.0 / gamma)
+        f1, r1 = _gamma_reduced(1.0 / gamma)
+        beta = ((f3 / f1) * (math.gamma(r3) / math.gamma(r1))) ** (0.5 * gamma)
     else:
         beta = math.exp(0.5 * gamma * (log_gamma(3.0 / gamma)
                                        - log_gamma(1.0 / gamma)))
@@ -182,6 +199,8 @@ def central_moment(shape: PacketShape, k: int) -> float:
         raise DomainError(f"central moment order k={k!r} not supported")
     if k == 1:
         return 0.0
+    from scipy import integrate  # loaded here only: moments are a check
+
     f = _moment_integrand_factory(shape, k)
     # density mass and moments split evenly between u < 0 and u > 0
     val, _err = integrate.quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-11,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, require_positive
 
@@ -88,11 +87,10 @@ class LogMagnitude:
 def log_gamma(x: float) -> float:
     """ln Γ(x) for x > 0.
 
-    Thin validated wrapper over :func:`scipy.special.gammaln`; only
-    positive arguments arise here (1/γ and 3/γ with γ > 0).
+    Validated :func:`math.lgamma`; only positive arguments arise here
+    (1/γ and 3/γ with γ > 0).
     """
-    x = require_positive("x", x)
-    return float(sp.gammaln(x))
+    return math.lgamma(require_positive("x", x))
 
 
 def log_bessel_k1(z: float) -> float:
@@ -100,10 +98,13 @@ def log_bessel_k1(z: float) -> float:
 
     Uses the exponentially scaled ``k1e(z) = e^z K₁(z)``, so the result is
     accurate for arguments up to 10⁴ and beyond where K₁ itself underflows
-    (K₁(1000) ≈ e^-1003).
+    (K₁(1000) ≈ e^-1003).  scipy is imported on the first call, so only
+    the γ = 1 Bessel route loads it.
     """
+    from scipy.special import k1e
+
     z = require_positive("z", z)
-    return float(np.log(sp.k1e(z)) - z)
+    return float(np.log(k1e(z)) - z)
 
 
 def log_bessel_k1_asymptotic(z: float) -> float:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     ConvergenceError,
@@ -200,21 +199,68 @@ def _saddle_shifted(t: float, lnG: float, gamma: float) -> float:
     return lnG - 2.0 * np.logaddexp(0.0, t) - (gamma - 1.0) * t
 
 
-def saddle_point_numeric(G: float, gamma: float) -> float:
-    """The stationary point y* > 1 of the integrand exponent.
+def _brentq(f, xa, xb, args, xtol, rtol, maxiter):
+    """A root of f(x, *args) in the sign-changing bracket [xa, xb].
 
-    Solves G/y^2 = (y-1)^(gamma-1) in t = ln(y-1), where the equation is
-    monotone for gamma >= 1 and has a well-separated upper branch for
-    gamma < 1.  For gamma = 1 the root is sqrt(G) in closed form.
+    Brent's method step for step as in scipy's brentq.c: the same
+    bookkeeping (xblk, spre, scur), tolerance delta = (xtol + rtol|x|)/2
+    and interpolate/extrapolate/bisect choice, so each call returns the
+    bits scipy.optimize.brentq would.  Raises ConvergenceError after
+    maxiter steps.
     """
-    G = require_positive("G", G)
-    gamma = require_positive("gamma", gamma)
-    if gamma == 1.0:
-        return math.sqrt(G)
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = float(f(xpre, *args))
+    fcur = float(f(xcur, *args))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError(f"f({xa}) and f({xb}) must differ in sign")
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur, *args))
+    raise ConvergenceError(f"root not found in {maxiter} iterations")
 
+
+def _saddle_bracket(G: float, gamma: float) -> tuple[float, float]:
+    """A bracket [t_lo, t_hi] of the saddle root in t = ln(y-1), gamma != 1:
+    the residual is at least 0 at t_lo and at most 0 at t_hi."""
     lnG = math.log(G)
     t_cap = math.log(1e6)  # search window (1, 1 + 1e6) in y
-
     if gamma > 1.0:
         # strictly decreasing in t
         t_hi = max(lnG / (gamma + 1.0), 0.0) + 1.0
@@ -244,9 +290,23 @@ def saddle_point_numeric(G: float, gamma: float) -> float:
         if t_lo < -1e8:
             raise ConvergenceError(
                 f"saddle point indistinguishable from 1 (G={G}, gamma={gamma})")
+    return t_lo, t_hi
 
-    t_star = optimize.brentq(_saddle_shifted, t_lo, t_hi, args=(lnG, gamma),
-                             xtol=1e-14, rtol=8.9e-16, maxiter=200)
+
+def saddle_point_numeric(G: float, gamma: float) -> float:
+    """The stationary point y* > 1 of the integrand exponent.
+
+    Solves G/y^2 = (y-1)^(gamma-1) in t = ln(y-1), where the equation is
+    monotone for gamma >= 1 and has a well-separated upper branch for
+    gamma < 1.  For gamma = 1 the root is sqrt(G) in closed form.
+    """
+    G = require_positive("G", G)
+    gamma = require_positive("gamma", gamma)
+    if gamma == 1.0:
+        return math.sqrt(G)
+    t_lo, t_hi = _saddle_bracket(G, gamma)
+    t_star = _brentq(_saddle_shifted, t_lo, t_hi, args=(math.log(G), gamma),
+                     xtol=1e-14, rtol=8.9e-16, maxiter=200)
     y_star = 1.0 + math.exp(t_star)
     if y_star <= 1.0:
         raise ConvergenceError(
@@ -605,7 +665,8 @@ def ln_T_steepest(query: BarrierQuery) -> TransmissionResult:
               ((gamma+1)/gamma - G^(-1/(gamma+1)))
 
     Always evaluable; results with G^(1/(gamma+1)) < 5 are flagged
-    low-confidence since the expansion assumes that quantity is large.
+    low-confidence since the expansion assumes that quantity is large, and
+    so is any ln T > 0, which no probability can reach (huge B).
     """
     shape = PacketShape.from_gamma(query.gamma, query.B)
     A = float(query.A)
@@ -626,7 +687,8 @@ def ln_T_steepest(query: BarrierQuery) -> TransmissionResult:
 
     return TransmissionResult(
         ln_T=float(ln_T), **_head(A, shape, "steepest_descent"),
-        low_confidence=bool(float(np.exp(lnG / gp1)) < LOW_CONFIDENCE_THRESHOLD))
+        low_confidence=bool(float(np.exp(lnG / gp1)) < LOW_CONFIDENCE_THRESHOLD
+                            or ln_T > 0.0))
 
 
 def ln_T_bessel_gamma1(A: float, B: float) -> TransmissionResult:

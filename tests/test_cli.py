@@ -89,6 +89,17 @@ def test_transmit_saddle_adds_confidence_flag(run_cli):
     assert doc["low_confidence"] is True       # G^(1/3) = 4.12 here
 
 
+@pytest.mark.parametrize("B", [1e50, 1e6])
+def test_transmit_saddle_flags_probability_above_one(run_cli, B):
+    # G^(1/11) is large here, but the closed form overshoots to T > 1
+    code, out, _ = run_cli("transmit", "--A", 1, "--B", B, "--gamma", 10,
+                           "--method", "saddle")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ln_T"] > 0.0
+    assert doc["low_confidence"] is True
+
+
 def test_transmit_auto_picks_closed_form(run_cli):
     code, out, _ = run_cli("transmit", "--A", 700, "--B", 1e-2, "--gamma", 1)
     assert code == 0
@@ -576,13 +587,17 @@ def test_validate_unreadable_targets_exit_1(run_cli, tmp_path):
 
 # --- packaging ----------------------------------------------------------
 
-def _run_module(*argv):
-    """`python -m coulombpacket` on the package these tests import."""
+def _run_python(*argv):
+    """A fresh interpreter that imports the package these tests import."""
     src = str(Path(coulombpacket.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "coulombpacket", *argv],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def _run_module(*argv):
+    """`python -m coulombpacket` on the package these tests import."""
+    return _run_python("-m", "coulombpacket", *argv)
 
 
 def test_module_entrypoint_runs():
@@ -591,6 +606,28 @@ def test_module_entrypoint_runs():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["A"] == pytest.approx(14.0411219254,
                                                          rel=1e-9)
+
+
+def test_quad_transmit_loads_no_scipy():
+    # a fresh interpreter: the quadrature route needs numpy alone, and the
+    # Bessel route still loads scipy when it is asked for
+    code = """if True:
+        import sys
+        import coulombpacket
+        from coulombpacket import cli
+        code = cli.main(["transmit", "--A", "700", "--B", "1e-3",
+                         "--gamma", "2", "--method", "quad"])
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        code += cli.main(["transmit", "--A", "700", "--B", "1e-2",
+                          "--gamma", "1", "--method", "bessel"])
+        raise SystemExit(code)
+    """
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    quad, loaded, bessel = proc.stdout.splitlines()
+    assert _strict_json(quad)["method_used"] == "quadrature"
+    assert loaded == "[]"
+    assert _strict_json(bessel)["method_used"] == "bessel_gamma1"
 
 
 def test_no_arguments_is_usage_error():

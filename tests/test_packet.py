@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from coulombpacket.packet import (
 def test_shape_constants_reference_points():
     b1, _ = shape_constants(1.0)
     b2, ln_n2 = shape_constants(2.0)
-    # the direct Gamma-ratio evaluation makes these exact, not just close
+    # the reduced Gamma values cancel here, so these are exact, not just close
     assert b1 == math.sqrt(2.0)
     assert b2 == 0.5
     assert math.exp(ln_n2) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
@@ -38,6 +39,37 @@ def test_shape_constants_gamma4_frozen():
     b4, ln_n4 = shape_constants(4.0)
     assert b4 == pytest.approx(0.11423664526111585, rel=1e-14)
     assert math.exp(ln_n4) == pytest.approx(0.32070097541422293, rel=1e-13)
+
+
+def test_shape_constants_against_mpmath():
+    # 200 grid points plus 40 seeded random ones over (0.1, 10]
+    rng = np.random.default_rng(20)
+    gammas = np.concatenate((np.linspace(0.1, 10.0, 201)[1:],
+                             rng.uniform(0.1, 10.0, 40)))
+    worst_beta = worst_log_N = 0.0
+    with mp.workdps(40):
+        for gamma in gammas:
+            g = mp.mpf(float(gamma))
+            beta_mp = (mp.gamma(3 / g) / mp.gamma(1 / g)) ** (g / 2)
+            log_N_mp = mp.log(g * mp.sqrt(mp.gamma(3 / g))
+                              / (2 * mp.gamma(1 / g) ** mp.mpf("1.5")))
+            beta, log_N = shape_constants(float(gamma))
+            worst_beta = max(worst_beta, abs(float((beta - beta_mp) / beta_mp)))
+            worst_log_N = max(worst_log_N, abs(float(log_N - log_N_mp)))
+    assert worst_beta <= 1e-14
+    assert worst_log_N <= 1e-14
+
+
+@pytest.mark.parametrize("gamma, ratio", [
+    (2.0, 0.5),                        # Gamma(3/2)/Gamma(1/2)
+    (1.0, 2.0),                        # Gamma(3)/Gamma(1)
+    (2.0 / 3.0, 1.5 * 2.5 * 3.5),      # Gamma(9/2)/Gamma(3/2)
+    (0.5, 2.0 * 3.0 * 4.0 * 5.0),      # Gamma(6)/Gamma(2)
+    (0.4, 2.5 * 3.5 * 4.5 * 5.5 * 6.5),  # Gamma(15/2)/Gamma(5/2)
+])
+def test_shape_constants_exact_where_two_over_gamma_is_integer(gamma, ratio):
+    # the reduced Gamma values cancel, leaving the rational recurrence ratio
+    assert shape_constants(gamma)[0] == ratio ** (gamma / 2.0)
 
 
 def test_shape_constants_tiny_gamma_uses_log_route():

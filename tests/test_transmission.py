@@ -159,6 +159,44 @@ def test_saddle_root_satisfies_stationarity(lnG, gamma):
     assert abs(resid) <= 1e-9 + slope * 2.0 * math.ulp(y)
 
 
+def _saddle_brackets(count, gamma_lo, gamma_hi, seed):
+    """(args, t_lo, t_hi) of the saddle solve for seeded random (G, gamma)
+    with a stationary point."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        lnG, gamma = rng.uniform(-8.0, 30.0), rng.uniform(gamma_lo, gamma_hi)
+        G = math.exp(lnG)
+        try:
+            t_lo, t_hi = tr._saddle_bracket(G, gamma)
+        except ConvergenceError:
+            continue
+        out.append(((math.log(G), gamma), t_lo, t_hi))
+    return out
+
+
+def test_brentq_matches_scipy_bit_for_bit():
+    from scipy import optimize
+
+    brackets = (_saddle_brackets(1000, 0.1, 1.0, seed=31)
+                + _saddle_brackets(1000, 1.0, 10.0, seed=32))
+    for args, t_lo, t_hi in brackets:
+        kw = dict(args=args, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        ours = tr._brentq(tr._saddle_shifted, t_lo, t_hi, **kw)
+        theirs = optimize.brentq(tr._saddle_shifted, t_lo, t_hi, **kw)
+        assert ours == theirs, (args, t_lo, t_hi)
+
+
+def test_brentq_gives_up_with_convergence_error():
+    (args, t_lo, t_hi), = _saddle_brackets(1, 1.0, 10.0, seed=33)
+    with pytest.raises(ConvergenceError):
+        tr._brentq(tr._saddle_shifted, t_lo, t_hi, args=args, xtol=1e-14,
+                   rtol=8.9e-16, maxiter=2)
+    with pytest.raises(DomainError):     # no sign change in [t_hi, t_hi + 1]
+        tr._brentq(tr._saddle_shifted, t_hi, t_hi + 1.0, args=args,
+                   xtol=1e-14, rtol=8.9e-16, maxiter=200)
+
+
 def test_saddle_point_approx_form_and_convergence():
     assert saddle_point_approx(1000.0, 2.0) == pytest.approx(
         1000.0 ** (1.0 / 3.0) + 1.0 / 3.0, rel=1e-14)
