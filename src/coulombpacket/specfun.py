@@ -28,6 +28,9 @@ __all__ = [
 
 _LN10 = math.log(10.0)
 
+# scipy.special.k1e, bound by the first log_bessel_k1 call
+_k1e = None
+
 
 @dataclass(frozen=True)
 class LogMagnitude:
@@ -98,13 +101,16 @@ def log_bessel_k1(z: float) -> float:
 
     Uses the exponentially scaled ``k1e(z) = e^z K₁(z)``, so the result is
     accurate for arguments up to 10⁴ and beyond where K₁ itself underflows
-    (K₁(1000) ≈ e^-1003).  scipy is imported on the first call, so only
-    the γ = 1 Bessel route loads it.
+    (K₁(1000) ≈ e^-1003).  scipy's ``k1e`` is imported and bound on the
+    first call, so only the γ = 1 Bessel route loads scipy, and later calls
+    import nothing.
     """
-    from scipy.special import k1e
+    global _k1e
+    if _k1e is None:
+        from scipy.special import k1e as _k1e
 
     z = require_positive("z", z)
-    return float(np.log(k1e(z)) - z)
+    return float(np.log(_k1e(z)) - z)
 
 
 def log_bessel_k1_asymptotic(z: float) -> float:

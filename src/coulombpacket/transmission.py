@@ -99,14 +99,24 @@ _W15 = np.zeros((2, 15))
 _W15[0] = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _W15[1, 1::2] = np.concatenate((_WG[:-1], _WG[::-1]))
 
-# seed panel boundaries (see _quadrature_panels): density exponents of the
-# ladder, multiples of the kernel scale 1/A, and of the saddle width
+# seed panel boundaries (see _seed_panels): density exponents of the
+# ladder, multiples of the kernel scale 1/A, and of the saddle width; the
+# points of the bridge to a far-out saddle; the tail's fractions of 1/(1+u_hi)
 _LADDER_Q = np.logspace(-3.0, 2.5, 12)
 _KERNEL_SCALES = np.array([1.0, 8.0, 64.0])
 _SADDLE_OFFSETS = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0])
+_BRIDGE_POINTS = 8
+_TAIL_FRACTIONS = np.array([0.0, 0.25, 0.5, 1.0])
+# boundaries per section of a query's seed: the right section's two ends
+# and every candidate point, the widest of the three sections
+_SEED_WIDTH = (2 + _LADDER_Q.size + _KERNEL_SCALES.size + _SADDLE_OFFSETS.size
+               + _BRIDGE_POINTS)
 
-# panel coordinates of the quadrature engine (see _log_integrand)
+# panel coordinates of the quadrature engine (see _log_integrand), and of
+# each seed section (right, left, tail) for gamma >= 1 and for gamma < 1
 _U, _TAIL, _S_RIGHT, _S_LEFT = range(4)
+_U_COORDS = np.array([_U, _U, _TAIL])
+_S_COORDS = np.array([_S_RIGHT, _S_LEFT, _TAIL])
 # queries per engine call in evaluate_many; bounds the engine's memory
 _BLOCK = 32
 
@@ -351,8 +361,10 @@ def log_integrand(y, A: float, shape: PacketShape):
     off by about 1e-16/y relative, and below y ~ 1e-16 it is -inf.
     """
     u = np.asarray(y, dtype=float) - 1.0
-    out = _log_integrand(u.reshape(1, -1), np.array([_U]),
-                         np.array([_query_consts(A, shape)])).reshape(u.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = _log_integrand(u.reshape(1, -1), np.array([_U]),
+                             np.array([_query_consts(A, shape)]))
+    out = out.reshape(u.shape)
     if np.ndim(y) == 0:
         return float(out)
     return out
@@ -361,10 +373,9 @@ def log_integrand(y, A: float, shape: PacketShape):
 def _curvature_width(A: float, shape: PacketShape, u_star: float) -> float:
     """1/sqrt(-h'') at the saddle, clamped to a sane range; sets panel scale."""
     y = 1.0 + u_star
-    with np.errstate(over="ignore", divide="ignore"):
-        dens2 = (shape.gamma * (shape.gamma - 1.0) * shape.beta
-                 * np.exp((shape.gamma - 2.0) * np.log(u_star)
-                          - 0.5 * shape.gamma * math.log(shape.B)))
+    dens2 = (shape.gamma * (shape.gamma - 1.0) * shape.beta
+             * np.exp((shape.gamma - 2.0) * np.log(u_star)
+                      - 0.5 * shape.gamma * math.log(shape.B)))
     hpp = -2.0 * A / y ** 3 - float(dens2)
     w = 1.0 / math.sqrt(max(-hpp, 1e-300))
     return min(max(w, 1e-13 * y), 10.0 * y)
@@ -397,29 +408,28 @@ def _log_integrand(x, coord, k):
     is exactly linear and the cusp becomes an integrable endpoint power.
     """
     out = np.full(x.shape, -np.inf)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r = np.flatnonzero(coord == _U)
-        if r.size:
-            A, g, beta, half_lnB = _columns(k[r])[:4]
-            u = x[r]
-            out[r] = np.where(
-                u > -1.0, -A / (1.0 + u) - density_exponent(u, beta, g, half_lnB),
-                -np.inf)
-        r = np.flatnonzero(coord == _TAIL)
-        if r.size:
-            A, g, beta, half_lnB = _columns(k[r])[:4]
-            t = x[r]
-            dens = density_exponent((1.0 - t) / t, beta, g, half_lnB)
-            out[r] = np.where((t > 0.0) & (t < 1.0),
-                              -A * t - dens - 2.0 * np.log(t), -np.inf)
-        r = np.flatnonzero(coord >= _S_RIGHT)
-        if r.size:
-            A, g, _, _, sqB, ln_beta, ln_jac, power = _columns(k[r])
-            side = np.where(coord[r] == _S_LEFT, -1.0, 1.0)[:, None]
-            s = x[r]
-            y = 1.0 + side * exponent_offset(s, ln_beta, g, sqB)
-            out[r] = np.where((s > 0.0) & (y > 0.0),
-                              -A / y - s + ln_jac + power * np.log(s), -np.inf)
+    r = np.flatnonzero(coord == _U)
+    if r.size:
+        A, g, beta, half_lnB = _columns(k[r])[:4]
+        u = x[r]
+        out[r] = np.where(
+            u > -1.0, -A / (1.0 + u) - density_exponent(u, beta, g, half_lnB),
+            -np.inf)
+    r = np.flatnonzero(coord == _TAIL)
+    if r.size:
+        A, g, beta, half_lnB = _columns(k[r])[:4]
+        t = x[r]
+        dens = density_exponent((1.0 - t) / t, beta, g, half_lnB)
+        out[r] = np.where((t > 0.0) & (t < 1.0),
+                          -A * t - dens - 2.0 * np.log(t), -np.inf)
+    r = np.flatnonzero(coord >= _S_RIGHT)
+    if r.size:
+        A, g, _, _, sqB, ln_beta, ln_jac, power = _columns(k[r])
+        side = np.where(coord[r] == _S_LEFT, -1.0, 1.0)[:, None]
+        s = x[r]
+        y = 1.0 + side * exponent_offset(s, ln_beta, g, sqB)
+        out[r] = np.where((s > 0.0) & (y > 0.0),
+                          -A / y - s + ln_jac + power * np.log(s), -np.inf)
     return out
 
 
@@ -439,19 +449,17 @@ def _gk15(coord, a, b, k):
     m = v.max(axis=1)
     finite = np.isfinite(m)
     m = np.where(finite, m, 0.0)
-    with np.errstate(invalid="ignore"):
-        terms = np.exp(v - m[:, None])[:, None, :] * _W15  # (P, 2, 15)
+    terms = np.exp(v - m[:, None])[:, None, :] * _W15  # (P, 2, 15)
     sums = terms[..., :8].copy()
     sums[..., :7] += terms[..., 8:]
     sums = sums[..., :4] + sums[..., 4:]
     sums = sums[..., :2] + sums[..., 2:]
     sk, sg = np.ascontiguousarray((sums[..., 0] + sums[..., 1]).T)
     diff = np.abs(sk - sg)
-    with np.errstate(divide="ignore"):
-        ln_hw = np.log(hw)
-        ln_I = np.where(finite, m + np.log(sk) + ln_hw, -np.inf)
-        ln_err = np.where(finite & (diff > 0.0),
-                          m + np.log(diff) + ln_hw, -np.inf)
+    ln_hw = np.log(hw)
+    ln_I = np.where(finite, m + np.log(sk) + ln_hw, -np.inf)
+    ln_err = np.where(finite & (diff > 0.0),
+                      m + np.log(diff) + ln_hw, -np.inf)
     return ln_I, ln_err
 
 
@@ -464,8 +472,7 @@ def _splittable(a, b, depth, max_depth):
 
 def _rel_error(ln_I, ln_err):
     """Summed panel error over the integral, from their logs."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        rel = np.exp(np.minimum(ln_err - ln_I, 700.0))
+    rel = np.exp(np.minimum(ln_err - ln_I, 700.0))
     zero = ln_I == -np.inf
     return np.where(zero, np.where(ln_err == -np.inf, 0.0, np.inf), rel)
 
@@ -475,7 +482,8 @@ def _log_quadrature(k, seeds, rel_target=1e-7, hard_rel=1e-6, max_depth=20,
     """Greedy worst-panel refinement of a batch of log-domain GK15 integrals.
 
     k is the (Q, 8) constant table of Q queries (one _query_consts row
-    each) and seeds[i] the (coord, a, b) arrays of query i's seed panels.
+    each) and seeds the flat (q, coord, a, b) arrays of their seed panels,
+    as _seed_panels makes them: query-major, each panel of nonzero width.
     Panels live in flat arrays in creation order.  Refinement runs in
     rounds: in each round every unconverged query bisects its live panel of
     highest ln_err (the earliest created on ties), and all the children are
@@ -489,13 +497,11 @@ def _log_quadrature(k, seeds, rel_target=1e-7, hard_rel=1e-6, max_depth=20,
     Returns per-query arrays (ln_integral, rel_error, converged);
     rel_error is the summed panel error divided by the integral, which in
     log domain is also the absolute uncertainty of ln_integral, and
-    converged is rel_error <= hard_rel.
+    converged is rel_error <= hard_rel.  The caller holds the np.errstate
+    that silences the -inf and overflow of nodes far out on a tail.
     """
-    nq = len(seeds)
-    q = np.concatenate([np.full(len(s[0]), i) for i, s in enumerate(seeds)])
-    coord, a, b = (np.concatenate([s[j] for s in seeds]) for j in range(3))
-    keep = b > a
-    q, coord, a, b = q[keep], coord[keep], a[keep], b[keep]
+    nq = len(k)
+    q, coord, a, b = seeds
     depth = np.zeros(q.size, dtype=int)
     ln_I, ln_err = _gk15(coord, a, b, k[q])
     counted = np.ones(q.size, dtype=bool)  # not yet replaced by children
@@ -549,83 +555,99 @@ def _log_quadrature(k, seeds, rel_target=1e-7, hard_rel=1e-6, max_depth=20,
     return tot_I, rel, rel <= hard_rel
 
 
-def _quadrature_panels(k, shape: PacketShape, y_star: float | None):
-    """Seed panels straddling every known feature of the integrand, as
-    (coord, a, b) arrays in the coordinates of _log_integrand; k is the
-    query's _query_consts row.
+def _seed_panels(k, u_star, width):
+    """Seed panels of a block of queries, straddling every known feature of
+    each integrand, as flat (q, coord, a, b) arrays: the query (row of the
+    (Q, 8) _query_consts table k), the coordinate of _log_integrand and the
+    ends of each panel.  u_star = y* - 1 and width (the curvature width)
+    hold each query's saddle, nan where it has none above y = 1.
 
     Boundaries come from three length scales: the density ladder (points
     where the density exponent equals fixed values from 1e-3 to ~300), the
     kernel scale 1/A where exp(-A/y) turns over, and the saddle width when
     a saddle exists.  The adaptive pass only has to polish from there.
+    Every query's boundaries sit in a fixed-width (3, _SEED_WIDTH) row per
+    section (right of u = 0, left of it, the tail), padded with a copy of
+    a boundary, so one sort orders them all and the zero-width panels
+    between equal boundaries are dropped.  Panels come out query-major
+    and, within a query, right, left, then tail.
     """
-    A, g, beta, half_lnB, sqB, ln_beta = k[:6]
-    ladder_u = exponent_offset(_LADDER_Q, ln_beta, g, sqB)
-    ladder_u = ladder_u[np.isfinite(ladder_u)]
-    kernel_u = _KERNEL_SCALES / max(A, 1.0)
-
-    saddle_u = np.array([])
-    u_star = None
-    if y_star is not None and y_star > 1.0:
-        u_star = y_star - 1.0
-        w = _curvature_width(A, shape, u_star)
-        saddle_u = u_star + _SADDLE_OFFSETS * w
-        saddle_u = saddle_u[saddle_u > 0.0]
-
-    u_hi = max(float(ladder_u.max(initial=0.0)), float(kernel_u.max()), 7.0)
-    if u_star is not None:
-        u_hi = max(u_hi, float(saddle_u.max()))
-
-    right = [ladder_u, kernel_u, saddle_u]
+    A, g, beta, half_lnB, sqB, ln_beta = _columns(k)[:6]
+    u_star, width = u_star[:, None], width[:, None]
+    ladder = exponent_offset(_LADDER_Q, ln_beta, g, sqB)
+    kernel = _KERNEL_SCALES / np.maximum(A, 1.0)
+    saddle = u_star + _SADDLE_OFFSETS * width
+    u_hi = np.fmax.reduce(np.concatenate((ladder, kernel, saddle), axis=1),
+                          axis=1, keepdims=True, initial=7.0)
     # bridge wide gaps between the density scale and a far-out saddle
-    if u_star is not None and ladder_u.size and u_star > 10.0 * ladder_u.max():
-        right.append(np.geomspace(ladder_u.max(), u_star, 8))
-    right_b = np.unique(np.concatenate([np.array([0.0, u_hi])]
-                                       + [r[(r > 0.0) & (r < u_hi)] for r in right]))
+    bridge = np.full((len(k), _BRIDGE_POINTS), np.nan)
+    ladder_max = ladder.max(axis=1)
+    far = u_star[:, 0] > 10.0 * ladder_max
+    if far.any():
+        bridge[far] = np.geomspace(ladder_max[far], u_star[far, 0],
+                                   _BRIDGE_POINTS, axis=1)
 
-    left_pts = np.concatenate([-ladder_u, -kernel_u])
-    left_pts = left_pts[(left_pts > -1.0) & (left_pts < 0.0)]
-    left_b = np.unique(np.concatenate([np.array([-1.0, 0.0]), left_pts]))
-
-    if g >= 1.0:
-        edges = [(_U, right_b), (_U, left_b)]
-    else:
-        # remap the same boundaries into s, where the cusp is integrable
-        edges = [(c, np.unique(np.concatenate(
-                     [np.array([0.0]), density_exponent(u, beta, g, half_lnB)])))
-                 for c, u in ((_S_RIGHT, right_b[1:]),
-                              (_S_LEFT, left_b[left_b < 0.0]))]
+    edges = np.empty((len(k), 3, _SEED_WIDTH))
+    right, left, tail = edges[:, 0], edges[:, 1], edges[:, 2]
+    right[:, 0] = 0.0
+    right[:, 1] = u_hi[:, 0]
+    # no candidate exceeds u_hi; fmax sends the saddle points below u = 0
+    # and the missing ones (nan) to the end 0, as a repeat of it
+    np.fmax(np.concatenate((ladder, kernel, saddle, bridge), axis=1), 0.0,
+            out=right[:, 2:])
+    left[:, 0] = -1.0
+    left[:, 1:] = 0.0
+    # every candidate is negative; those at or beyond u = -1 repeat that end
+    np.fmax(-np.concatenate((ladder, kernel), axis=1), -1.0,
+            out=left[:, 2:2 + ladder.shape[1] + kernel.shape[1]])
     t_hi = 1.0 / (1.0 + u_hi)
-    edges.append((_TAIL, np.array([0.0, 0.25 * t_hi, 0.5 * t_hi, t_hi])))
-    coord = np.concatenate([np.full(e.size - 1, c) for c, e in edges])
-    a = np.concatenate([e[:-1] for _, e in edges])
-    b = np.concatenate([e[1:] for _, e in edges])
-    return coord, a, b
+    tail[:, :4] = t_hi * _TAIL_FRACTIONS
+    tail[:, 4:] = t_hi
+
+    low = g < 1.0
+    if low.any():
+        # remap the same boundaries into s, where the cusp is integrable
+        s = density_exponent(edges[:, :2], beta[..., None], g[..., None],
+                             half_lnB[..., None])
+        np.copyto(edges[:, :2], s, where=low[..., None])
+    coords = np.where(low, _S_COORDS, _U_COORDS)
+
+    edges.sort(axis=-1)
+    a, b = edges[..., :-1], edges[..., 1:]
+    keep = b > a
+    section = np.flatnonzero(keep) // (_SEED_WIDTH - 1)
+    return section // 3, coords.ravel()[section], a[keep], b[keep]
 
 
 def _quadrature_block(queries):
     """ln_T_quadrature of each query, with one engine call for all of them;
     a ConvergenceError stands in for the result of a query that fails."""
     results = [None] * len(queries)
-    heads, consts, seeds = [], [], []
-    for i, query in enumerate(queries):
-        shape = PacketShape.from_gamma(query.gamma, query.B)
-        A = float(query.A)
-        head = _head(A, shape, "quadrature")
-        if query.B < B_DELTA_CUTOFF:
-            # delta packet at double precision; quadrature would waste effort
-            head["planewave_ok"] = True
-            results[i] = TransmissionResult(ln_T=-A, quad_error_ln=0.0, **head)
-            continue
-        heads.append((i, query, shape, head))
-        consts.append(_query_consts(A, shape))
-        # gamma < 1 may have no stationary point; the peak then sits at y = 1
-        seeds.append(_quadrature_panels(consts[-1], shape,
-                                        head["y_star_numeric"]))
-    if not heads:
-        return results
-
-    ln_I, rel, ok = _log_quadrature(np.array(consts), seeds)
+    heads, consts, u_star, width = [], [], [], []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, query in enumerate(queries):
+            shape = PacketShape.from_gamma(query.gamma, query.B)
+            A = float(query.A)
+            head = _head(A, shape, "quadrature")
+            if query.B < B_DELTA_CUTOFF:
+                # a delta packet at double precision; quadrature would be wasted
+                head["planewave_ok"] = True
+                results[i] = TransmissionResult(ln_T=-A, quad_error_ln=0.0,
+                                                **head)
+                continue
+            heads.append((i, query, shape, head))
+            consts.append(_query_consts(A, shape))
+            # gamma < 1 may have no stationary point; the peak is then y = 1
+            y_star = head["y_star_numeric"]
+            u = math.nan if y_star is None else y_star - 1.0
+            u_star.append(u)
+            width.append(math.nan if y_star is None
+                         else _curvature_width(A, shape, u))
+        if not heads:
+            return results
+        k = np.array(consts)
+        ln_I, rel, ok = _log_quadrature(
+            k, _seed_panels(k, np.array(u_star), np.array(width)))
     for (i, query, shape, head), ln_Ii, rel_err, ok_i in zip(
             heads, ln_I.tolist(), rel.tolist(), ok.tolist()):
         ln_T = shape.log_N - 0.5 * math.log(shape.B) + ln_Ii
@@ -768,10 +790,12 @@ def evaluate_many(queries) -> list:
 
     A query that fails to converge gets its ConvergenceError in place of a
     result, so one failure costs the batch nothing else.  Quadrature
-    queries run through one vectorised engine, 32 queries per call; every
-    query takes the same refinement steps as it would alone, so each
-    value is bit-identical however the queries are batched or ordered.
-    The closed-form routes are evaluated query by query.
+    queries run through one vectorised engine, 32 queries per call, which
+    seeds the panels of all of them in one set of array operations
+    (_seed_panels) and refines them as flat (q, coord, a, b) arrays; every
+    query gets the seeds and takes the refinement steps it would alone, so
+    each value is bit-identical however the queries are batched or
+    ordered.  The closed-form routes are evaluated query by query.
     """
     queries = list(queries)
     results = [None] * len(queries)

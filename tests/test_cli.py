@@ -557,6 +557,18 @@ def test_sweep_figure_data_skips_failed_points(tmp_path, monkeypatch, capsys):
     assert [float(r.split(",")[1]) for r in rows] == pytest.approx([1e-6, 1e-4])
 
 
+def test_bit_diff_counts_identical_values_and_ulps():
+    compare = _script("bit_diff")._compare
+    one = 1.0.hex()
+    assert compare([one, None], [one, None]) == (2, 0)
+    assert compare([one, (-2.0).hex()],
+                   [math.nextafter(1.0, 2.0).hex(),
+                    math.nextafter(-2.0, -3.0).hex()]) == (0, 1)
+    # across zero: the two smallest subnormals are 2 ulps apart
+    assert compare([(5e-324).hex()], [(-5e-324).hex()]) == (0, 2)
+    assert compare([None, one], [one, one]) == (1, None)
+
+
 # --- validate ---------------------------------------------------------------
 
 def test_validate_reports_every_check(run_cli):

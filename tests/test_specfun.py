@@ -1,5 +1,6 @@
 """Log-domain special functions against mpmath and closed forms."""
 
+import builtins
 import math
 
 import mpmath as mp
@@ -59,6 +60,22 @@ def test_log_bessel_k1_frozen(z, expected):
 def test_log_bessel_k1_against_mpmath(z):
     expected = float(mp.log(mp.besselk(1, mp.mpf(z))))
     assert log_bessel_k1(z) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_log_bessel_k1_imports_scipy_once(monkeypatch):
+    first = log_bessel_k1(50.0)
+    imported = []
+    real_import = builtins.__import__
+
+    def spy(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", spy)
+    second = log_bessel_k1(50.0)
+    monkeypatch.undo()
+    assert imported == []
+    assert second.hex() == first.hex()
 
 
 def test_asymptotic_form_is_lower_bound_and_converges():

@@ -25,6 +25,7 @@ from coulombpacket.packet import (
     DensityTable,
     PacketShape,
     density_exponent,
+    exponent_offset,
     log_density,
 )
 from coulombpacket.transmission import (
@@ -452,6 +453,103 @@ def test_evaluate_many_bits_do_not_depend_on_batching():
     assert [shuffled[k] for k in np.argsort(order)] == alone
     split = evaluate_many(queries[:45]) + evaluate_many(queries[45:])
     assert _bits(split) == alone
+
+
+# one point per seeding branch; the engine seeds a whole block at once
+SEED_BRANCHES = [
+    (50.0, 0.02, 0.5),       # gamma < 1 with a stationary point
+    (0.3, 1e-12, 0.8),       # gamma < 1 without one
+    (0.3, 0.01, 1.0),        # gamma = 1 with G < 1: no saddle above y = 1
+    (1e5, 1e-6, 1.5),        # geomspace bridge: u* > 10 x the ladder's top
+    (1e4, 1e3, 4.0),         # A >= 1e4
+    (0.3, 1e-12, 2.0),       # the right section ends at the kernel's 64
+    (100.0, 1e-15, 2.0),     # B < B_DELTA_CUTOFF: never seeded
+]
+
+
+def _seeds(monkeypatch, queries):
+    """Each seeded query's (coord, a, b) as bytes, from one engine call."""
+    seen = []
+
+    def capture(k, seeds, **kwargs):
+        q, coord, a, b = seeds
+        seen.extend(tuple(x[q == i].tobytes() for x in (coord, a, b))
+                    for i in range(len(k)))
+        return np.zeros(len(k)), np.zeros(len(k)), np.ones(len(k), dtype=bool)
+
+    monkeypatch.setattr(tr, "_log_quadrature", capture)
+    evaluate_many(queries)
+    return seen
+
+
+def _reference_seeds(query):
+    """A query's seed panels, one query at a time with np.unique: the
+    per-query seeder the block seeder replaced, kept as its reference."""
+    shape = PacketShape.from_gamma(query.gamma, query.B)
+    A, g, beta, half_lnB, sqB, ln_beta = tr._query_consts(query.A, shape)[:6]
+    y_star = tr._head(A, shape, "")["y_star_numeric"]
+    ladder_u = exponent_offset(tr._LADDER_Q, ln_beta, g, sqB)
+    ladder_u = ladder_u[np.isfinite(ladder_u)]
+    kernel_u = tr._KERNEL_SCALES / max(A, 1.0)
+    saddle_u = np.array([])
+    if y_star is not None:
+        u_star = y_star - 1.0
+        w = tr._curvature_width(A, shape, u_star)
+        saddle_u = u_star + tr._SADDLE_OFFSETS * w
+        saddle_u = saddle_u[saddle_u > 0.0]
+    u_hi = max(float(ladder_u.max(initial=0.0)), float(kernel_u.max()), 7.0,
+               float(saddle_u.max(initial=0.0)))
+    right = [ladder_u, kernel_u, saddle_u]
+    if y_star is not None and u_star > 10.0 * ladder_u.max():
+        right.append(np.geomspace(ladder_u.max(), u_star, 8))
+    right_b = np.unique(np.concatenate(
+        [np.array([0.0, u_hi])] + [r[(r > 0.0) & (r < u_hi)] for r in right]))
+    left_pts = np.concatenate([-ladder_u, -kernel_u])
+    left_pts = left_pts[(left_pts > -1.0) & (left_pts < 0.0)]
+    left_b = np.unique(np.concatenate([np.array([-1.0, 0.0]), left_pts]))
+    if g >= 1.0:
+        edges = [(tr._U, right_b), (tr._U, left_b)]
+    else:
+        edges = [(c, np.unique(np.concatenate(
+                     [np.array([0.0]), density_exponent(u, beta, g, half_lnB)])))
+                 for c, u in ((tr._S_RIGHT, right_b[1:]),
+                              (tr._S_LEFT, left_b[left_b < 0.0]))]
+    t_hi = 1.0 / (1.0 + u_hi)
+    edges.append((tr._TAIL, np.array([0.0, 0.25 * t_hi, 0.5 * t_hi, t_hi])))
+    coord = np.concatenate([np.full(e.size - 1, c) for c, e in edges])
+    a = np.concatenate([e[:-1] for _, e in edges])
+    b = np.concatenate([e[1:] for _, e in edges])
+    return coord.tobytes(), a.tobytes(), b.tobytes()
+
+
+def test_block_seeds_match_seeding_alone(monkeypatch):
+    # compared as bytes, since == takes a -0.0 boundary for +0.0
+    rng = np.random.default_rng(3)
+    fill = zip(np.exp(rng.uniform(math.log(0.1), math.log(1e5), 25)),
+               np.exp(rng.uniform(math.log(1e-13), math.log(1e4), 25)),
+               np.exp(rng.uniform(math.log(0.11), math.log(10.0), 25)))
+    points = SEED_BRANCHES + list(fill)
+    queries = [BarrierQuery(A, B, g, method="quadrature") for A, B, g in points]
+    assert len(queries) == tr._BLOCK
+    block = _seeds(monkeypatch, queries)
+    alone = [s for query in queries for s in _seeds(monkeypatch, [query])]
+    assert len(block) == len(queries) - 1
+    assert block == alone
+    with np.errstate(divide="ignore", over="ignore"):
+        assert block == [_reference_seeds(q) for q in queries
+                         if q.B >= tr.B_DELTA_CUTOFF]
+
+    # the branches are really taken
+    y_star = [tr._head(A, PacketShape.from_gamma(g, B), "")["y_star_numeric"]
+              for A, B, g in SEED_BRANCHES[:4]]
+    assert y_star[0] is not None and y_star[1] is None and y_star[2] is None
+    A, B, g = SEED_BRANCHES[3]
+    shape = PacketShape.from_gamma(g, B)
+    ladder = exponent_offset(tr._LADDER_Q, math.log(shape.beta), g, math.sqrt(B))
+    assert y_star[3] - 1.0 > 10.0 * ladder.max()
+    coord = np.frombuffer(block[5][0], dtype=int)
+    b = np.frombuffer(block[5][2])
+    assert b[coord == tr._U].max() == tr._KERNEL_SCALES.max() == 64.0
 
 
 def test_failed_query_leaves_its_block_unchanged(monkeypatch):
