@@ -11,8 +11,8 @@ evaluates the same points with evaluate_many:
 - grid:   the benchmark's 1600-point quadrature sweep grid;
 - pool:   its 2000-point quadrature pool;
 - oracle: the 12 QUAD_ORACLE points, by quadrature;
-- fast:   every 20th row of its seed-501 fast sweeps (Bessel and
-          steepest-descent rows).
+- fast/bessel, fast/steepest: every 20th row of its seed-501 fast
+          sweeps, split by route (Bessel and steepest-descent rows).
 
 The points come from perfbench/inputs.py, which is only read.  For each
 set the script prints how many ln_T and quad_error_ln values are
@@ -40,12 +40,14 @@ def _points():
     import inputs
 
     quad = "quadrature"
-    fast = [row for _, rows in inputs.fast_sweep_specs(FAST_SEED) for row in rows]
+    fast = [row for _, rows in inputs.fast_sweep_specs(FAST_SEED)
+            for row in rows][::FAST_EVERY]
     return {
         "grid": [(*p, quad) for p in inputs.quad_sweep_points()],
         "pool": [(*p, quad) for p in inputs.pool_points()],
         "oracle": [(*p, quad) for p in inputs.ORACLE_POINTS],
-        "fast": fast[::FAST_EVERY],
+        "fast/bessel": [r for r in fast if r[3] == "bessel_gamma1"],
+        "fast/steepest": [r for r in fast if r[3] == "steepest_descent"],
     }
 
 
@@ -112,7 +114,7 @@ def main(argv=None):
 
     base, new = _run(args.base_src), _run(args.src)
     identical = True
-    print(f"{'set':7s} {'points':>6s}  {'ln_T same':>9s} {'max ulp':>7s}  "
+    print(f"{'set':13s} {'points':>6s}  {'ln_T same':>9s} {'max ulp':>7s}  "
           f"{'err same':>8s} {'max ulp':>7s}  {'failed base/new':>15s}")
     for name in base:
         b, n = base[name], new[name]
@@ -123,7 +125,7 @@ def main(argv=None):
             identical &= same == len(b)
         identical &= [r[2] for r in b] == [r[2] for r in n]
         fails = f"{sum(r[2] for r in b)}/{sum(r[2] for r in n)}"
-        print(f"{name:7s} {len(b):6d}  {rows[0][0]:9d} {rows[0][1]:>7s}  "
+        print(f"{name:13s} {len(b):6d}  {rows[0][0]:9d} {rows[0][1]:>7s}  "
               f"{rows[1][0]:8d} {rows[1][1]:>7s}  {fails:>15s}")
     print("all bit-identical" if identical else "values differ")
     return 0 if identical else 1

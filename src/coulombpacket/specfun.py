@@ -28,8 +28,22 @@ __all__ = [
 
 _LN10 = math.log(10.0)
 
-# scipy.special.k1e, bound by the first log_bessel_k1 call
-_k1e = None
+# ln K1 (see log_bessel_k1).  From z = _K1_SERIES_BELOW up: the folded
+# trapezoid rule with step 1/8 on u in [0, 6.5], 53 nodes, padded with
+# zero weights to 64 columns for a fixed summation tree; each weight holds
+# e^(-u^2).  Below: 12 terms of the ascending series in q = z^2/4, with
+# coefficients 1/(k! (k+1)!) and (psi(k+1) + psi(k+2))/(k! (k+1)!).
+_K1_SERIES_BELOW = 0.75
+_K1_U2 = (np.arange(64) / 8.0) ** 2
+_K1_W = np.where(np.arange(64) == 0, 0.125, 0.25) * np.exp(-_K1_U2)
+_K1_W[53:] = 0.0
+_K1_TERMS = 12
+_K1_C = np.array([1.0 / (math.factorial(k) * math.factorial(k + 1))
+                  for k in range(_K1_TERMS)])
+# psi(k+1) + psi(k+2) = H_k + H_(k+1) - 2 gamma_E, with the harmonic
+# numbers H_k = 1 + 1/2 + ... + 1/k, H_0 = 0
+_K1_H = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, _K1_TERMS + 1))))
+_K1_D = _K1_C * (_K1_H[:-1] + _K1_H[1:] - 2.0 * 0.5772156649015329)
 
 
 @dataclass(frozen=True)
@@ -96,21 +110,63 @@ def log_gamma(x: float) -> float:
     return math.lgamma(require_positive("x", x))
 
 
-def log_bessel_k1(z: float) -> float:
+def log_bessel_k1(z):
     """ln K₁(z) for z > 0, the modified Bessel function of the second kind.
 
-    Uses the exponentially scaled ``k1e(z) = e^z K₁(z)``, so the result is
-    accurate for arguments up to 10⁴ and beyond where K₁ itself underflows
-    (K₁(1000) ≈ e^-1003).  scipy's ``k1e`` is imported and bound on the
-    first call, so only the γ = 1 Bessel route loads scipy, and later calls
-    import nothing.
-    """
-    global _k1e
-    if _k1e is None:
-        from scipy.special import k1e as _k1e
+    Takes a float, which gives a float, or a 1-d array, which gives an
+    array; every element is computed on its own, so its bits do not depend
+    on the others.  For z >= 0.75 the substitution u = sqrt(2z) sinh(t/2)
+    in K₁(z) = Int_0^inf e^(-z cosh t) cosh t dt gives
 
-    z = require_positive("z", z)
-    return float(np.log(_k1e(z)) - z)
+        e^z K₁(z) = z^(-1/2) Int_R e^(-u^2) (1 + u^2/z) / sqrt(2 + u^2/z) du,
+
+    an even integrand analytic in |Im u| < sqrt(2z), on which the
+    trapezoid rule converges geometrically (Trefethen & Weideman, SIAM
+    Rev. 56 (2014)); the fixed 53-node rule is at rounding level there,
+    and ln K₁ = ln(sum) - (1/2) ln z - z stays finite where K₁
+    underflows (K₁(1000) ≈ e^-1003).  Below 0.75 the ascending series
+
+        z K₁(z) = 1 + (z^2/2) ln(z/2) Σ q^k/(k!(k+1)!)
+                      - (z^2/4) Σ (ψ(k+1) + ψ(k+2)) q^k/(k!(k+1)!),
+
+    with q = z^2/4, gives ln K₁ = log1p(z K₁ - 1) - ln z.
+    """
+    z = np.asarray(z, dtype=float)
+    flat = z.reshape(-1)
+    if z.ndim > 1 or flat.size == 0:
+        raise DomainError(
+            "log_bessel_k1 takes a float or a non-empty 1-d array")
+    # every element is positive and finite when both extremes are
+    require_positive("z", flat.min())
+    require_positive("z", flat.max())
+    out = np.empty(flat.shape)
+    big = flat >= _K1_SERIES_BELOW
+    out[big] = _log_k1_trapezoid(flat[big])
+    if not big.all():
+        out[~big] = _log_k1_series(flat[~big])
+    return float(out[0]) if z.ndim == 0 else out
+
+
+def _log_k1_trapezoid(z):
+    """ln K₁ for z >= 0.75 by the folded trapezoid rule (log_bessel_k1)."""
+    r = _K1_U2 / z[:, None]
+    terms = _K1_W * (1.0 + r) / np.sqrt(2.0 + r)
+    # a fixed tree of column adds, never a BLAS product (see _gk15)
+    while terms.shape[1] > 1:
+        half = terms.shape[1] // 2
+        terms = terms[:, :half] + terms[:, half:]
+    return np.log(terms[:, 0]) - 0.5 * np.log(z) - z
+
+
+def _log_k1_series(z):
+    """ln K₁ for 0 < z < 0.75 by the ascending series (log_bessel_k1)."""
+    q = 0.25 * z * z
+    s_i = np.full(z.shape, _K1_C[-1])
+    s_psi = np.full(z.shape, _K1_D[-1])
+    for c, d in zip(_K1_C[-2::-1], _K1_D[-2::-1]):
+        s_i = s_i * q + c
+        s_psi = s_psi * q + d
+    return np.log1p(2.0 * q * np.log(0.5 * z) * s_i - q * s_psi) - np.log(z)
 
 
 def log_bessel_k1_asymptotic(z: float) -> float:
@@ -157,15 +213,20 @@ def log_sum_exp_segments(terms, segments, count, weights=None):
     or only -inf terms, gives -inf.  Unvalidated: terms must be < +inf and
     not NaN, and weights positive and finite.
     """
+    with np.errstate(divide="ignore"):
+        return _log_sum_exp_segments(terms, segments, count, weights)
+
+
+def _log_sum_exp_segments(terms, segments, count, weights=None):
+    # log_sum_exp_segments for callers that already hold an np.errstate
     peak = np.full(count, -np.inf)
     np.maximum.at(peak, segments, terms)
     peak = np.where(peak > -np.inf, peak, 0.0)
     scaled = np.exp(terms - peak[segments])
     if weights is not None:
         scaled *= weights
-    with np.errstate(divide="ignore"):
-        return peak + np.log(np.bincount(segments, weights=scaled,
-                                         minlength=count))
+    return peak + np.log(np.bincount(segments, weights=scaled,
+                                     minlength=count))
 
 
 def log_diff_exp(ln_hi: float, ln_lo: float) -> float:

@@ -34,16 +34,16 @@ from .packet import (
     GAMMA_MIN,
     DensityTable,
     PacketShape,
-    density_exponent,
-    exponent_offset,
+    _density_exponent,
+    _exponent_offset,
     shape_constants,
 )
 from .specfun import (
     LogMagnitude,
+    _log_sum_exp_segments,
     log_bessel_k1,
     log_bessel_k1_asymptotic,
     log_sum_exp,
-    log_sum_exp_segments,
 )
 
 __all__ = [
@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _LN10 = math.log(10.0)
+_LN2 = math.log(2.0)
 
 METHODS = ("quadrature", "steepest_descent", "bessel_gamma1", "auto")
 
@@ -205,8 +206,14 @@ def G_param(A: float, B: float, gamma: float) -> float:
 
 
 def _saddle_shifted(t: float, lnG: float, gamma: float) -> float:
-    # saddle equation in t = ln(y-1):  lnG - 2 ln(1+e^t) - (gamma-1) t = 0
-    return lnG - 2.0 * np.logaddexp(0.0, t) - (gamma - 1.0) * t
+    # saddle equation in t = ln(y-1):  lnG - 2 ln(1+e^t) - (gamma-1) t = 0,
+    # with ln(1+e^t) computed as np.logaddexp(0.0, t) does, in its branches
+    # and operand order, on floats
+    if t == 0.0:
+        ln1p_exp = _LN2
+    else:
+        ln1p_exp = max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+    return lnG - 2.0 * ln1p_exp - (gamma - 1.0) * t
 
 
 def _brentq(f, xa, xb, args, xtol, rtol, maxiter):
@@ -413,13 +420,14 @@ def _log_integrand(x, coord, k):
         A, g, beta, half_lnB = _columns(k[r])[:4]
         u = x[r]
         out[r] = np.where(
-            u > -1.0, -A / (1.0 + u) - density_exponent(u, beta, g, half_lnB),
+            u > -1.0,
+            -A / (1.0 + u) - _density_exponent(u, beta, g, half_lnB),
             -np.inf)
     r = np.flatnonzero(coord == _TAIL)
     if r.size:
         A, g, beta, half_lnB = _columns(k[r])[:4]
         t = x[r]
-        dens = density_exponent((1.0 - t) / t, beta, g, half_lnB)
+        dens = _density_exponent((1.0 - t) / t, beta, g, half_lnB)
         out[r] = np.where((t > 0.0) & (t < 1.0),
                           -A * t - dens - 2.0 * np.log(t), -np.inf)
     r = np.flatnonzero(coord >= _S_RIGHT)
@@ -427,7 +435,7 @@ def _log_integrand(x, coord, k):
         A, g, _, _, sqB, ln_beta, ln_jac, power = _columns(k[r])
         side = np.where(coord[r] == _S_LEFT, -1.0, 1.0)[:, None]
         s = x[r]
-        y = 1.0 + side * exponent_offset(s, ln_beta, g, sqB)
+        y = 1.0 + side * _exponent_offset(s, ln_beta, g, sqB)
         out[r] = np.where((s > 0.0) & (y > 0.0),
                           -A / y - s + ln_jac + power * np.log(s), -np.inf)
     return out
@@ -507,8 +515,8 @@ def _log_quadrature(k, seeds, rel_target=1e-7, hard_rel=1e-6, max_depth=20,
     counted = np.ones(q.size, dtype=bool)  # not yet replaced by children
     live = _splittable(a, b, depth, max_depth)
     created = np.bincount(q, minlength=nq)
-    tot_I = log_sum_exp_segments(ln_I, q, nq)
-    tot_err = log_sum_exp_segments(ln_err, q, nq)
+    tot_I = _log_sum_exp_segments(ln_I, q, nq)
+    tot_err = _log_sum_exp_segments(ln_err, q, nq)
     rel = _rel_error(tot_I, tot_err)
     active = (rel > rel_target) & (created < max_panels)
 
@@ -545,9 +553,9 @@ def _log_quadrature(k, seeds, rel_target=1e-7, hard_rel=1e-6, max_depth=20,
         member = np.zeros(nq, dtype=bool)
         member[split_q] = True
         sel = counted & member[q]
-        tot_I[split_q] = log_sum_exp_segments(ln_I[sel], q[sel], nq)[split_q]
-        tot_err[split_q] = log_sum_exp_segments(ln_err[sel], q[sel],
-                                                nq)[split_q]
+        tot_I[split_q] = _log_sum_exp_segments(ln_I[sel], q[sel], nq)[split_q]
+        tot_err[split_q] = _log_sum_exp_segments(ln_err[sel], q[sel],
+                                                 nq)[split_q]
         rel[split_q] = _rel_error(tot_I[split_q], tot_err[split_q])
         active[split_q] = ((rel[split_q] > rel_target)
                            & (created[split_q] < max_panels))
@@ -574,7 +582,7 @@ def _seed_panels(k, u_star, width):
     """
     A, g, beta, half_lnB, sqB, ln_beta = _columns(k)[:6]
     u_star, width = u_star[:, None], width[:, None]
-    ladder = exponent_offset(_LADDER_Q, ln_beta, g, sqB)
+    ladder = _exponent_offset(_LADDER_Q, ln_beta, g, sqB)
     kernel = _KERNEL_SCALES / np.maximum(A, 1.0)
     saddle = u_star + _SADDLE_OFFSETS * width
     u_hi = np.fmax.reduce(np.concatenate((ladder, kernel, saddle), axis=1),
@@ -607,8 +615,8 @@ def _seed_panels(k, u_star, width):
     low = g < 1.0
     if low.any():
         # remap the same boundaries into s, where the cusp is integrable
-        s = density_exponent(edges[:, :2], beta[..., None], g[..., None],
-                             half_lnB[..., None])
+        s = _density_exponent(edges[:, :2], beta[..., None], g[..., None],
+                              half_lnB[..., None])
         np.copyto(edges[:, :2], s, where=low[..., None])
     coords = np.where(low, _S_COORDS, _U_COORDS)
 
@@ -713,6 +721,26 @@ def ln_T_steepest(query: BarrierQuery) -> TransmissionResult:
                             or ln_T > 0.0))
 
 
+def _bessel_block(queries):
+    """ln_T_bessel_gamma1 of each query, with one log_bessel_k1 call for
+    all of them; every other step is per query, so each value is
+    bit-identical however the queries are batched."""
+    heads, ln_common, z = [], [], []
+    for query in queries:
+        A, B = float(query.A), float(query.B)
+        shape = PacketShape.from_gamma(1.0, B)
+        eta = math.sqrt(2.0 / B)
+        z.append(2.0 * math.sqrt(A * eta))
+        ln_common.append(shape.log_N - 0.5 * math.log(B) + eta + math.log(2.0)
+                         + 0.5 * (math.log(A) - math.log(eta)))
+        heads.append(_head(A, shape, "bessel_gamma1"))
+    ln_k1 = log_bessel_k1(np.array(z)).tolist()
+    return [TransmissionResult(
+                ln_T=min(c + lk, 0.0), **head,
+                ln_T_asymptotic=c + log_bessel_k1_asymptotic(zi))
+            for head, c, lk, zi in zip(heads, ln_common, ln_k1, z)]
+
+
 def ln_T_bessel_gamma1(A: float, B: float) -> TransmissionResult:
     """Exact gamma = 1 closed form through the Macdonald function K1.
 
@@ -725,7 +753,8 @@ def ln_T_bessel_gamma1(A: float, B: float) -> TransmissionResult:
     The corresponding large-argument form of K1 gives the secondary
     diagnostic ln_T_asymptotic.  Requires A >= 10; for A^2 B << 1 the
     replacement overestimates and the (clamped) value loses meaning --
-    that regime belongs to the quadrature path.
+    that regime belongs to the quadrature path.  This is evaluate_many's
+    Bessel block run on a batch of one.
     """
     A = require_positive("A", A)
     B = require_positive("B", B)
@@ -733,15 +762,8 @@ def ln_T_bessel_gamma1(A: float, B: float) -> TransmissionResult:
         raise RegimeError(
             f"gamma=1 closed form needs A >= {BESSEL_MIN_A} "
             f"(|y-1| -> y-1 replacement unjustified), got A={A}")
-    shape = PacketShape.from_gamma(1.0, B)
-    eta = math.sqrt(2.0 / B)
-    z = 2.0 * math.sqrt(A * eta)
-    ln_common = (shape.log_N - 0.5 * math.log(B) + eta + math.log(2.0)
-                 + 0.5 * (math.log(A) - math.log(eta)))
-    ln_T = min(ln_common + log_bessel_k1(z), 0.0)
-    return TransmissionResult(
-        ln_T=ln_T, **_head(A, shape, "bessel_gamma1"),
-        ln_T_asymptotic=ln_common + log_bessel_k1_asymptotic(z))
+    res, = _bessel_block([BarrierQuery(A, B, 1.0, "bessel_gamma1")])
+    return res
 
 
 def ln_T_from_table(table: DensityTable, A: float) -> TransmissionResult:
@@ -793,29 +815,27 @@ def evaluate_many(queries) -> list:
     queries run through one vectorised engine, 32 queries per call, which
     seeds the panels of all of them in one set of array operations
     (_seed_panels) and refines them as flat (q, coord, a, b) arrays; every
-    query gets the seeds and takes the refinement steps it would alone, so
-    each value is bit-identical however the queries are batched or
-    ordered.  The closed-form routes are evaluated query by query.
+    query gets the seeds and takes the refinement steps it would alone.
+    Bessel queries go 32 at a time through one log_bessel_k1 call
+    (_bessel_block), and steepest-descent queries one by one.  So each
+    value is bit-identical however the queries are batched or ordered.
     """
     queries = list(queries)
     results = [None] * len(queries)
-    quad = []
+    runs = {"bessel_gamma1": _bessel_block, "quadrature": _quadrature_block}
+    blocks = {method: [] for method in runs}
     for i, query in enumerate(queries):
         method = route(query)
-        if method == "quadrature":
-            quad.append(i)
-            continue
-        try:
-            if method == "steepest_descent":
-                results[i] = ln_T_steepest(query)
-            else:
-                results[i] = ln_T_bessel_gamma1(query.A, query.B)
-        except ConvergenceError as exc:
-            results[i] = exc
-    for lo in range(0, len(quad), _BLOCK):
-        block = quad[lo:lo + _BLOCK]
-        for i, res in zip(block, _quadrature_block([queries[i] for i in block])):
-            results[i] = res
+        if method in blocks:
+            blocks[method].append(i)
+        else:
+            results[i] = ln_T_steepest(query)
+    for method, indices in blocks.items():
+        for lo in range(0, len(indices), _BLOCK):
+            block = indices[lo:lo + _BLOCK]
+            block_results = runs[method]([queries[i] for i in block])
+            for i, res in zip(block, block_results):
+                results[i] = res
     return results
 
 

@@ -521,6 +521,17 @@ def test_readme_physical_example_bytes(run_cli):
     assert out == " ".join(line.strip() for line in shown) + "\n"
 
 
+def test_readme_python_api_comment():
+    # the comment after the first print of the README Python API example
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    m = re.search(
+        r"res = evaluate\(BarrierQuery\(A=(\S+), B=(\S+), gamma=(\S+)\)\)\n"
+        r"print\(res\.method_used, res\.ln_T\) +# (\S+) (\S+)\n", text)
+    res = evaluate(BarrierQuery(*map(float, m.group(1, 2, 3))))
+    assert (res.method_used, repr(res.ln_T)) == m.group(4, 5)
+
+
 # --- scripts ----------------------------------------------------------------
 
 def _script(name):
@@ -620,26 +631,48 @@ def test_module_entrypoint_runs():
                                                          rel=1e-9)
 
 
-def test_quad_transmit_loads_no_scipy():
-    # a fresh interpreter: the quadrature route needs numpy alone, and the
-    # Bessel route still loads scipy when it is asked for
+def test_quad_transmit_loads_no_scipy(tmp_path):
+    # a fresh interpreter: no command loads scipy, on any route; validate
+    # runs central_moment through the packet identities check
     code = """if True:
+        import json
         import sys
-        import coulombpacket
         from coulombpacket import cli
-        code = cli.main(["transmit", "--A", "700", "--B", "1e-3",
-                         "--gamma", "2", "--method", "quad"])
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-        code += cli.main(["transmit", "--A", "700", "--B", "1e-2",
-                          "--gamma", "1", "--method", "bessel"])
-        raise SystemExit(code)
+
+        runs = [
+            ["transmit", "--A", "700", "--B", "1e-3", "--gamma", "2",
+             "--method", "quad"],
+            ["transmit", "--A", "700", "--B", "1e-2", "--gamma", "1",
+             "--method", "bessel"],
+            ["sweep", "--A", "10", "700", "--gammas", "1", "--B-min", "1e-13",
+             "--B-max", "1e12", "--B-count", "5", "--method", "bessel",
+             "saddle", "--out", sys.argv[1]],
+            ["validate"],
+        ]
+        for argv in runs:
+            code = cli.main(argv)
+            loaded = sorted(m for m in sys.modules
+                            if m.split(".")[0] == "scipy")
+            print(json.dumps(["after", argv[0], code, loaded]))
     """
-    proc = _run_python("-c", code)
+    out = tmp_path / "sweep.csv"
+    proc = _run_python("-c", code, str(out))
     assert proc.returncode == 0, proc.stderr
-    quad, loaded, bessel = proc.stdout.splitlines()
-    assert _strict_json(quad)["method_used"] == "quadrature"
-    assert loaded == "[]"
-    assert _strict_json(bessel)["method_used"] == "bessel_gamma1"
+    lines = proc.stdout.splitlines()
+    marks = [json.loads(line) for line in lines if line.startswith('["after"')]
+    assert [m[1] for m in marks] == ["transmit", "transmit", "sweep",
+                                    "validate"]
+    assert all(loaded == [] for *_, loaded in marks)
+    assert [m[2] for m in marks[:3]] == [0, 0, 0]
+    quad, bessel = (_strict_json(line) for line in lines
+                    if line.startswith("{"))
+    assert quad["method_used"] == "quadrature"
+    assert bessel["method_used"] == "bessel_gamma1"
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 20
+    assert {row.split(",")[3] for row in rows} == {"bessel_gamma1",
+                                                   "steepest_descent"}
+    assert any(line.startswith("PASS  packet_identities") for line in lines)
 
 
 def test_no_arguments_is_usage_error():

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
-from coulombpacket.errors import DomainError, RangeError, TableFormatError
+from coulombpacket.errors import (
+    ConvergenceError,
+    DomainError,
+    RangeError,
+    TableFormatError,
+)
+from coulombpacket import packet
 from coulombpacket.packet import (
     DensityTable,
     PacketShape,
@@ -192,6 +198,23 @@ def test_fourth_moment_special_cases():
         pytest.approx(3.0 * 0.25, rel=1e-8)
     assert central_moment(PacketShape.from_gamma(1.0, 0.5), 4) == \
         pytest.approx(6.0 * 0.25, rel=1e-8)
+
+
+@pytest.mark.parametrize("f, exact", [
+    (lambda x: np.exp(-x), 1.0),
+    (lambda x: x ** 4 * np.exp(-x), 24.0),
+    (lambda x: 1.0 / (1.0 + x * x), 0.5 * math.pi),
+    (lambda x: np.exp(-x * x) / np.sqrt(x), math.gamma(0.25) / 2.0),
+])
+def test_exp_sinh_rule_on_known_integrals(f, exact):
+    assert packet._exp_sinh(f) == pytest.approx(exact, rel=1e-11)
+
+
+def test_exp_sinh_rule_refuses_a_jump():
+    # the trapezoid error at a jump halves with the step, so successive
+    # levels never agree to 1e-11
+    with pytest.raises(ConvergenceError):
+        packet._exp_sinh(lambda x: np.where(x < 1.0, 1.0, 0.0))
 
 
 def test_central_moment_unsupported_orders():

@@ -62,8 +62,47 @@ def test_log_bessel_k1_against_mpmath(z):
     assert log_bessel_k1(z) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_log_bessel_k1_imports_scipy_once(monkeypatch):
-    first = log_bessel_k1(50.0)
+def _route_z(A, B):
+    """The K1 argument of the gamma = 1 Bessel route at (A, B)."""
+    return 2.0 * math.sqrt(A * math.sqrt(2.0 / B))
+
+
+# both sides of the series/trapezoid switch at 0.75, the zero of ln K1
+# near 0.7, and the route's extremes in B at its smallest A
+K1_POINTS = sorted(
+    np.geomspace(1e-300, 1e8, 41).tolist()
+    + [0.5, 0.7, 0.74, 0.7499999999999999, 0.75, 0.76, 1.0, 10.0]
+    + [_route_z(10.0, 1e12), _route_z(10.0, 1e-13)])
+
+
+@pytest.mark.parametrize("z", K1_POINTS)
+def test_log_bessel_k1_matches_mpmath_over_its_range(z):
+    with mp.workdps(40):
+        expected = float(mp.log(mp.besselk(1, mp.mpf(z))))
+    assert log_bessel_k1(z) == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+
+def test_route_extremes_reach_both_k1_branches():
+    assert _route_z(10.0, 1e12) == pytest.approx(0.0075, rel=1e-2)
+    assert _route_z(10.0, 1e-13) > 1e4
+
+
+def test_log_bessel_k1_array_bits_match_scalar_calls():
+    z = np.array(K1_POINTS[::-1])
+    out = log_bessel_k1(z)
+    assert out.shape == z.shape
+    assert [v.hex() for v in out.tolist()] == \
+        [log_bessel_k1(v).hex() for v in z.tolist()]
+    assert type(log_bessel_k1(2.0)) is float
+
+
+@pytest.mark.parametrize("z", [[1.0, 0.0], [1.0, math.inf], [], [[1.0]]])
+def test_log_bessel_k1_rejects_bad_arrays(z):
+    with pytest.raises(DomainError):
+        log_bessel_k1(z)
+
+
+def test_log_bessel_k1_imports_nothing(monkeypatch):
     imported = []
     real_import = builtins.__import__
 
@@ -72,6 +111,7 @@ def test_log_bessel_k1_imports_scipy_once(monkeypatch):
         return real_import(name, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "__import__", spy)
+    first = log_bessel_k1(50.0)
     second = log_bessel_k1(50.0)
     monkeypatch.undo()
     assert imported == []

@@ -188,6 +188,22 @@ def test_brentq_matches_scipy_bit_for_bit():
         assert ours == theirs, (args, t_lo, t_hi)
 
 
+def test_saddle_residual_matches_logaddexp_form_bit_for_bit():
+    # the residual computes ln(1 + e^t) in math, as np.logaddexp(0, t) does
+    rng = np.random.default_rng(34)
+    edges = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 800.0, -800.0,
+             37.0, -37.0, 709.8, -745.2, math.inf, -math.inf]
+    ts = (rng.normal(0.0, 5.0, 2000).tolist()
+          + rng.uniform(-800.0, 800.0, 2000).tolist() + edges)
+    for lnG, gamma in ((-3.0, 1.125), (2.3, 2.0), (50.0, 0.5), (0.0, 10.0)):
+        for t in ts:
+            with np.errstate(invalid="ignore"):
+                expected = (lnG - 2.0 * np.logaddexp(0.0, t)
+                            - (gamma - 1.0) * t)
+            assert tr._saddle_shifted(t, lnG, gamma).hex() == \
+                float(expected).hex(), (t, lnG, gamma)
+
+
 def test_brentq_gives_up_with_convergence_error():
     (args, t_lo, t_hi), = _saddle_brackets(1, 1.0, 10.0, seed=33)
     with pytest.raises(ConvergenceError):
@@ -440,19 +456,43 @@ def _bits(results):
     return [(r.ln_T, r.quad_error_ln) for r in results]
 
 
+def _assert_batching_keeps_bits(queries, rng):
+    """Each query's bits alone, in one batch, shuffled and split at 45."""
+    alone = _bits(evaluate_many([q])[0] for q in queries)
+    assert _bits(evaluate_many(queries)) == alone
+    order = rng.permutation(len(queries))
+    shuffled = _bits(evaluate_many([queries[i] for i in order]))
+    assert [shuffled[k] for k in np.argsort(order)] == alone
+    split = evaluate_many(queries[:45]) + evaluate_many(queries[45:])
+    assert _bits(split) == alone
+
+
 def test_evaluate_many_bits_do_not_depend_on_batching():
     rng = np.random.default_rng(7)
     n = 75   # three engine blocks
     cols = [np.exp(rng.uniform(math.log(lo), math.log(hi), n))
             for lo, hi in ((0.1, 1e4), (1e-13, 1e3), (0.11, 10.0))]
     queries = [BarrierQuery(A, B, g) for A, B, g in zip(*cols)]
-    alone = _bits(evaluate_many([q])[0] for q in queries)
-    assert _bits(evaluate_many(queries)) == alone
-    order = rng.permutation(n)
-    shuffled = _bits(evaluate_many([queries[i] for i in order]))
-    assert [shuffled[k] for k in np.argsort(order)] == alone
-    split = evaluate_many(queries[:45]) + evaluate_many(queries[45:])
-    assert _bits(split) == alone
+    _assert_batching_keeps_bits(queries, rng)
+
+
+def test_bessel_bits_do_not_depend_on_batching():
+    # gamma = 1 queries on every route, the Bessel ones over both K1
+    # branches (z < 0.75 needs B > 1e4 even at A = 10) and three blocks
+    rng = np.random.default_rng(8)
+    n = 120
+    A = np.exp(rng.uniform(math.log(10.0), math.log(1e4), n))
+    B = np.exp(rng.uniform(math.log(1e-13), math.log(1e12), n))
+    methods = rng.choice(["auto", "bessel_gamma1", "steepest_descent"], n,
+                         p=[0.3, 0.55, 0.15])
+    queries = [BarrierQuery(a, b, 1.0, str(m))
+               for a, b, m in zip(A, B, methods)]
+    queries[:2] = [BarrierQuery(10.0, 1e12, 1.0, "bessel_gamma1"),
+                   BarrierQuery(10.0, 1e-13, 1.0)]
+    routes = [tr.route(q) for q in queries]
+    assert routes.count("bessel_gamma1") > 2 * tr._BLOCK
+    assert {"quadrature", "steepest_descent"} <= set(routes)
+    _assert_batching_keeps_bits(queries, rng)
 
 
 # one point per seeding branch; the engine seeds a whole block at once
