@@ -1,25 +1,34 @@
 #!/usr/bin/env python3
-"""Compare ln_T and quad_error_ln bit for bit between two source trees.
+"""Compare every result field bit for bit between two source trees.
 
     python3 scripts/bit_diff.py BASE_SRC [--src SRC]
 
 BASE_SRC and SRC (default: this checkout's src/) are directories that hold
 a `coulombpacket` package, for example the src/ of a `git archive` of the
 parent commit.  Each tree is imported in its own subprocess, which
-evaluates the same points with evaluate_many:
+evaluates each set of points with one evaluate_many call, so that every
+route's blocks hold many queries:
 
 - grid:   the benchmark's 1600-point quadrature sweep grid;
 - pool:   its 2000-point quadrature pool;
 - oracle: the 12 QUAD_ORACLE points, by quadrature;
-- fast/bessel, fast/steepest: every 20th row of its seed-501 fast
-          sweeps, split by route (Bessel and steepest-descent rows).
+- fast/bessel, fast/steepest: every row of the fast sweeps of seeds 501,
+          502 and 611, split by route (Bessel and steepest-descent rows);
+- steepest/box: 20000 points log-uniform over the pool's box, by
+          steepest descent;
+- steepest/edges: steepest-descent points where G underflows to 0 or
+          overflows, gamma < 1 has no saddle, the saddle rounds to y = 1,
+          gamma = 1, or ln T > 0.
 
 The points come from perfbench/inputs.py, which is only read.  For each
 set the script prints how many ln_T and quad_error_ln values are
-bit-identical, the largest difference in ulps, and how many queries
+bit-identical and the largest difference in ulps, how many results match
+in every other field (G, both stationary points, planewave_ok,
+low_confidence, method_used and ln_T_asymptotic), and how many queries
 raised ConvergenceError on each side (a failure's partial ln_T and
-quad_error_ln are compared too).  It exits 0 when every value is
-identical and 1 otherwise.
+quad_error_ln are compared too).  A field that differs anywhere gets a
+line of its own.  The script exits 0 when every field is identical and 1
+otherwise.
 """
 
 import argparse
@@ -30,24 +39,52 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-FAST_SEED = 501
-FAST_EVERY = 20
+FAST_SEEDS = (501, 502, 611)
+BOX_SEED = 20261019
+BOX_SIZE = 20000
+# (A, B, gamma), each by steepest descent
+STEEPEST_EDGES = (
+    (0.1, 1e-300, 10.0), (1e-300, 1e-300, 0.5),    # G underflows to 0
+    (1e12, 1e300, 2.0), (1.0, 1e100, 10.0),        # G overflows
+    (1e300, 1e300, 0.2),
+    (0.3, 1e-12, 0.8), (3.0, 1.0, 0.3),            # gamma < 1, no saddle
+    (1e-3, 1e6, 0.5),
+    (1.0, 1e-300, 2.0), (5e-324, 1.0, 2.0),        # saddle rounds to 1
+    (700.0, 1e-4, 1.0), (700.0, 1e-8, 1.0),        # gamma = 1, G > 1, G < 1
+    (1e300, 1e-300, 1.0), (1e-300, 1e300, 1.0),
+    (0.1, 1e-300, 1.0),
+    (1.0, 5e-324, 0.11), (0.3, 1e-12, 2.0),        # ln T > 0
+    (1.7e308, 1.0, 2.0), (1.0, 1.7e308, 0.11),     # extreme saddles
+    (1e5, 1e-13, 10.0), (0.1, 1e4, 0.11),
+)
+FLOAT_FIELDS = ("ln_T", "quad_error_ln", "G", "y_star_numeric",
+                "y_star_approx", "ln_T_asymptotic")
+OTHER_FIELDS = ("planewave_ok", "low_confidence", "method_used")
+FIELDS = FLOAT_FIELDS + OTHER_FIELDS
 
 
 def _points():
     """{set name: [(A, B, gamma, method)]}."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import numpy as np
+
     import inputs
 
-    quad = "quadrature"
-    fast = [row for _, rows in inputs.fast_sweep_specs(FAST_SEED)
-            for row in rows][::FAST_EVERY]
+    quad, steep = "quadrature", "steepest_descent"
+    fast = [row for seed in FAST_SEEDS
+            for _, rows in inputs.fast_sweep_specs(seed) for row in rows]
+    rng = np.random.default_rng(BOX_SEED)
+    box = zip(*(np.exp(rng.uniform(np.log(lo), np.log(hi), BOX_SIZE))
+                for lo, hi in (inputs.POOL_BOX[k] for k in ("A", "B", "gamma"))))
     return {
         "grid": [(*p, quad) for p in inputs.quad_sweep_points()],
         "pool": [(*p, quad) for p in inputs.pool_points()],
         "oracle": [(*p, quad) for p in inputs.ORACLE_POINTS],
         "fast/bessel": [r for r in fast if r[3] == "bessel_gamma1"],
-        "fast/steepest": [r for r in fast if r[3] == "steepest_descent"],
+        "fast/steepest": [r for r in fast if r[3] == steep],
+        "steepest/box": [(float(A), float(B), float(g), steep)
+                         for A, B, g in box],
+        "steepest/edges": [(*p, steep) for p in STEEPEST_EDGES],
     }
 
 
@@ -56,8 +93,8 @@ def _hex(x):
 
 
 def _worker(src):
-    """Print {set: [[ln_T, quad_error_ln, failed]]} for the tree at src,
-    floats as hex strings."""
+    """Print {set: [[failed, *FIELDS]]} for the tree at src, floats as hex
+    strings; a failure has only ln_T and quad_error_ln."""
     sys.path.insert(0, os.path.abspath(src))
     import coulombpacket
     from coulombpacket.errors import ConvergenceError
@@ -68,10 +105,12 @@ def _worker(src):
         raise SystemExit(f"imported coulombpacket from {where}, not {src}")
     out = {}
     for name, points in _points().items():
-        results = evaluate_many(BarrierQuery(A, B, g, method=m)
-                                for A, B, g, m in points)
-        out[name] = [[_hex(r.ln_T), _hex(r.quad_error_ln),
-                      isinstance(r, ConvergenceError)] for r in results]
+        results = evaluate_many([BarrierQuery(A, B, g, method=m)
+                                 for A, B, g, m in points])
+        out[name] = [[isinstance(r, ConvergenceError)]
+                     + [_hex(getattr(r, f, None)) for f in FLOAT_FIELDS]
+                     + [getattr(r, f, None) for f in OTHER_FIELDS]
+                     for r in results]
     json.dump(out, sys.stdout)
 
 
@@ -102,6 +141,15 @@ def _compare(base, new):
     return same, worst
 
 
+def _field(base, new, col, exact):
+    """(identical count, largest ulp difference or None) of column col."""
+    b, n = [r[col] for r in base], [r[col] for r in new]
+    if not exact:
+        return _compare(b, n)
+    same = sum(x == y for x, y in zip(b, n))
+    return same, 0 if same == len(b) else None
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base_src", metavar="BASE_SRC")
@@ -114,19 +162,32 @@ def main(argv=None):
 
     base, new = _run(args.base_src), _run(args.src)
     identical = True
-    print(f"{'set':13s} {'points':>6s}  {'ln_T same':>9s} {'max ulp':>7s}  "
-          f"{'err same':>8s} {'max ulp':>7s}  {'failed base/new':>15s}")
+    differing = []
+    print(f"{'set':14s} {'points':>6s}  {'ln_T same':>9s} {'max ulp':>7s}  "
+          f"{'err same':>8s} {'max ulp':>7s}  {'rest same':>9s}  "
+          f"{'failed base/new':>15s}")
     for name in base:
         b, n = base[name], new[name]
-        rows = []
-        for col in (0, 1):
-            same, worst = _compare([r[col] for r in b], [r[col] for r in n])
-            rows.append((same, "n/a" if worst is None else str(worst)))
+        stats = {f: _field(b, n, col, f in OTHER_FIELDS)
+                 for col, f in enumerate(FIELDS, 1)}
+        failed = [r[0] for r in b], [r[0] for r in n]
+        identical &= failed[0] == failed[1]
+        for f, (same, worst) in stats.items():
             identical &= same == len(b)
-        identical &= [r[2] for r in b] == [r[2] for r in n]
-        fails = f"{sum(r[2] for r in b)}/{sum(r[2] for r in n)}"
-        print(f"{name:13s} {len(b):6d}  {rows[0][0]:9d} {rows[0][1]:>7s}  "
-              f"{rows[1][0]:8d} {rows[1][1]:>7s}  {fails:>15s}")
+            if same < len(b):
+                differing.append((name, f, same, len(b), worst))
+        rest = sum(all(x[col] == y[col] for col in range(3, len(FIELDS) + 1))
+                   for x, y in zip(b, n))
+        (ln_same, ln_ulp), (err_same, err_ulp) = (stats["ln_T"],
+                                                  stats["quad_error_ln"])
+        fails = f"{sum(failed[0])}/{sum(failed[1])}"
+        print(f"{name:14s} {len(b):6d}  {ln_same:9d} "
+              f"{'n/a' if ln_ulp is None else ln_ulp:>7}  {err_same:8d} "
+              f"{'n/a' if err_ulp is None else err_ulp:>7}  {rest:9d}  "
+              f"{fails:>15s}")
+    for name, f, same, count, worst in differing:
+        print(f"  {name}: {f} identical in {same} of {count}, largest "
+              f"difference {'n/a' if worst is None else f'{worst} ulp'}")
     print("all bit-identical" if identical else "values differ")
     return 0 if identical else 1
 

@@ -167,32 +167,38 @@ def _moment_integrand_factory(shape: PacketShape, k: int):
     jacobian factor s^((k+1)/gamma - 1) is then smooth (positive exponent).
     gamma >= 1: that same factor would be singular at s = 0, but the plain
     scaled variable w = u/sqrt(B) is already smooth, so integrate in w.
-    Either way the integrand routes through log_density so the constants
-    under test are actually exercised.  A point whose log is nan or -inf
-    (an under- or overflowing offset far out on a tail) contributes 0.
+    Either way the log density is log_N - (1/2) ln B minus the density
+    exponent of the offset u itself, not of y = 1 + u, which would round
+    away offsets below about 1e-16 next to the cusp; so the constants under
+    test are actually exercised.  A point whose log is nan or -inf (an
+    under- or overflowing offset far out on a tail) contributes 0.
     """
     g = shape.gamma
     sqB = math.sqrt(shape.B)
     ln_sqB = math.log(sqB)
+    half_lnB = 0.5 * math.log(shape.B)
+    ln_norm = shape.log_N - half_lnB
+
+    def log_density_at(u):
+        return ln_norm - _density_exponent(u, shape.beta, g, half_lnB)
 
     def finish(ln_val):
         return np.exp(np.where(np.isnan(ln_val), -np.inf, ln_val))
 
     if g >= 1.0:
         def f(w):
-            ln_u = ln_sqB + np.log(w)
-            return finish(log_density(1.0 + sqB * w, shape) + ln_sqB
-                          + k * ln_u)
+            u = sqB * w
+            return finish(log_density_at(u) + ln_sqB + k * np.log(u))
 
         return f
 
     ln_beta = math.log(shape.beta)
-    ln_du_ds_const = 0.5 * math.log(shape.B) - math.log(g) - ln_beta / g
+    ln_du_ds_const = half_lnB - math.log(g) - ln_beta / g
 
     def f(s):
         u = _exponent_offset(s, ln_beta, g, sqB)
-        ln_jac = ln_du_ds_const + (1.0 / g - 1.0) * np.log(s)
-        ln_val = log_density(1.0 + u, shape) + ln_jac
+        ln_val = (log_density_at(u) + ln_du_ds_const
+                  + (1.0 / g - 1.0) * np.log(s))
         if k:
             ln_val = ln_val + k * np.log(u)
         return finish(ln_val)

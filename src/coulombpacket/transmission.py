@@ -120,6 +120,10 @@ _U_COORDS = np.array([_U, _U, _TAIL])
 _S_COORDS = np.array([_S_RIGHT, _S_LEFT, _TAIL])
 # queries per engine call in evaluate_many; bounds the engine's memory
 _BLOCK = 32
+# steepest-descent queries per _steepest_block call in evaluate_many
+_STEEPEST_BLOCK = 1024
+# (xtol, rtol, maxiter) of the saddle root in t = ln(y-1)
+_SADDLE_TOL = (1e-14, 8.9e-16, 200)
 
 
 @dataclass(frozen=True)
@@ -273,6 +277,79 @@ def _brentq(f, xa, xb, args, xtol, rtol, maxiter):
     raise ConvergenceError(f"root not found in {maxiter} iterations")
 
 
+def _saddle_residual(t, lnG, gamma):
+    # _saddle_shifted on arrays; np.logaddexp gives the same bits
+    return lnG - 2.0 * np.logaddexp(0.0, t) - (gamma - 1.0) * t
+
+
+def _brentq_many(lnG, gamma, t_lo, t_hi, xtol, rtol, maxiter):
+    """_brentq of the saddle residual on many brackets [t_lo, t_hi] at once.
+
+    Each branch of the scalar step is a np.where over the same IEEE
+    operations, so every element takes the steps, and returns the bits,
+    that _brentq(_saddle_shifted, ...) would on its own bracket.  An
+    element leaves the working arrays as soon as it converges.  Returns
+    the roots, nan where maxiter steps find none; raises DomainError if a
+    bracket does not change sign.
+    """
+    lnG, gamma, xpre, xcur = (np.array(v, dtype=float)
+                              for v in (lnG, gamma, t_lo, t_hi))
+    fpre = _saddle_residual(xpre, lnG, gamma)
+    fcur = _saddle_residual(xcur, lnG, gamma)
+    root = np.where(fpre == 0.0, xpre, np.where(fcur == 0.0, xcur, np.nan))
+    idx = np.flatnonzero(np.isnan(root))
+    if np.any(np.signbit(fpre[idx]) == np.signbit(fcur[idx])):
+        raise DomainError("every bracket's residuals must differ in sign")
+    lnG, gamma, xpre, xcur, fpre, fcur = (
+        v[idx] for v in (lnG, gamma, xpre, xcur, fpre, fcur))
+    xblk = fblk = spre = scur = np.zeros(idx.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(maxiter):
+            if not idx.size:
+                break
+            new = ((fpre != 0.0) & (fcur != 0.0)
+                   & (np.signbit(fpre) != np.signbit(fcur)))
+            xblk = np.where(new, xpre, xblk)
+            fblk = np.where(new, fpre, fblk)
+            spre = np.where(new, xcur - xpre, spre)
+            scur = np.where(new, spre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre),
+                                np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre),
+                                np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            if done.any():
+                root[idx[done]] = xcur[done]
+                left = ~done
+                (idx, lnG, gamma, xpre, xcur, xblk, fpre, fcur, fblk, spre,
+                 scur, delta, sbis) = (
+                    v[left] for v in (idx, lnG, gamma, xpre, xcur, xblk, fpre,
+                                      fcur, fblk, spre, scur, delta, sbis))
+            # interpolate where xpre == xblk, else extrapolate
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                (-fcur * (fblk * dblk - fpre * dpre)
+                 / (dblk * dpre * (fblk - fpre))))
+            # a good short step, else bisection
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2 * np.abs(stry)
+                        < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+            spre = np.where(short, scur, sbis)
+            scur = np.where(short, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                                   np.where(sbis > 0, delta, -delta))
+            fcur = _saddle_residual(xcur, lnG, gamma)
+    return root
+
+
 def _saddle_bracket(G: float, gamma: float) -> tuple[float, float]:
     """A bracket [t_lo, t_hi] of the saddle root in t = ln(y-1), gamma != 1:
     the residual is at least 0 at t_lo and at most 0 at t_hi."""
@@ -322,8 +399,8 @@ def saddle_point_numeric(G: float, gamma: float) -> float:
     if gamma == 1.0:
         return math.sqrt(G)
     t_lo, t_hi = _saddle_bracket(G, gamma)
-    t_star = _brentq(_saddle_shifted, t_lo, t_hi, args=(math.log(G), gamma),
-                     xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    t_star = _brentq(_saddle_shifted, t_lo, t_hi, (math.log(G), gamma),
+                     *_SADDLE_TOL)
     y_star = 1.0 + math.exp(t_star)
     if y_star <= 1.0:
         raise ConvergenceError(
@@ -338,25 +415,33 @@ def saddle_point_approx(G: float, gamma: float) -> float:
     return G ** (1.0 / (gamma + 1.0)) + (gamma - 1.0) / (gamma + 1.0)
 
 
-def _head(A: float, shape: PacketShape, method_used: str) -> dict:
-    """The result fields every (A, B, gamma) route shares: G, the
-    plane-wave verdict, the route and the stationary points.
-
-    G is None when it overflows.  y_star_numeric is None when no interior
-    stationary point is reachable, and results publish only those above 1:
-    the gamma = 1 root sqrt(G) drops below 1 when G < 1 (peak at the cusp).
-    """
+def _saddle(A: float, shape: PacketShape) -> tuple:
+    """(G, y*, plane-wave verdict) of one query, the saddle solved on its
+    own by saddle_point_numeric; y* is None where no stationary point is
+    reachable.  _steepest_block derives the same values in arrays."""
     G = _G(A, shape.B, shape.gamma, shape.beta)
-    y_num = y_app = None
+    y_num = None
     if 0.0 < G < math.inf:
-        y_app = saddle_point_approx(G, shape.gamma)
         try:
             y_num = saddle_point_numeric(G, shape.gamma)
         except ConvergenceError:
             pass
-    return dict(G=G if G < math.inf else None,
-                planewave_ok=planewave_validity(A, shape.B)[1],
-                method_used=method_used, y_star_approx=y_app,
+    return G, y_num, planewave_validity(A, shape.B)[1]
+
+
+def _head(method_used: str, gamma: float, G: float, y_num, planewave_ok):
+    """The result fields every (A, B, gamma) route shares, from G, the
+    numeric stationary point y_num (None where unreachable) and the
+    plane-wave verdict, as _saddle or _steepest_block derive them.
+
+    G is None when it overflows.  Results publish only stationary points
+    above 1: the gamma = 1 root sqrt(G) drops below 1 when G < 1 (peak at
+    the cusp).
+    """
+    finite = 0.0 < G < math.inf
+    return dict(G=G if G < math.inf else None, planewave_ok=planewave_ok,
+                method_used=method_used,
+                y_star_approx=saddle_point_approx(G, gamma) if finite else None,
                 y_star_numeric=y_num if y_num and y_num > 1.0 else None)
 
 
@@ -636,7 +721,7 @@ def _quadrature_block(queries):
         for i, query in enumerate(queries):
             shape = PacketShape.from_gamma(query.gamma, query.B)
             A = float(query.A)
-            head = _head(A, shape, "quadrature")
+            head = _head("quadrature", shape.gamma, *_saddle(A, shape))
             if query.B < B_DELTA_CUTOFF:
                 # a delta packet at double precision; quadrature would be wasted
                 head["planewave_ok"] = True
@@ -686,6 +771,70 @@ def ln_T_quadrature(query: BarrierQuery) -> TransmissionResult:
     return res
 
 
+def _steepest_block(queries):
+    """ln_T_steepest of each query, with the closed form, G's flags and the
+    saddle solve of the whole block in arrays.
+
+    shape_constants runs once per distinct gamma.  What numpy's array
+    functions may round differently from math stays per query in math:
+    the logarithms, the powers in G and y_star_approx, the saddle bracket
+    and y* = 1 + e^t*.  The saddles of all gamma != 1 queries are solved
+    by one _brentq_many call.  So each value is bit-identical to the
+    query's own evaluation, however the queries are batched.
+    """
+    consts = {}
+    for q in queries:
+        if q.gamma not in consts:
+            beta, log_N = shape_constants(q.gamma)
+            gp1 = q.gamma + 1.0
+            consts[q.gamma] = (beta, log_N, math.log(q.gamma * beta),
+                               math.log(2.0 * math.pi / gp1))
+    A = [float(q.A) for q in queries]
+    B = [float(q.B) for q in queries]
+    gammas = [float(q.gamma) for q in queries]
+    beta, log_N, ln_gb, ln_2pi = np.array([consts[q.gamma] for q in queries]).T
+    lnA = np.array([math.log(a) for a in A])
+    lnB = np.array([math.log(b) for b in B])
+    g = np.array(gammas)
+    gp1 = g + 1.0
+    lnG = lnA + 0.5 * g * lnB - ln_gb
+    ln_pref = (log_N + 0.5 * ln_2pi - 1.5 / gp1 * ln_gb
+               + 0.25 * (g - 2.0) / gp1 * (lnB - 2.0 * lnA))
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = np.exp(ln_gb / gp1 + 0.5 * g / gp1 * (2.0 * lnA - lnB))
+        correction = gp1 / g - np.exp(-lnG / gp1)
+        ln_T = ln_pref - big * correction
+        low = (np.exp(lnG / gp1) < LOW_CONFIDENCE_THRESHOLD) | (ln_T > 0.0)
+        planewave_ok = np.array(A) * np.sqrt(B) < PLANEWAVE_THRESHOLD
+
+    G = [_G(a, b, gi, bi) for a, b, gi, bi in zip(A, B, gammas, beta.tolist())]
+    y_num = [None] * len(queries)
+    solve, brackets = [], []
+    for i, (Gi, gi) in enumerate(zip(G, gammas)):
+        if not 0.0 < Gi < math.inf:
+            continue
+        if gi == 1.0:
+            y_num[i] = math.sqrt(Gi)
+            continue
+        try:
+            brackets.append((math.log(Gi), gi, *_saddle_bracket(Gi, gi)))
+        except ConvergenceError:
+            continue
+        solve.append(i)
+    if solve:
+        t_star = _brentq_many(*zip(*brackets), *_SADDLE_TOL)
+        for i, t in zip(solve, t_star.tolist()):
+            # nan: no root within maxiter steps
+            y_num[i] = None if math.isnan(t) else 1.0 + math.exp(t)
+
+    return [TransmissionResult(
+                ln_T=lt, **_head("steepest_descent", gi, Gi, yi, pw),
+                low_confidence=lc)
+            for lt, gi, Gi, yi, pw, lc in zip(
+                ln_T.tolist(), gammas, G, y_num, planewave_ok.tolist(),
+                low.tolist())]
+
+
 def ln_T_steepest(query: BarrierQuery) -> TransmissionResult:
     """Steepest-descent (Laplace) closed form for ln T.
 
@@ -696,44 +845,27 @@ def ln_T_steepest(query: BarrierQuery) -> TransmissionResult:
 
     Always evaluable; results with G^(1/(gamma+1)) < 5 are flagged
     low-confidence since the expansion assumes that quantity is large, and
-    so is any ln T > 0, which no probability can reach (huge B).
+    so is any ln T > 0, which no probability can reach (huge B).  This is
+    evaluate_many's steepest-descent block run on a batch of one.
     """
-    shape = PacketShape.from_gamma(query.gamma, query.B)
-    A = float(query.A)
-    g = query.gamma
-    gb = g * shape.beta
-    lnA = math.log(A)
-    lnB = math.log(query.B)
-    lnG = lnA + 0.5 * g * lnB - math.log(gb)
-    gp1 = g + 1.0
-
-    ln_pref = (shape.log_N + 0.5 * math.log(2.0 * math.pi / gp1)
-               - 1.5 / gp1 * math.log(gb)
-               + 0.25 * (g - 2.0) / gp1 * (lnB - 2.0 * lnA))
-    with np.errstate(over="ignore"):
-        big = float(np.exp(math.log(gb) / gp1 + 0.5 * g / gp1 * (2.0 * lnA - lnB)))
-        correction = gp1 / g - float(np.exp(-lnG / gp1))
-        ln_T = ln_pref - big * correction
-
-    return TransmissionResult(
-        ln_T=float(ln_T), **_head(A, shape, "steepest_descent"),
-        low_confidence=bool(float(np.exp(lnG / gp1)) < LOW_CONFIDENCE_THRESHOLD
-                            or ln_T > 0.0))
+    res, = _steepest_block([query])
+    return res
 
 
 def _bessel_block(queries):
-    """ln_T_bessel_gamma1 of each query, with one log_bessel_k1 call for
-    all of them; every other step is per query, so each value is
-    bit-identical however the queries are batched."""
+    """ln_T_bessel_gamma1 of each query, with one shape_constants and one
+    log_bessel_k1 call for all of them; every other step is per query, so
+    each value is bit-identical however the queries are batched."""
+    beta, log_N = shape_constants(1.0)
     heads, ln_common, z = [], [], []
     for query in queries:
         A, B = float(query.A), float(query.B)
-        shape = PacketShape.from_gamma(1.0, B)
+        shape = PacketShape(gamma=1.0, B=B, beta=beta, log_N=log_N)
         eta = math.sqrt(2.0 / B)
         z.append(2.0 * math.sqrt(A * eta))
-        ln_common.append(shape.log_N - 0.5 * math.log(B) + eta + math.log(2.0)
+        ln_common.append(log_N - 0.5 * math.log(B) + eta + math.log(2.0)
                          + 0.5 * (math.log(A) - math.log(eta)))
-        heads.append(_head(A, shape, "bessel_gamma1"))
+        heads.append(_head("bessel_gamma1", 1.0, *_saddle(A, shape)))
     ln_k1 = log_bessel_k1(np.array(z)).tolist()
     return [TransmissionResult(
                 ln_T=min(c + lk, 0.0), **head,
@@ -817,24 +949,25 @@ def evaluate_many(queries) -> list:
     (_seed_panels) and refines them as flat (q, coord, a, b) arrays; every
     query gets the seeds and takes the refinement steps it would alone.
     Bessel queries go 32 at a time through one log_bessel_k1 call
-    (_bessel_block), and steepest-descent queries one by one.  So each
-    value is bit-identical however the queries are batched or ordered.
+    (_bessel_block).  Steepest-descent queries go 1024 at a time through
+    one array block (_steepest_block), which evaluates the closed form in
+    arrays and solves all their saddles with one _brentq_many call.  So
+    each value is bit-identical however the queries are batched or
+    ordered.
     """
     queries = list(queries)
     results = [None] * len(queries)
-    runs = {"bessel_gamma1": _bessel_block, "quadrature": _quadrature_block}
-    blocks = {method: [] for method in runs}
+    blocks = {}
     for i, query in enumerate(queries):
-        method = route(query)
-        if method in blocks:
-            blocks[method].append(i)
-        else:
-            results[i] = ln_T_steepest(query)
+        blocks.setdefault(route(query), []).append(i)
+    runs = {"bessel_gamma1": (_bessel_block, _BLOCK),
+            "quadrature": (_quadrature_block, _BLOCK),
+            "steepest_descent": (_steepest_block, _STEEPEST_BLOCK)}
     for method, indices in blocks.items():
-        for lo in range(0, len(indices), _BLOCK):
-            block = indices[lo:lo + _BLOCK]
-            block_results = runs[method]([queries[i] for i in block])
-            for i, res in zip(block, block_results):
+        run, size = runs[method]
+        for lo in range(0, len(indices), size):
+            block = indices[lo:lo + size]
+            for i, res in zip(block, run([queries[i] for i in block])):
                 results[i] = res
     return results
 

@@ -192,6 +192,15 @@ def test_central_moments_match_closed_forms(gamma, B):
     assert central_moment(shape, 4) == pytest.approx(B * B * kurt, rel=1e-7)
 
 
+@pytest.mark.parametrize("B", [1e-4, 1e-8, 1e-12])
+def test_central_moments_resolve_the_cusp_at_small_gamma(B):
+    # at gamma = 0.11 the density mass piles up at offsets u below 1e-16,
+    # which y = 1 + u would round to the cusp itself
+    shape = PacketShape.from_gamma(0.11, B)
+    assert central_moment(shape, 0) == pytest.approx(1.0, abs=1e-12)
+    assert central_moment(shape, 2) == pytest.approx(B, rel=1e-12)
+
+
 def test_fourth_moment_special_cases():
     # Gaussian kurtosis 3; two-sided exponential kurtosis 6
     assert central_moment(PacketShape.from_gamma(2.0, 0.5), 4) == \

@@ -7,6 +7,7 @@ tests/brute_oracle.py) agreeing with each other to better than 1e-11
 before being frozen here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -186,6 +187,50 @@ def test_brentq_matches_scipy_bit_for_bit():
         ours = tr._brentq(tr._saddle_shifted, t_lo, t_hi, **kw)
         theirs = optimize.brentq(tr._saddle_shifted, t_lo, t_hi, **kw)
         assert ours == theirs, (args, t_lo, t_hi)
+
+
+def test_brentq_many_matches_brentq_bit_for_bit(monkeypatch):
+    brackets = (_saddle_brackets(1000, 0.1, 1.0, seed=31)
+                + _saddle_brackets(1000, 1.0, 10.0, seed=32))
+    # at t = 0 the residual of ln G = 2 ln 2 is exactly 0, at either end
+    zero = 2.0 * math.log(2.0)
+    brackets += [((zero, g), lo, hi) for g in (0.5, 2.0)
+                 for lo, hi in ((0.0, 1.0), (-1.0, 0.0))]
+    columns = list(zip(*((*args, t_lo, t_hi) for args, t_lo, t_hi in brackets)))
+    # 5 steps leave most brackets without a root
+    for maxiter, unsolved in ((200, 0), (5, 1000)):
+        kw = dict(xtol=1e-14, rtol=8.9e-16, maxiter=maxiter)
+        roots = tr._brentq_many(*columns, **kw).tolist()
+        assert roots[-4:] == [0.0, 0.0, 0.0, 0.0]
+        assert sum(math.isnan(r) for r in roots) >= unsolved
+        for (args, t_lo, t_hi), root in zip(brackets, roots):
+            try:
+                expected = tr._brentq(tr._saddle_shifted, t_lo, t_hi,
+                                      args=args, **kw)
+            except ConvergenceError:
+                assert math.isnan(root), (args, t_lo, t_hi)
+            else:
+                assert root.hex() == expected.hex(), (args, t_lo, t_hi)
+    (args, t_lo, t_hi), = _saddle_brackets(1, 1.0, 10.0, seed=33)
+    with pytest.raises(DomainError):     # no sign change in [t_hi, t_hi + 1]
+        tr._brentq_many([args[0]], [args[1]], [t_hi], [t_hi + 1.0],
+                        *tr._SADDLE_TOL)
+
+    # a saddle the steps do not reach is published as None, in a block as
+    # in saddle_point_numeric
+    monkeypatch.setattr(tr, "_SADDLE_TOL", tr._SADDLE_TOL[:2] + (6,))
+    rng = np.random.default_rng(35)
+    queries = [BarrierQuery(A, B, g, "steepest_descent") for A, B, g in zip(
+        np.exp(rng.uniform(math.log(1.0), math.log(1e4), 60)),
+        np.exp(rng.uniform(math.log(1e-6), math.log(1.0), 60)),
+        rng.uniform(0.2, 6.0, 60))]
+    block = [r.y_star_numeric for r in evaluate_many(queries)]
+    assert block.count(None) > 10      # 4 at the default maxiter
+    alone = [tr._head("", q.gamma, *tr._saddle(
+                 q.A, PacketShape.from_gamma(q.gamma, q.B)))["y_star_numeric"]
+             for q in queries]
+    assert block == alone
+    assert any(y is not None for y in block)
 
 
 def test_saddle_residual_matches_logaddexp_form_bit_for_bit():
@@ -453,7 +498,12 @@ def test_quadrature_pinned_to_heap_engine(A, B, gamma, ln_T, err):
 
 
 def _bits(results):
-    return [(r.ln_T, r.quad_error_ln) for r in results]
+    """Every field of each result, floats as hex; a failure by its
+    partial estimate."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in (
+                (r.ln_T, r.quad_error_ln) if isinstance(r, ConvergenceError)
+                else dataclasses.astuple(r)))
+            for r in results]
 
 
 def _assert_batching_keeps_bits(queries, rng):
@@ -495,6 +545,52 @@ def test_bessel_bits_do_not_depend_on_batching():
     _assert_batching_keeps_bits(queries, rng)
 
 
+# (A, B, gamma) steepest-descent edges: G underflows to 0 or overflows,
+# gamma < 1 has no saddle, the saddle rounds to y = 1, gamma = 1 with
+# G > 1 and G < 1, and ln T > 0
+STEEPEST_EDGES = [
+    (0.1, 1e-300, 10.0), (1e12, 1e300, 2.0), (1.0, 1e100, 10.0),
+    (0.3, 1e-12, 0.8), (3.0, 1.0, 0.3), (1.0, 1e-300, 2.0),
+    (700.0, 1e-4, 1.0), (700.0, 1e-8, 1.0), (1.0, 5e-324, 0.11),
+]
+
+
+def test_steepest_bits_do_not_depend_on_batching(monkeypatch):
+    rng = np.random.default_rng(9)
+    n = 110
+    cols = [np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+            for lo, hi in ((0.1, 1e5), (1e-13, 1e4), (0.11, 10.0))]
+    cols[2][::7] = 1.0
+    points = STEEPEST_EDGES + list(zip(*cols))
+    methods = ["steepest_descent"] * (len(points) - 6) + ["auto"] * 6
+    queries = [BarrierQuery(A, B, g, m) for (A, B, g), m in zip(points, methods)]
+    _assert_batching_keeps_bits(queries, rng)
+    # blocks of 32 split the 113 steepest-descent rows four ways
+    monkeypatch.setattr(tr, "_STEEPEST_BLOCK", 32)
+    _assert_batching_keeps_bits(queries, rng)
+
+    # the block's G, stationary points and plane-wave verdict are the
+    # per-query head's, over two blocks of the box
+    cols = [np.exp(rng.uniform(math.log(lo), math.log(hi), 2000))
+            for lo, hi in ((0.1, 1e5), (1e-13, 1e4), (0.11, 10.0))]
+    box = [BarrierQuery(A, B, g, "steepest_descent") for A, B, g in zip(*cols)]
+    for q, res in zip(box, evaluate_many(box)):
+        shape = PacketShape.from_gamma(q.gamma, q.B)
+        head = tr._head(res.method_used, q.gamma, *tr._saddle(q.A, shape))
+        assert _bits([res]) == _bits([dataclasses.replace(res, **head)])
+
+    # the edges are really reached
+    edges = evaluate_many(queries[:len(STEEPEST_EDGES)])
+    assert edges[0].G == 0.0 and edges[0].y_star_approx is None
+    assert edges[1].G is None and edges[2].G is None
+    assert edges[3].y_star_numeric is None and edges[4].y_star_numeric is None
+    assert 0.0 < edges[5].G and edges[5].y_star_numeric is None
+    assert edges[6].y_star_numeric == math.sqrt(edges[6].G)
+    assert edges[7].G < 1.0 and edges[7].y_star_numeric is None
+    positive = [edges[i] for i in (0, 2, 5, 8)]
+    assert all(r.ln_T > 0.0 and r.low_confidence for r in positive)
+
+
 # one point per seeding branch; the engine seeds a whole block at once
 SEED_BRANCHES = [
     (50.0, 0.02, 0.5),       # gamma < 1 with a stationary point
@@ -527,7 +623,7 @@ def _reference_seeds(query):
     per-query seeder the block seeder replaced, kept as its reference."""
     shape = PacketShape.from_gamma(query.gamma, query.B)
     A, g, beta, half_lnB, sqB, ln_beta = tr._query_consts(query.A, shape)[:6]
-    y_star = tr._head(A, shape, "")["y_star_numeric"]
+    y_star = tr._head("", g, *tr._saddle(A, shape))["y_star_numeric"]
     ladder_u = exponent_offset(tr._LADDER_Q, ln_beta, g, sqB)
     ladder_u = ladder_u[np.isfinite(ladder_u)]
     kernel_u = tr._KERNEL_SCALES / max(A, 1.0)
@@ -580,8 +676,8 @@ def test_block_seeds_match_seeding_alone(monkeypatch):
                          if q.B >= tr.B_DELTA_CUTOFF]
 
     # the branches are really taken
-    y_star = [tr._head(A, PacketShape.from_gamma(g, B), "")["y_star_numeric"]
-              for A, B, g in SEED_BRANCHES[:4]]
+    y_star = [tr._head("", g, *tr._saddle(A, PacketShape.from_gamma(g, B)))
+              ["y_star_numeric"] for A, B, g in SEED_BRANCHES[:4]]
     assert y_star[0] is not None and y_star[1] is None and y_star[2] is None
     A, B, g = SEED_BRANCHES[3]
     shape = PacketShape.from_gamma(g, B)
