@@ -20,6 +20,13 @@ route's blocks hold many queries:
           overflows, gamma < 1 has no saddle, the saddle rounds to y = 1,
           gamma = 1, or ln T > 0.
 
+The `cli` set then runs the command line of each tree in that subprocess
+and compares the files it writes byte for byte:
+
+- cli:    every fast sweep of seeds 501, 502 and 611, as CSV and as JSON;
+          the eight quadrature sweeps, one per gamma; and the `ratio`
+          example of README.md.
+
 The points come from perfbench/inputs.py, which is only read.  For each
 set the script prints how many ln_T and quad_error_ln values are
 bit-identical and the largest difference in ulps, how many results match
@@ -27,16 +34,21 @@ in every other field (G, both stationary points, planewave_ok,
 low_confidence, method_used and ln_T_asymptotic), and how many queries
 raised ConvergenceError on each side (a failure's partial ln_T and
 quad_error_ln are compared too).  A field that differs anywhere gets a
-line of its own.  The script exits 0 when every field is identical and 1
-otherwise.
+line of its own.  For the `cli` set it prints "same" or "different" per
+file.  The script exits 0 when every field and every file is identical and
+1 otherwise.
 """
 
 import argparse
+import filecmp
 import json
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FAST_SEEDS = (501, 502, 611)
@@ -88,13 +100,36 @@ def _points():
     }
 
 
+def _cli_runs():
+    """{file name: CLI argv without --out}, for the cli set."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import inputs
+
+    runs = {}
+    for seed in FAST_SEEDS:
+        for i, (argv, _) in enumerate(inputs.fast_sweep_specs(seed)):
+            for fmt in ("csv", "json"):
+                runs[f"fast-{seed}-{i}.{fmt}"] = argv + ["--format", fmt]
+    for g in inputs.QUAD_SWEEP_GAMMAS:
+        argv = inputs.quad_sweep_argv(g, "-")
+        runs[f"quad-{g!r}.csv"] = argv[:argv.index("--out")]
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read().replace("\\\n", " ")
+    argv = shlex.split(re.search(r"\n\$ coulombpacket (ratio .*)\n",
+                                 readme).group(1))
+    i = argv.index("--out")
+    runs["readme-ratio.csv"] = argv[:i] + argv[i + 2:]
+    return runs
+
+
 def _hex(x):
     return None if x is None else float(x).hex()
 
 
-def _worker(src):
+def _worker(src, out_dir):
     """Print {set: [[failed, *FIELDS]]} for the tree at src, floats as hex
-    strings; a failure has only ln_T and quad_error_ln."""
+    strings; a failure has only ln_T and quad_error_ln.  Then write the
+    files of the cli set into out_dir."""
     sys.path.insert(0, os.path.abspath(src))
     import coulombpacket
     from coulombpacket.errors import ConvergenceError
@@ -111,12 +146,19 @@ def _worker(src):
                      + [_hex(getattr(r, f, None)) for f in FLOAT_FIELDS]
                      + [getattr(r, f, None) for f in OTHER_FIELDS]
                      for r in results]
+    from coulombpacket.cli import main as cli_main
+
+    for name, argv in _cli_runs().items():
+        code = cli_main(argv + ["--out", os.path.join(out_dir, name)])
+        if code != 0:
+            raise SystemExit(f"{argv} exited {code}")
     json.dump(out, sys.stdout)
 
 
-def _run(src):
+def _run(src, out_dir):
     proc = subprocess.run([sys.executable, os.path.abspath(__file__),
-                           "--worker", src], capture_output=True, text=True)
+                           "--worker", src, "--out-dir", out_dir],
+                          capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"evaluation under {src} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
@@ -155,12 +197,20 @@ def main(argv=None):
     ap.add_argument("base_src", metavar="BASE_SRC")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--out-dir", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        _worker(args.base_src)
+        _worker(args.base_src, args.out_dir)
         return 0
 
-    base, new = _run(args.base_src), _run(args.src)
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [os.path.join(tmp, side) for side in ("base", "new")]
+        for d in dirs:
+            os.mkdir(d)
+        base, new = _run(args.base_src, dirs[0]), _run(args.src, dirs[1])
+        files = [(name, filecmp.cmp(*(os.path.join(d, name) for d in dirs),
+                                    shallow=False))
+                 for name in _cli_runs()]
     identical = True
     differing = []
     print(f"{'set':14s} {'points':>6s}  {'ln_T same':>9s} {'max ulp':>7s}  "
@@ -188,6 +238,11 @@ def main(argv=None):
     for name, f, same, count, worst in differing:
         print(f"  {name}: {f} identical in {same} of {count}, largest "
               f"difference {'n/a' if worst is None else f'{worst} ulp'}")
+    print(f"cli: {sum(same for _, same in files)} of {len(files)} files "
+          "byte-identical")
+    for name, same in files:
+        identical &= same
+        print(f"  {name:22s} {'same' if same else 'different'}")
     print("all bit-identical" if identical else "values differ")
     return 0 if identical else 1
 

@@ -9,7 +9,11 @@ returns 1 when any check fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -36,6 +40,8 @@ from .transmission import (
 SWEEP_HEADER = "A,B,gamma,method,ln_T,log10_T,quad_error_ln,planewave_ok"
 RATIO_HEADER = "A,B,gamma,ln_T_quad,ln_T_star,R"
 SWEEP_KEYS = SWEEP_HEADER.split(",") + ["note"]
+# queries that sweep and ratio evaluate, render and write at a time
+CHUNK = 1024
 
 # user-facing method names -> internal enums
 METHOD_FLAGS = {
@@ -92,14 +98,63 @@ def _b_values(b_min, b_max, count, spacing="log"):
     return np.linspace(b_min, b_max, count)
 
 
+def _grid(A_vals, gammas, b_vals, methods):
+    """The queries of a grid, ordered by A, then gamma, then B, then method,
+    built lazily once the whole grid is known to be valid.
+
+    Raises the error of the grid's first invalid query, as building the
+    queries in order would, from len(A_vals) * len(gammas) * len(methods) +
+    len(b_vals) queries: only B varies within an (A, gamma) block, so the
+    first block that is valid at the first B fails next at the first
+    invalid B.
+    """
+    for i, (A, g) in enumerate(itertools.product(A_vals, gammas)):
+        for m in methods:
+            BarrierQuery(A, float(b_vals[0]), g, m)
+        if i == 0:
+            for B in b_vals[1:]:
+                BarrierQuery(A, float(B), g, methods[0])
+    return (BarrierQuery(A, float(B), g, m)
+            for A in A_vals for g in gammas for B in b_vals for m in methods)
+
+
+def _evaluated(queries):
+    """(query, result or ConvergenceError) in query order, evaluated
+    CHUNK queries at a time so that memory does not grow with the grid."""
+    queries = iter(queries)
+    while chunk := list(itertools.islice(queries, CHUNK)):
+        yield from zip(chunk, evaluate_many(chunk))
+
+
 def _write_lines(path, lines) -> int:
+    """Write lines to path, all or nothing.
+
+    The lines go to a new file beside path (beside its target, if path is a
+    symlink), which replaces path once the last line is written and is
+    removed on any failure, so path never holds a partial table.  That file
+    is opened before the first line is asked for, so an unwritable path
+    exits 4 before any evaluation.
+    """
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    ours = False                        # tmp exists and is this call's
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+        ours = True
+        with fh:
             for line in lines:
                 fh.write(line + "\n")
+        os.replace(tmp, target)
+        ours = False
     except OSError as exc:
-        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return 4
+    finally:
+        if ours:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
     return 0
 
 
@@ -110,10 +165,16 @@ def _csv_lines(header, rows):
 
 
 def _json_lines(keys, rows):
+    """A JSON array, one row object per line; each line is held back until
+    the next row shows whether it needs a trailing comma."""
     yield "["
-    for i, row in enumerate(rows, 1):
-        sep = "," if i < len(rows) else ""
-        yield "  " + _render_json(zip(keys, row)) + sep
+    line = None
+    for row in rows:
+        if line is not None:
+            yield line + ","
+        line = "  " + _render_json(zip(keys, row))
+    if line is not None:
+        yield line
     yield "]"
 
 
@@ -135,54 +196,57 @@ def cmd_transmit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Write the grid as CSV or JSON: CHUNK queries are evaluated and their
+    rows rendered and written before the next CHUNK is built, and --out
+    appears only once complete (see _write_lines)."""
     try:
         b_vals = _b_values(args.B_min, args.B_max, args.B_count,
                            args.B_spacing)
-        queries = [BarrierQuery(A, float(B), g, METHOD_FLAGS[m])
-                   for A in args.A
-                   for g in args.gammas
-                   for B in b_vals
-                   for m in args.method]
+        queries = _grid(args.A, args.gammas, b_vals,
+                        [METHOD_FLAGS[m] for m in args.method])
     except (DomainError, RangeError) as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return 2
 
-    rows = []
-    for q, res in zip(queries, evaluate_many(queries)):
-        if isinstance(res, ConvergenceError):
-            ok = planewave_validity(q.A, q.B)[1]
-            rows.append((q.A, q.B, q.gamma, route(q), None, None, None, ok,
-                         f"no convergence; best ln_T={_token(res.ln_T)}"))
-        else:
-            rows.append((q.A, q.B, q.gamma, res.method_used, res.ln_T,
-                         res.log10_T, res.quad_error_ln, res.planewave_ok))
+    def rows():
+        for q, res in _evaluated(queries):
+            if isinstance(res, ConvergenceError):
+                ok = planewave_validity(q.A, q.B)[1]
+                yield (q.A, q.B, q.gamma, route(q), None, None, None, ok,
+                       f"no convergence; best ln_T={_token(res.ln_T)}")
+            else:
+                yield (q.A, q.B, q.gamma, res.method_used, res.ln_T,
+                       res.log10_T, res.quad_error_ln, res.planewave_ok)
+
     if args.format == "csv":
-        return _write_lines(args.out, _csv_lines(SWEEP_HEADER, rows))
-    return _write_lines(args.out, _json_lines(SWEEP_KEYS, rows))
+        return _write_lines(args.out, _csv_lines(SWEEP_HEADER, rows()))
+    return _write_lines(args.out, _json_lines(SWEEP_KEYS, rows()))
 
 
 def cmd_ratio(args) -> int:
+    """Write the ratio table, streamed as cmd_sweep streams its grid."""
     try:
         b_vals = _b_values(args.B_min, args.B_max, args.B_count)
-        quad_queries = [BarrierQuery(args.A, float(B), g, "quadrature")
-                        for g in args.gammas for B in b_vals]
-        star_queries = [BarrierQuery(args.A, float(B), g, "steepest_descent")
-                        for g in args.gammas for B in b_vals]
+        queries = _grid([args.A], args.gammas, b_vals,
+                        ["quadrature", "steepest_descent"])
     except (DomainError, RangeError) as exc:
         print(f"invalid ratio study: {exc}", file=sys.stderr)
         return 2
 
-    rows = []
-    for q, rq, rs in zip(quad_queries, evaluate_many(quad_queries),
-                         evaluate_many(star_queries)):
-        if isinstance(rq, ConvergenceError) or isinstance(rs, ConvergenceError):
-            rows.append((q.A, q.B, q.gamma, None, None, None, "no convergence"))
-            continue
-        # R can under/overflow a float; render via its log instead.
-        # 11 decimals = 12 significant digits, same as _token.
-        rows.append((q.A, q.B, q.gamma, rq.ln_T, rs.ln_T,
-                     LogMagnitude(rs.ln_T - rq.ln_T).scientific(11)))
-    return _write_lines(args.out, _csv_lines(RATIO_HEADER, rows))
+    def rows():
+        # each point's quadrature and steepest-descent results, in turn
+        results = _evaluated(queries)
+        for (q, rq), (_, rs) in zip(results, results):
+            if (isinstance(rq, ConvergenceError)
+                    or isinstance(rs, ConvergenceError)):
+                yield (q.A, q.B, q.gamma, None, None, None, "no convergence")
+                continue
+            # R can under/overflow a float; render via its log instead.
+            # 11 decimals = 12 significant digits, same as _token.
+            yield (q.A, q.B, q.gamma, rq.ln_T, rs.ln_T,
+                   LogMagnitude(rs.ln_T - rq.ln_T).scientific(11))
+
+    return _write_lines(args.out, _csv_lines(RATIO_HEADER, rows()))
 
 
 def cmd_from_table(args) -> int:

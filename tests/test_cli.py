@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,10 +270,19 @@ def test_sweep_records_failure_rows(run_cli, tmp_path, monkeypatch):
     assert bad[8] == "no convergence; best ln_T=-1.00000000000e+00"
 
 
-def test_sweep_unwritable_path_exits_4(run_cli):
-    code, _, err = _sweep(run_cli, "/nonexistent-dir/out.csv")
-    assert code == 4
-    assert "cannot write" in err
+def test_sweep_unwritable_path_exits_4(run_cli, tmp_path, monkeypatch):
+    import coulombpacket.cli as cli_mod
+
+    def refuse(queries):
+        raise AssertionError("evaluated before the output was opened")
+
+    # refused before any query is evaluated
+    monkeypatch.setattr(cli_mod, "evaluate_many", refuse)
+    for out in ("/nonexistent-dir/out.csv", tmp_path):
+        code, _, err = _sweep(run_cli, out)
+        assert code == 4
+        assert err.startswith(f"cannot write {out}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,6 +302,40 @@ def test_sweep_usage_errors_exit_2(run_cli, tmp_path, argv):
     assert code == 2
 
 
+def test_invalid_grid_reports_its_first_invalid_query(run_cli, tmp_path):
+    # the grid is checked without building every query; the message must
+    # still be that of the first invalid query in the documented order
+    from coulombpacket.cli import METHOD_FLAGS, _b_values
+    from coulombpacket.errors import DomainError, RangeError
+
+    rng = np.random.default_rng(15)
+    A_pool = [-1.0, 0.0, 5.0, 10.0, 700.0, math.inf, math.nan]
+    g_pool = [0.05, 1.0, 2.0, 25.0, -1.0, math.nan]
+    b_pool = [(1e-3, 1.0), (1e-300, math.inf), (1e-3, 1.7e308)]
+    out = tmp_path / "s.csv"
+    for _ in range(200):
+        A_vals, gammas, methods = (
+            list(rng.choice(pool, rng.integers(1, 4), replace=False))
+            for pool in (A_pool, g_pool, sorted(METHOD_FLAGS)))
+        b_min, b_max = b_pool[rng.integers(len(b_pool))]
+        spacing = ("log", "linear")[rng.integers(2)]
+        with np.errstate(all="ignore"):
+            b_vals = _b_values(b_min, b_max, 4, spacing)
+        try:
+            [BarrierQuery(A, float(B), g, METHOD_FLAGS[m]) for A in A_vals
+             for g in gammas for B in b_vals for m in methods]
+            continue
+        except (DomainError, RangeError) as exc:
+            expected = f"invalid sweep: {exc}\n"
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(
+                "sweep", "--A", *A_vals, "--gammas", *gammas, "--B-min",
+                b_min, "--B-max", b_max, "--B-count", 4, "--B-spacing",
+                spacing, "--method", *methods, "--out", out)
+        assert (code, err) == (2, expected)
+    assert not out.exists()
+
+
 def test_sweep_linear_spacing(run_cli, tmp_path):
     out = tmp_path / "lin.csv"
     code, _, _ = run_cli("sweep", "--A", 10, "--gammas", 2,
@@ -302,6 +346,115 @@ def test_sweep_linear_spacing(run_cli, tmp_path):
     bs = [float(l.split(",")[1])
           for l in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert bs == pytest.approx([0.1, 0.2, 0.3], rel=1e-12)
+
+
+# --- streaming: chunks, memory, all-or-nothing output ----------------------
+
+MIXED_GRID = ("sweep", "--A", 10, 700, "--gammas", 1, "--B-min", 1e-6,
+              "--B-max", 1e-2, "--B-count", 5, "--method", "bessel", "saddle")
+QUAD_GRID = ("sweep", "--A", 10, 100, "--gammas", 1, 2, "--B-min", 1e-6,
+             "--B-max", 1e-4, "--B-count", 3, "--method", "quad")
+RATIO_GRID = ("ratio", "--A", 700, "--gammas", 1, 2, "--B-min", 1e-6,
+              "--B-max", 1e-4, "--B-count", 5)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_chunk_boundaries_leave_no_trace(run_cli, tmp_path, monkeypatch,
+                                         forced):
+    # 20 mixed rows (a multiple of 5), 12 quad rows, 10 ratio points = 20
+    # queries; chunks of 5 split a ratio point's two queries
+    import coulombpacket.cli as cli_mod
+    if forced:
+        _fail_above(monkeypatch, 2e-5)          # rows of each grid fail
+    inner, sizes = cli_mod.evaluate_many, []
+
+    def recording(queries):
+        sizes.append(len(queries))
+        return inner(queries)
+
+    monkeypatch.setattr(cli_mod, "evaluate_many", recording)
+    runs = [(MIXED_GRID, "csv", 20), (MIXED_GRID, "json", 20),
+            (QUAD_GRID, "csv", 12), (QUAD_GRID, "json", 12),
+            (RATIO_GRID, None, 20)]
+    for argv, fmt, count in runs:
+        extra = () if fmt is None else ("--format", fmt)
+        texts = []
+        for chunk in (1, 5, 10**6):
+            monkeypatch.setattr(cli_mod, "CHUNK", chunk)
+            sizes.clear()
+            out = tmp_path / f"{chunk}.out"
+            assert run_cli(*argv, *extra, "--out", out) == (0, "", "")
+            full, rest = divmod(count, min(chunk, count))
+            assert sizes == [min(chunk, count)] * full + [rest] * (rest > 0)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1] == texts[2], (argv, fmt)
+        if fmt == "json":
+            assert len(_strict_json(texts[0].decode())) == count
+        failures = texts[0].count(b"no convergence")
+        assert (failures > 0) is forced
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(run_cli, tmp_path):
+    # rows are evaluated, rendered and written a chunk at a time, so a
+    # grid 4x larger needs about the same memory
+    def peak(A_vals, count):
+        out = tmp_path / "m.csv"
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run_cli("sweep", "--A", *A_vals, "--gammas", 2,
+                       "--B-min", 1e-3, "--B-max", 10, "--B-count", count,
+                       "--method", "saddle", "--out", out)[0] == 0
+        return tracemalloc.get_traced_memory()[1] - start
+
+    peak((10,), 50)                             # warm caches, untraced
+    tracemalloc.start()
+    try:
+        small = peak((10, 100), 1000)               # 2000 rows
+        large = peak((10, 100, 300, 700), 2000)     # 8000 rows
+    finally:
+        tracemalloc.stop()
+    assert large < 1.5 * small, (small, large)
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (MIXED_GRID, ("--format", "csv")), (MIXED_GRID, ("--format", "json")),
+    (RATIO_GRID, ()),
+])
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failed_evaluation_leaves_no_file(run_cli, tmp_path, monkeypatch,
+                                          argv, extra, error):
+    import coulombpacket.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "CHUNK", 5)
+    real_evaluate_many, calls = cli_mod.evaluate_many, []
+
+    def fails_second(queries):
+        calls.append(len(queries))
+        if len(calls) == 2:
+            raise error("killed")
+        return real_evaluate_many(queries)
+
+    monkeypatch.setattr(cli_mod, "evaluate_many", fails_second)
+    new, old = tmp_path / "new.out", tmp_path / "old.out"
+    old.write_bytes(b"earlier table\n")
+    for out in (new, old):
+        calls.clear()
+        with pytest.raises(error):
+            run_cli(*argv, *extra, "--out", out)
+        assert calls == [5, 5]
+    assert [p.name for p in tmp_path.iterdir()] == ["old.out"]
+    assert old.read_bytes() == b"earlier table\n"
+
+
+def test_sweep_writes_through_a_symlink(run_cli, tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert _sweep(run_cli, link)[0] == 0
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8").startswith(SWEEP_HEADER + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv",
+                                                          "target.csv"]
 
 
 # --- ratio -----------------------------------------------------------------
