@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import itertools
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -102,11 +102,11 @@ def _grid(A_vals, gammas, b_vals, methods):
     """The queries of a grid, ordered by A, then gamma, then B, then method,
     built lazily once the whole grid is known to be valid.
 
-    Raises the error of the grid's first invalid query, as building the
-    queries in order would, from len(A_vals) * len(gammas) * len(methods) +
-    len(b_vals) queries: only B varies within an (A, gamma) block, so the
-    first block that is valid at the first B fails next at the first
-    invalid B.
+    The check builds one query per (A, gamma, method) at the first B, plus
+    one per B in the first (A, gamma) block.  It raises the error of the
+    grid's first invalid query, as building every query in order would,
+    because BarrierQuery checks B apart from A, gamma and method (pinned by
+    test_query_validity_splits_into_B_and_the_rest).
     """
     for i, (A, g) in enumerate(itertools.product(A_vals, gammas)):
         for m in methods:
@@ -127,27 +127,34 @@ def _evaluated(queries):
 
 
 def _write_lines(path, lines) -> int:
-    """Write lines to path, all or nothing.
+    """Write lines to path, all or nothing when path is a regular file.
 
-    The lines go to a new file beside path (beside its target, if path is a
-    symlink), which replaces path once the last line is written and is
-    removed on any failure, so path never holds a partial table.  That file
-    is opened before the first line is asked for, so an unwritable path
-    exits 4 before any evaluation.
+    A path that is a regular file, or absent, gets a new file beside it
+    (beside its target, if path is a symlink), which replaces it once the
+    last line is written and is removed on any failure, so it never holds a
+    partial table.  Any other path, such as a pipe or /dev/stdout, is
+    written in place.  The file is opened before the first line is asked
+    for, so an unwritable path exits 4 before any evaluation.
     """
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        in_place = False
     target = os.path.realpath(path)
     tmp = f"{target}.{os.urandom(4).hex()}.tmp"
     ours = False                        # tmp exists and is this call's
     try:
-        if os.path.isdir(target):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fh = open(tmp, "x", encoding="utf-8", newline="\n")
-        ours = True
+        if in_place:
+            fh = open(path, "w", encoding="utf-8", newline="\n")
+        else:
+            fh = open(tmp, "x", encoding="utf-8", newline="\n")
+            ours = True
         with fh:
             for line in lines:
                 fh.write(line + "\n")
-        os.replace(tmp, target)
-        ours = False
+        if ours:
+            os.replace(tmp, target)
+            ours = False
     except OSError as exc:
         print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return 4

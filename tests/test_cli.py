@@ -8,6 +8,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -336,6 +337,28 @@ def test_invalid_grid_reports_its_first_invalid_query(run_cli, tmp_path):
     assert not out.exists()
 
 
+def test_query_validity_splits_into_B_and_the_rest():
+    # cli._grid checks each B once and each (A, gamma, method) once; that is
+    # exact only while no check of BarrierQuery ties B to the other fields
+    from coulombpacket.errors import DomainError, RangeError
+    from coulombpacket.transmission import METHODS
+
+    def ok(*fields):
+        try:
+            BarrierQuery(*fields)
+        except (DomainError, RangeError):
+            return False
+        return True
+
+    for A in (-1.0, 0.0, 5.0, 10.0, 700.0, math.inf, math.nan):
+        for g in (0.05, 1.0, 2.0, 25.0, -1.0, math.nan):
+            for m in METHODS:
+                for B in (-1.0, 0.0, 1e-300, 1e-3, 1.7e308, math.inf,
+                          math.nan):
+                    assert ok(A, B, g, m) == (ok(10.0, B, 2.0, "auto")
+                                              and ok(A, 1e-3, g, m))
+
+
 def test_sweep_linear_spacing(run_cli, tmp_path):
     out = tmp_path / "lin.csv"
     code, _, _ = run_cli("sweep", "--A", 10, "--gammas", 2,
@@ -455,6 +478,37 @@ def test_sweep_writes_through_a_symlink(run_cli, tmp_path):
     assert target.read_text(encoding="utf-8").startswith(SWEEP_HEADER + "\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv",
                                                           "target.csv"]
+
+
+def test_sweep_into_a_fifo_writes_in_place(run_cli, tmp_path):
+    # only a regular file is replaced; a pipe or device is written through
+    import threading
+
+    out = tmp_path / "table.csv"
+    assert _sweep(run_cli, out)[0] == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert _sweep(run_cli, fifo)[0] == 0
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [out.read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "table.csv"]
+
+
+def test_sweep_to_dev_stdout(tmp_path):
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    grid = ("sweep", "--A", "10", "--gammas", "2", "--B-min", "1e-3",
+            "--B-max", "1e-2", "--B-count", "3", "--method", "saddle")
+    out = tmp_path / "table.csv"
+    assert _run_module(*grid, "--out", str(out)).returncode == 0
+    proc = _run_module(*grid, "--out", "/dev/stdout")      # into a pipe
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == out.read_text(encoding="utf-8")
 
 
 # --- ratio -----------------------------------------------------------------
