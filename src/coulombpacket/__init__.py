@@ -1,7 +1,7 @@
 """Tunneling of momentum wave packets through a high 1-D Coulomb barrier.
 
 Log-domain evaluation of the packet-averaged transmission probability for
-generalized-Gaussian momentum packets: exact adaptive quadrature, a
+generalized-Gaussian momentum packets: double-exponential quadrature, a
 steepest-descent closed form, the exact Bessel-K1 form for gamma = 1, and
 trapezoid averaging of user-tabulated densities.
 

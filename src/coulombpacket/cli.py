@@ -93,6 +93,10 @@ def _result_pairs(res):
 
 def _b_values(b_min, b_max, count, spacing="log"):
     """The B grid shared by ``sweep`` and ``ratio``."""
+    for name, b in (("min", b_min), ("max", b_max)):
+        if not math.isfinite(b):
+            raise DomainError(
+                f"B grid requires a finite --B-{name}, got {b!r}")
     if not (0.0 < b_min < b_max) or count < 2:
         raise DomainError("B grid requires 0 < min < max and count >= 2")
     if spacing == "log":

@@ -120,28 +120,18 @@ def density_exponent(u, beta, gamma, half_lnB):
 
     Evaluated as beta exp(gamma (ln|u| - (1/2) ln B)), so extreme B cause
     no premature under/overflow; at u = 0, ln|u| = -inf gives exactly 0,
-    the gamma > 0 limit.  Takes floats or arrays, including the quadrature
-    engine's (P, 1) constant columns.  Inverse of exponent_offset.
+    the gamma > 0 limit.  Takes floats or arrays.  Inverse of
+    exponent_offset.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        return _density_exponent(u, beta, gamma, half_lnB)
-
-
-def _density_exponent(u, beta, gamma, half_lnB):
-    # density_exponent for callers that already hold an np.errstate
-    return beta * np.exp(gamma * (np.log(np.abs(u)) - half_lnB))
+        return beta * np.exp(gamma * (np.log(np.abs(u)) - half_lnB))
 
 
 def exponent_offset(s, ln_beta, gamma, sqB):
     """The offset |u| = |y - 1| at which the density exponent equals s >= 0:
     sqrt(B) exp((ln s - ln beta) / gamma).  Inverse of density_exponent."""
     with np.errstate(divide="ignore", over="ignore"):
-        return _exponent_offset(s, ln_beta, gamma, sqB)
-
-
-def _exponent_offset(s, ln_beta, gamma, sqB):
-    # exponent_offset for callers that already hold an np.errstate
-    return sqB * np.exp((np.log(s) - ln_beta) / gamma)
+        return sqB * np.exp((np.log(s) - ln_beta) / gamma)
 
 
 def log_density(y, shape: PacketShape):
@@ -180,7 +170,7 @@ def _moment_integrand_factory(shape: PacketShape, k: int):
     ln_norm = shape.log_N - half_lnB
 
     def log_density_at(u):
-        return ln_norm - _density_exponent(u, shape.beta, g, half_lnB)
+        return ln_norm - density_exponent(u, shape.beta, g, half_lnB)
 
     def finish(ln_val):
         return np.exp(np.where(np.isnan(ln_val), -np.inf, ln_val))
@@ -196,7 +186,7 @@ def _moment_integrand_factory(shape: PacketShape, k: int):
     ln_du_ds_const = half_lnB - math.log(g) - ln_beta / g
 
     def f(s):
-        u = _exponent_offset(s, ln_beta, g, sqB)
+        u = exponent_offset(s, ln_beta, g, sqB)
         ln_val = (log_density_at(u) + ln_du_ds_const
                   + (1.0 / g - 1.0) * np.log(s))
         if k:

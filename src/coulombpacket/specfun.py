@@ -22,7 +22,6 @@ __all__ = [
     "log_bessel_k1",
     "log_bessel_k1_asymptotic",
     "log_sum_exp",
-    "log_sum_exp_segments",
     "log_diff_exp",
 ]
 
@@ -151,7 +150,8 @@ def _log_k1_trapezoid(z):
     """ln K₁ for z >= 0.75 by the folded trapezoid rule (log_bessel_k1)."""
     r = _K1_U2 / z[:, None]
     terms = _K1_W * (1.0 + r) / np.sqrt(2.0 + r)
-    # a fixed tree of column adds, never a BLAS product (see _gk15)
+    # a fixed tree of column adds, never a BLAS product, so that each
+    # row's bits do not depend on the other rows
     while terms.shape[1] > 1:
         half = terms.shape[1] // 2
         terms = terms[:, :half] + terms[:, half:]
@@ -185,7 +185,7 @@ def log_sum_exp(terms, weights=None) -> float:
 
     ``terms`` of -inf are allowed (zero contributions); an all--inf input
     returns -inf.  Exact under a uniform additive shift of all terms.  The
-    validated one-segment form of :func:`log_sum_exp_segments`.
+    terms are summed in input order.
     """
     terms = np.asarray(terms, dtype=float)
     if terms.size == 0:
@@ -199,34 +199,14 @@ def log_sum_exp(terms, weights=None) -> float:
         # every weight is positive and finite when both extremes are
         require_positive("weights", weights.min())
         require_positive("weights", weights.max())
-        weights = weights.ravel()
-    one = np.zeros(terms.size, dtype=np.intp)
-    return float(log_sum_exp_segments(terms.ravel(), one, 1, weights)[0])
-
-
-def log_sum_exp_segments(terms, segments, count, weights=None):
-    """ln Σ wᵢ exp(termᵢ) over the terms of each of ``count`` segments.
-
-    ``segments[i]`` in [0, count) names the segment of ``terms[i]``; each
-    segment is shifted by its own max and summed in input order, so its
-    result does not depend on the other segments.  A segment with no terms,
-    or only -inf terms, gives -inf.  Unvalidated: terms must be < +inf and
-    not NaN, and weights positive and finite.
-    """
-    with np.errstate(divide="ignore"):
-        return _log_sum_exp_segments(terms, segments, count, weights)
-
-
-def _log_sum_exp_segments(terms, segments, count, weights=None):
-    # log_sum_exp_segments for callers that already hold an np.errstate
-    peak = np.full(count, -np.inf)
-    np.maximum.at(peak, segments, terms)
-    peak = np.where(peak > -np.inf, peak, 0.0)
-    scaled = np.exp(terms - peak[segments])
+    peak = terms.max()
+    if peak == -np.inf:
+        return -math.inf
+    scaled = np.exp(terms - peak).ravel()
     if weights is not None:
-        scaled *= weights
-    return peak + np.log(np.bincount(segments, weights=scaled,
-                                     minlength=count))
+        scaled *= weights.ravel()
+    return float(peak + np.log(np.bincount(np.zeros(scaled.size, np.intp),
+                                           scaled)[0]))
 
 
 def log_diff_exp(ln_hi: float, ln_lo: float) -> float:

@@ -6,12 +6,12 @@ The plane-wave kernel is D(y) = exp(-A/y); the packet-averaged probability is
     T(A, B) = (N/sqrt(B)) Int_0^inf exp[h(y)] dy,
     h(y)    = -A/y - beta (|y-1|^2 / B)^(gamma/2),
 
-evaluated here four ways: adaptive log-domain Gauss-Kronrod quadrature of the
-integral (the reference path), a steepest-descent closed form built on the
-saddle of h, an exact Bessel-K1 form for gamma = 1, and a log-domain trapezoid
-rule over user-tabulated densities.  T can be as small as e^-1000 and the
-interesting regime has T/e^-A as large as e^+400, so no code path ever forms
-T itself -- only ln T.
+evaluated here four ways: log-domain double-exponential quadrature of the
+integral to 1e-9 in ln T (the reference path), a steepest-descent closed
+form built on the saddle of h, an exact Bessel-K1 form for gamma = 1, and a
+log-domain trapezoid rule over user-tabulated densities.  T can be as small
+as e^-1000 and the interesting regime has T/e^-A as large as e^+400, so no
+code path ever forms T itself -- only ln T.
 """
 
 from __future__ import annotations
@@ -34,13 +34,11 @@ from .packet import (
     GAMMA_MIN,
     DensityTable,
     PacketShape,
-    _density_exponent,
-    _exponent_offset,
+    density_exponent,
     shape_constants,
 )
 from .specfun import (
     LogMagnitude,
-    _log_sum_exp_segments,
     log_bessel_k1,
     log_bessel_k1_asymptotic,
     log_sum_exp,
@@ -73,55 +71,33 @@ METHODS = ("quadrature", "steepest_descent", "bessel_gamma1", "auto")
 PLANEWAVE_THRESHOLD = 0.1
 # G^(1/(gamma+1)) below this flags the steepest-descent value as low-confidence
 LOW_CONFIDENCE_THRESHOLD = 5.0
-# below this B the packet is a delta at double precision: T = D(p0) exactly
-B_DELTA_CUTOFF = 1e-14
 # minimum A for the gamma=1 closed form (|y-1| -> y-1 replacement)
 BESSEL_MIN_A = 10.0
 
-# 7-15 Gauss-Kronrod pair (nodes/weights to 15 digits)
-_XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
-
-_NODES15 = np.concatenate((-_XGK[:-1], _XGK[::-1]))
-# Kronrod weights, then Gauss weights, which sit at the odd Kronrod nodes
-_W15 = np.zeros((2, 15))
-_W15[0] = np.concatenate((_WGK[:-1], _WGK[::-1]))
-_W15[1, 1::2] = np.concatenate((_WG[:-1], _WG[::-1]))
-
-# seed panel boundaries (see _seed_panels): density exponents of the
-# ladder, multiples of the kernel scale 1/A, and of the saddle width; the
-# points of the bridge to a far-out saddle; the tail's fractions of 1/(1+u_hi)
-_LADDER_Q = np.logspace(-3.0, 2.5, 12)
-_KERNEL_SCALES = np.array([1.0, 8.0, 64.0])
-_SADDLE_OFFSETS = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0])
-_BRIDGE_POINTS = 8
-_TAIL_FRACTIONS = np.array([0.0, 0.25, 0.5, 1.0])
-# boundaries per section of a query's seed: the right section's two ends
-# and every candidate point, the widest of the three sections
-_SEED_WIDTH = (2 + _LADDER_Q.size + _KERNEL_SCALES.size + _SADDLE_OFFSETS.size
-               + _BRIDGE_POINTS)
-
-# panel coordinates of the quadrature engine (see _log_integrand), and of
-# each seed section (right, left, tail) for gamma >= 1 and for gamma < 1
-_U, _TAIL, _S_RIGHT, _S_LEFT = range(4)
-_U_COORDS = np.array([_U, _U, _TAIL])
-_S_COORDS = np.array([_S_RIGHT, _S_LEFT, _TAIL])
+# double-exponential node tables (see _de_nodes): t = j/128 for |t| <= 4.5.
+# Level 0 takes every 16th node, step 1/8; level L adds the odd multiples
+# of 16 >> L, step 1/(8 2^L), so each level is the last plus its midpoints
+_DE_FINE = 128
+_DE_HALF = int(4.5 * _DE_FINE)
+_DE_STRIDE = 16
+_DE_LEVELS = 4
+_DE_COARSE = np.arange(0, 2 * _DE_HALF + 1, _DE_STRIDE)
+# node rules; a row of the flat tables per rule
+_TANH_SINH, _EXP_SINH = 0, 1
+# terms below e^-40 of their query's largest are dropped
+_DE_KEEP = 40.0
+# the move of ln T between levels at which a query stops
+_DE_TARGET = 1e-9
+# pieces per query (see _pieces)
+_PIECES = 5
+# the rounding floor of quad_error_ln, per unit of the magnitudes in ln T
+_ROUNDING = 4.0 * 2.0 ** -52
 # queries per engine call in evaluate_many; bounds the engine's memory
 _BLOCK = 32
 # steepest-descent queries per _steepest_block call in evaluate_many
 _STEEPEST_BLOCK = 1024
+# ln(y* - 1) of the farthest saddle that _saddle_bracket searches for
+_SADDLE_FAR = math.log(1e6)
 # (xtol, rtol, maxiter) of the saddle root in t = ln(y-1)
 _SADDLE_TOL = (1e-14, 8.9e-16, 200)
 
@@ -136,6 +112,7 @@ class BarrierQuery:
     method: str = "auto"
 
     def __post_init__(self):
+        # no check ties B to (A, gamma, method); cli._grid relies on that
         for name in ("A", "B", "gamma"):
             require_positive(name, getattr(self, name))
         if not (GAMMA_MIN < self.gamma <= GAMMA_MAX):
@@ -354,7 +331,7 @@ def _saddle_bracket(G: float, gamma: float) -> tuple[float, float]:
     """A bracket [t_lo, t_hi] of the saddle root in t = ln(y-1), gamma != 1:
     the residual is at least 0 at t_lo and at most 0 at t_hi."""
     lnG = math.log(G)
-    t_cap = math.log(1e6)  # search window (1, 1 + 1e6) in y
+    t_cap = _SADDLE_FAR  # search window (1, 1 + 1e6) in y
     if gamma > 1.0:
         # strictly decreasing in t
         t_hi = max(lnG / (gamma + 1.0), 0.0) + 1.0
@@ -446,324 +423,303 @@ def _head(method_used: str, gamma: float, G: float, y_num, planewave_ok):
 
 
 def log_integrand(y, A: float, shape: PacketShape):
-    """The exponent h(y) = -A/y - beta (|y-1|^2/B)^(gamma/2); -inf for y <= 0.
-
-    The quadrature engine's u = y - 1 coordinate run on one row.  It keeps
-    that coordinate's rounding: near y = 0 the kernel -A/(1 + (y - 1)) is
-    off by about 1e-16/y relative, and below y ~ 1e-16 it is -inf.
-    """
-    u = np.asarray(y, dtype=float) - 1.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = _log_integrand(u.reshape(1, -1), np.array([_U]),
-                             np.array([_query_consts(A, shape)]))
-    out = out.reshape(u.shape)
-    if np.ndim(y) == 0:
+    """The exponent h(y) = -A/y - beta (|y-1|^2/B)^(gamma/2); -inf for y <= 0."""
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore"):
+        dens = density_exponent(y - 1.0, shape.beta, shape.gamma,
+                                0.5 * math.log(shape.B))
+        out = np.where(y > 0.0, -A / y - dens, -np.inf)
+    if out.ndim == 0:
         return float(out)
     return out
 
 
-def _curvature_width(A: float, shape: PacketShape, u_star: float) -> float:
-    """1/sqrt(-h'') at the saddle, clamped to a sane range; sets panel scale."""
-    y = 1.0 + u_star
-    dens2 = (shape.gamma * (shape.gamma - 1.0) * shape.beta
-             * np.exp((shape.gamma - 2.0) * np.log(u_star)
-                      - 0.5 * shape.gamma * math.log(shape.B)))
-    hpp = -2.0 * A / y ** 3 - float(dens2)
-    w = 1.0 / math.sqrt(max(-hpp, 1e-300))
-    return min(max(w, 1e-13 * y), 10.0 * y)
+def _de_nodes():
+    """x and ln dx/dt at every fine node t of the two rules, one row of
+    2 _DE_HALF + 1 nodes per rule in one flat table: tanh-sinh on (0, 1),
+    x = 1/(1 + e^(-pi sinh t)), and exp-sinh on (0, inf),
+    x = e^((pi/2) sinh t).  See Takahasi & Mori, Publ. RIMS 9 (1974), and
+    Bailey, Jeyabalan & Li, Exp. Math. 14 (2005)."""
+    t = np.arange(-_DE_HALF, _DE_HALF + 1) / _DE_FINE
+    u = np.pi * np.sinh(t)
+    ln_cosh = np.log(np.cosh(t))
+    x = np.concatenate((1.0 / (1.0 + np.exp(-u)), np.exp(0.5 * u)))
+    ln_dx = np.concatenate((
+        math.log(math.pi) + ln_cosh - np.log1p(np.exp(-u))
+        - np.log1p(np.exp(u)),
+        math.log(0.5 * math.pi) + ln_cosh + 0.5 * u))
+    return x, ln_dx
 
 
-def _columns(k):
-    """The constants of rows k of a _query_consts table as (P, 1) columns:
-    A, gamma, beta, ln(B)/2, sqrt(B), ln(beta), the s-coordinate Jacobian
-    constant and its power of s, 1/gamma - 1."""
-    return k.T[:, :, None]
+_DE_X, _DE_LN_DX = _de_nodes()
 
 
-def _query_consts(A: float, shape: PacketShape) -> tuple[float, ...]:
-    """One query's row of the engine's constant table (see _columns)."""
-    g = shape.gamma
-    lnB = math.log(shape.B)
-    ln_beta = math.log(shape.beta)
-    return (A, g, shape.beta, 0.5 * lnB, math.sqrt(shape.B), ln_beta,
-            0.5 * lnB - math.log(g) - ln_beta / g, 1.0 / g - 1.0)
+def _coordinates(A: float, shape: PacketShape, far: bool):
+    """The three coordinates of a query's integral, each as the columns
+    (a, s, e, ln c, p, gamma p, k, ln d_max) that _log_terms takes plus
+    ln(c p), the log of its Jacobian's constant.
 
-
-def _log_integrand(x, coord, k):
-    """ln of the integrand at the nodes x (P, 15) of P panels.
-
-    Row r lies in coordinate coord[r] and k[r] holds its query's constants.
-    The coordinates are u = y - 1 on both sides of the density peak and
-    t = 1/y on the far tail.  For gamma < 1 the density exponent has a cusp
-    at u = 0 with infinite one-sided slope, so both near-peak regions are
-    traversed in s = beta (|u|/sqrt(B))^gamma instead, where the exponent
-    is exactly linear and the cusp becomes an integrable endpoint power.
+    Right and left of y = 1 the coordinate is q, with y = 1 +- c q^p,
+    c = sqrt(B) beta^(-1/gamma) and p = max(1, 1/gamma); the left one
+    stops at y = 1/2.  Below y = 1/2 it is d = 1 - y itself (c = p = 1).
+    The kernel is -A/y + A, or -A/y itself where the saddle is far
+    (y* >= 2) and the mass sits where -A/y is far from -A.
     """
-    out = np.full(x.shape, -np.inf)
-    r = np.flatnonzero(coord == _U)
-    if r.size:
-        A, g, beta, half_lnB = _columns(k[r])[:4]
-        u = x[r]
-        out[r] = np.where(
-            u > -1.0,
-            -A / (1.0 + u) - _density_exponent(u, beta, g, half_lnB),
-            -np.inf)
-    r = np.flatnonzero(coord == _TAIL)
-    if r.size:
-        A, g, beta, half_lnB = _columns(k[r])[:4]
-        t = x[r]
-        dens = _density_exponent((1.0 - t) / t, beta, g, half_lnB)
-        out[r] = np.where((t > 0.0) & (t < 1.0),
-                          -A * t - dens - 2.0 * np.log(t), -np.inf)
-    r = np.flatnonzero(coord >= _S_RIGHT)
-    if r.size:
-        A, g, _, _, sqB, ln_beta, ln_jac, power = _columns(k[r])
-        side = np.where(coord[r] == _S_LEFT, -1.0, 1.0)[:, None]
-        s = x[r]
-        y = 1.0 + side * _exponent_offset(s, ln_beta, g, sqB)
-        out[r] = np.where((s > 0.0) & (y > 0.0),
-                          -A / y - s + ln_jac + power * np.log(s), -np.inf)
+    g = shape.gamma
+    p = max(1.0, 1.0 / g)
+    ln_beta = math.log(shape.beta)
+    half_lnB = 0.5 * math.log(shape.B)
+    ln_c = half_lnB - ln_beta / g
+    q = (ln_c, p, g if g >= 1.0 else 1.0, 0.0)
+    kernel = ((-A, 1.0, 1.0), (A, -1.0, 1.0)) if far else (
+        (A, 1.0, -1.0), (-A, -1.0, -1.0))
+    return ((kernel[0] + q + (math.inf,), ln_c + math.log(p)),
+            (kernel[1] + q + (-_LN2,), ln_c + math.log(p)),
+            (kernel[1] + (0.0, 1.0, g, ln_beta - g * half_lnB, 0.0), 0.0))
+
+
+def _log_terms(x, c, count):
+    """ln of exp(h(y) + A) dy/dx, or of exp(h(y)) dy/dx for a far saddle,
+    at the points x, the first count[0] of them in the coordinate whose
+    columns (see _coordinates) are c[:, 0], the next count[1] in c[:, 1],
+    and so on; without the Jacobian's constant, and -inf at and beyond
+    the coordinate's end d_max.
+
+    The offset from y = 1 is d = c x^p, and the density exponent is
+    exactly x^gamma (gamma >= 1) or x (gamma < 1) in q: the gamma < 1
+    cusp at y = 1 becomes linear and dy/dq = c p q^(p-1) has no singular
+    power.  The kernel is a/(s + d^e): -A/y + A = A d/(1 + d) right of
+    y = 1 and -A d/(1 - d) left of it, which keep their relative precision
+    next to y = 1, or -A/(1 +- d).  A column is spread over its points
+    only where it is used, and the steps run in place, which keeps a
+    block's largest level to a few arrays of its size.
+    """
+    a, s, e, ln_c, p, gp, k, ln_end = c
+
+    def spread(column):
+        return np.repeat(column, count)
+
+    ln_x = np.log(x)
+    ln_d = spread(p) * ln_x
+    ln_d += spread(ln_c)
+    out = spread(e) * ln_d
+    np.exp(out, out=out)
+    out += spread(s)
+    np.divide(spread(a), out, out=out)
+    tmp = spread(gp) * ln_x
+    tmp += spread(k)
+    out -= np.exp(tmp, out=tmp)
+    tmp = spread(p)
+    tmp -= 1.0
+    tmp *= ln_x
+    out += tmp
+    out[~(ln_d < spread(ln_end))] = -np.inf
     return out
 
 
-def _gk15(coord, a, b, k):
-    """One 7-15 Gauss-Kronrod rule of exp(integrand) on each panel [a, b].
+def _pieces(A: float, shape: PacketShape, ln_d):
+    """The offset of the kernel (A, or 0 for a far saddle; see
+    _coordinates) and the _PIECES rows (rule, coordinate columns, ln
+    weight, start, length) of one query's integral; ln_d is ln(y* - 1) of
+    its saddle y*, or None where it has none above y = 1.
 
-    Returns (ln of Kronrod estimate, ln of |Kronrod - Gauss|) per panel.
-    Each panel's values are shifted by its own max before exponentiation,
-    so panels whose whole integrand sits 1000s of e-folds below the global
-    peak still come out with finite, comparable logs.  The weighted sums
-    are a fixed tree of elementwise adds, not a BLAS product, so a panel's
-    bits do not depend on which other panels share the call.
+    A piece maps the nodes x of its rule to start + length x.  In q right
+    of y = 1: tanh-sinh on (0, q*); for gamma >= 1 with q* < 1, tanh-sinh
+    on (q*, 1), the wall where the density exponent q^gamma turns up; and
+    an exp-sinh tail, from q* with the curvature width of h at y* as its
+    scale (at least p - 1, as the Jacobian q^(p-1) moves the peak of a
+    wide gamma < 1 packet out to there), from the wall at 1 with scale
+    1/gamma, or from 0 with scale 1 where there is no saddle.  Left of y = 1: q up to y = 1/2, by
+    tanh-sinh, or by exp-sinh with scale 1 cut at y = 1/2 where the
+    density exponent there exceeds 700.  Then tanh-sinh in y on (0, 1/2),
+    where exp(-A/y) switches on, its nodes taken as d = 1 - y from 1 down.
+    An empty piece has length 0 and start 1.
     """
-    hw = 0.5 * (b - a)
-    v = _log_integrand((0.5 * (a + b))[:, None] + hw[:, None] * _NODES15,
-                       coord, k)
-    m = v.max(axis=1)
-    finite = np.isfinite(m)
-    m = np.where(finite, m, 0.0)
-    terms = np.exp(v - m[:, None])[:, None, :] * _W15  # (P, 2, 15)
-    sums = terms[..., :8].copy()
-    sums[..., :7] += terms[..., 8:]
-    sums = sums[..., :4] + sums[..., 4:]
-    sums = sums[..., :2] + sums[..., 2:]
-    sk, sg = np.ascontiguousarray((sums[..., 0] + sums[..., 1]).T)
-    diff = np.abs(sk - sg)
-    ln_hw = np.log(hw)
-    ln_I = np.where(finite, m + np.log(sk) + ln_hw, -np.inf)
-    ln_err = np.where(finite & (diff > 0.0),
-                      m + np.log(diff) + ln_hw, -np.inf)
-    return ln_I, ln_err
+    far = ln_d is not None and ln_d >= 0.0
+    (right, ln_cp), (left, _), (low, _) = _coordinates(A, shape, far)
+    g, ln_c, p = shape.gamma, right[3], right[4]
+    q_star = 0.0
+    tail = (0.0, 1.0)
+    if ln_d is not None:
+        ln_q = (ln_d - ln_c) / p
+        q_star = math.exp(ln_q)
+        # -h''(y*) (y* - 1)^2 = A r (1 - r) (2 r + gamma - 1) with
+        # r = (y* - 1)/y*, by the saddle equation; its 1/sqrt, the
+        # curvature width, is carried into q by dq/dy = q/(p (y* - 1))
+        r = 1.0 / (1.0 + math.exp(-ln_d))
+        curv = 2.0 * r + g - 1.0
+        if curv > 0.0:
+            ln_K = (math.log(A) + math.log(r) - math.log1p(math.exp(ln_d))
+                    + math.log(curv))
+            tail = (q_star, max(math.exp(ln_q - math.log(p) - 0.5 * ln_K),
+                                p - 1.0))
+        else:
+            tail = (q_star, max(q_star, p - 1.0))
+    wall = 1.0 - q_star if g >= 1.0 and q_star < 1.0 else 0.0
+    if wall:
+        tail = (1.0, 1.0 / g)
+    ln_half = -_LN2 - ln_c  # q^p at y = 1/2
+    if g * ln_half > math.log(700.0):
+        near = (_EXP_SINH, 1.0)
+    else:
+        near = (_TANH_SINH, math.exp(ln_half / p))
+    spans = [(_TANH_SINH, right, 0.0, q_star),
+             (_TANH_SINH, right, q_star, wall),
+             (_EXP_SINH, right) + tail,
+             (near[0], left, 0.0, near[1]),
+             (_TANH_SINH, low, 1.0, -0.5)]
+    return 0.0 if far else A, [
+        (rule, *cols, math.log(abs(length)) + (0.0 if cols is low else ln_cp),
+         start, length) if length else (rule, *cols, -math.inf, 1.0, 0.0)
+        for rule, cols, start, length in spans]
 
 
-def _splittable(a, b, depth, max_depth):
-    """Panels that may still be bisected: below max_depth and wide enough
-    that their midpoint is a double strictly inside them."""
-    mid = 0.5 * (a + b)
-    return (depth < max_depth) & (a < mid) & (mid < b)
+def _node_terms(cols, pieces, count, node):
+    """ln of the terms, without the step, of count[i] nodes of each piece
+    pieces[i] (see _de_quadrature), in that order; node is each term's
+    index into the flat node tables."""
+    c = cols[:, pieces]
+    x = np.repeat(c[10], count)
+    x *= _DE_X[node]
+    x += np.repeat(c[9], count)
+    out = np.repeat(c[8], count)
+    out += _DE_LN_DX[node]
+    out += _log_terms(x, c[:8], count)
+    return out
 
 
-def _rel_error(ln_I, ln_err):
-    """Summed panel error over the integral, from their logs."""
-    rel = np.exp(np.minimum(ln_err - ln_I, 700.0))
-    zero = ln_I == -np.inf
-    return np.where(zero, np.where(ln_err == -np.inf, 0.0, np.inf), rel)
+def _de_quadrature(rows):
+    """ln of the integrals of a block of queries by one nested
+    double-exponential rule; _PIECES rows per query, as _pieces makes them.
 
-
-def _log_quadrature(k, seeds, rel_target=1e-7, hard_rel=1e-6, max_depth=20,
-                    max_panels=4000):
-    """Greedy worst-panel refinement of a batch of log-domain GK15 integrals.
-
-    k is the (Q, 8) constant table of Q queries (one _query_consts row
-    each) and seeds the flat (q, coord, a, b) arrays of their seed panels,
-    as _seed_panels makes them: query-major, each panel of nonzero width.
-    Panels live in flat arrays in creation order.  Refinement runs in
-    rounds: in each round every unconverged query bisects its live panel of
-    highest ln_err (the earliest created on ties), and all the children are
-    evaluated in one call.  A panel at max_depth or too narrow to halve is
-    frozen: it keeps contributing value and error but is never split.  A
-    query stops at rel <= rel_target, when no live panel is left, when its
-    worst live panel reports zero error, or once it has created max_panels
-    panels.  So each query takes the same steps whatever else is batched
-    with it.
-
-    Returns per-query arrays (ln_integral, rel_error, converged);
-    rel_error is the summed panel error divided by the integral, which in
-    log domain is also the absolute uncertainty of ln_integral, and
-    converged is rel_error <= hard_rel.  The caller holds the np.errstate
+    Level 0 evaluates every piece at its nodes of step 1/8 and keeps, per
+    piece, the nodes from the first to the last whose term exceeds
+    e^-_DE_KEEP of its query's largest, and one more on each side.  Each
+    later level halves the step: it evaluates only the new midpoints inside
+    those spans, for the queries still running, in one array pass.  A
+    query stops at the first level whose ln integral moves by at most
+    _DE_TARGET from the last, and after _DE_LEVELS levels at the latest.
+    Its sums are bincounts over its own nodes in order, so its bits do not
+    depend on what else is in the block.  The caller holds the np.errstate
     that silences the -inf and overflow of nodes far out on a tail.
-    """
-    nq = len(k)
-    q, coord, a, b = seeds
-    depth = np.zeros(q.size, dtype=int)
-    ln_I, ln_err = _gk15(coord, a, b, k[q])
-    counted = np.ones(q.size, dtype=bool)  # not yet replaced by children
-    live = _splittable(a, b, depth, max_depth)
-    created = np.bincount(q, minlength=nq)
-    tot_I = _log_sum_exp_segments(ln_I, q, nq)
-    tot_err = _log_sum_exp_segments(ln_err, q, nq)
-    rel = _rel_error(tot_I, tot_err)
-    active = (rel > rel_target) & (created < max_panels)
 
-    while active.any():
-        cand = np.flatnonzero(live & active[q])
-        # lexsort is stable, so equal ln_err keeps creation order
-        order = cand[np.lexsort((-ln_err[cand], q[cand]))]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = q[order[1:]] != q[order[:-1]]
-        worst = order[first]
-        worst = worst[ln_err[worst] > -np.inf]
-        active[:] = False
-        if not worst.size:
+    Returns per query the ln integral, its last move and whether that
+    reached _DE_TARGET.
+    """
+    # each piece's row of the node tables
+    base = rows[:, 0].astype(np.intp) * (2 * _DE_HALF + 1)
+    cols = np.ascontiguousarray(rows[:, 1:].T)
+    n_piece = len(rows)
+    nq = n_piece // _PIECES
+    width = _DE_COARSE.size
+    terms = np.full((n_piece, width), -np.inf)
+    live = np.flatnonzero(cols[10])
+    terms[live] = _node_terms(
+        cols, live, width,
+        (base[live, None] + _DE_COARSE).ravel()).reshape(live.size, width)
+    peak = terms.reshape(nq, -1).max(axis=1)
+    keep = terms > np.repeat(peak - _DE_KEEP, _PIECES)[:, None]
+    used = keep.any(axis=1)
+    first = np.maximum(keep.argmax(axis=1) - 1, 0)
+    last = np.minimum(width - keep[:, ::-1].argmax(axis=1), width - 1)
+    span = np.where(used, last - first, 0)
+    node = np.arange(width)
+    inside = (node >= first[:, None]) & (node <= last[:, None]) & used[:, None]
+    scaled = np.where(
+        inside, np.exp(terms - np.repeat(peak, _PIECES)[:, None]), 0.0)
+    owner = np.arange(n_piece) // _PIECES
+    total = np.bincount(np.repeat(owner, width), scaled.ravel(), nq)
+    del terms, keep, inside, scaled  # the levels' arrays are the largest
+
+    base += first * _DE_STRIDE
+    move = np.full(nq, np.inf)
+    level = np.zeros(nq, dtype=np.intp)
+    run = np.arange(nq)
+    for lev in range(1, _DE_LEVELS + 1):
+        pieces = (run[:, None] * _PIECES + np.arange(_PIECES)).ravel()
+        count = span[pieces] << (lev - 1)
+        # the k-th new node of a piece sits at base + stride (2k + 1)
+        stride = _DE_STRIDE >> lev
+        before = np.cumsum(count) - count
+        node = (2 * stride * np.arange(before[-1] + count[-1])
+                + np.repeat(base[pieces] + stride * (1 - 2 * before), count))
+        q = np.repeat(owner[pieces], count)
+        new = np.bincount(
+            q, np.exp(_node_terms(cols, pieces, count, node) - peak[q]),
+            nq)[run]
+        prev = total[run]
+        move[run] = np.abs(np.log1p((new - prev) / (2.0 * prev)))
+        total[run] = prev + new
+        level[run] = lev
+        run = run[move[run] > _DE_TARGET]
+        if not run.size:
             break
-        split_q = q[worst]
-        lo, hi = a[worst], b[worst]
-        mid = 0.5 * (lo + hi)
-        counted[worst] = live[worst] = False
-        ca = np.column_stack((lo, mid)).ravel()
-        cb = np.column_stack((mid, hi)).ravel()
-        cq = np.repeat(split_q, 2)
-        cc = np.repeat(coord[worst], 2)
-        cd = np.repeat(depth[worst] + 1, 2)
-        c_I, c_err = _gk15(cc, ca, cb, k[cq])
-        q, coord, a, b = (np.concatenate(p) for p in
-                          ((q, cq), (coord, cc), (a, ca), (b, cb)))
-        depth = np.concatenate((depth, cd))
-        ln_I = np.concatenate((ln_I, c_I))
-        ln_err = np.concatenate((ln_err, c_err))
-        counted = np.concatenate((counted, np.ones(cq.size, dtype=bool)))
-        live = np.concatenate((live, _splittable(ca, cb, cd, max_depth)))
-        created[split_q] += 2
-
-        member = np.zeros(nq, dtype=bool)
-        member[split_q] = True
-        sel = counted & member[q]
-        tot_I[split_q] = _log_sum_exp_segments(ln_I[sel], q[sel], nq)[split_q]
-        tot_err[split_q] = _log_sum_exp_segments(ln_err[sel], q[sel],
-                                                 nq)[split_q]
-        rel[split_q] = _rel_error(tot_I[split_q], tot_err[split_q])
-        active[split_q] = ((rel[split_q] > rel_target)
-                           & (created[split_q] < max_panels))
-
-    return tot_I, rel, rel <= hard_rel
+    # the step of the last level is 2^-(3 + level)
+    ln_I = peak + np.log(np.ldexp(total, -3 - level))
+    return ln_I, move, move <= _DE_TARGET
 
 
-def _seed_panels(k, u_star, width):
-    """Seed panels of a block of queries, straddling every known feature of
-    each integrand, as flat (q, coord, a, b) arrays: the query (row of the
-    (Q, 8) _query_consts table k), the coordinate of _log_integrand and the
-    ends of each panel.  u_star = y* - 1 and width (the curvature width)
-    hold each query's saddle, nan where it has none above y = 1.
-
-    Boundaries come from three length scales: the density ladder (points
-    where the density exponent equals fixed values from 1e-3 to ~300), the
-    kernel scale 1/A where exp(-A/y) turns over, and the saddle width when
-    a saddle exists.  The adaptive pass only has to polish from there.
-    Every query's boundaries sit in a fixed-width (3, _SEED_WIDTH) row per
-    section (right of u = 0, left of it, the tail), padded with a copy of
-    a boundary, so one sort orders them all and the zero-width panels
-    between equal boundaries are dropped.  Panels come out query-major
-    and, within a query, right, left, then tail.
-    """
-    A, g, beta, half_lnB, sqB, ln_beta = _columns(k)[:6]
-    u_star, width = u_star[:, None], width[:, None]
-    ladder = _exponent_offset(_LADDER_Q, ln_beta, g, sqB)
-    kernel = _KERNEL_SCALES / np.maximum(A, 1.0)
-    saddle = u_star + _SADDLE_OFFSETS * width
-    u_hi = np.fmax.reduce(np.concatenate((ladder, kernel, saddle), axis=1),
-                          axis=1, keepdims=True, initial=7.0)
-    # bridge wide gaps between the density scale and a far-out saddle
-    bridge = np.full((len(k), _BRIDGE_POINTS), np.nan)
-    ladder_max = ladder.max(axis=1)
-    far = u_star[:, 0] > 10.0 * ladder_max
-    if far.any():
-        bridge[far] = np.geomspace(ladder_max[far], u_star[far, 0],
-                                   _BRIDGE_POINTS, axis=1)
-
-    edges = np.empty((len(k), 3, _SEED_WIDTH))
-    right, left, tail = edges[:, 0], edges[:, 1], edges[:, 2]
-    right[:, 0] = 0.0
-    right[:, 1] = u_hi[:, 0]
-    # no candidate exceeds u_hi; fmax sends the saddle points below u = 0
-    # and the missing ones (nan) to the end 0, as a repeat of it
-    np.fmax(np.concatenate((ladder, kernel, saddle, bridge), axis=1), 0.0,
-            out=right[:, 2:])
-    left[:, 0] = -1.0
-    left[:, 1:] = 0.0
-    # every candidate is negative; those at or beyond u = -1 repeat that end
-    np.fmax(-np.concatenate((ladder, kernel), axis=1), -1.0,
-            out=left[:, 2:2 + ladder.shape[1] + kernel.shape[1]])
-    t_hi = 1.0 / (1.0 + u_hi)
-    tail[:, :4] = t_hi * _TAIL_FRACTIONS
-    tail[:, 4:] = t_hi
-
-    low = g < 1.0
-    if low.any():
-        # remap the same boundaries into s, where the cusp is integrable
-        s = _density_exponent(edges[:, :2], beta[..., None], g[..., None],
-                              half_lnB[..., None])
-        np.copyto(edges[:, :2], s, where=low[..., None])
-    coords = np.where(low, _S_COORDS, _U_COORDS)
-
-    edges.sort(axis=-1)
-    a, b = edges[..., :-1], edges[..., 1:]
-    keep = b > a
-    section = np.flatnonzero(keep) // (_SEED_WIDTH - 1)
-    return section // 3, coords.ravel()[section], a[keep], b[keep]
+def _saddle_offset(A: float, shape: PacketShape, head):
+    """ln(y* - 1) of a query's saddle for _pieces, or None where it has
+    none above y = 1.  Where Brent's method gave none because the saddle
+    lies beyond y = 1 + 1e6, or G overflows, it is the large-G asymptote
+    ln G/(gamma + 1), taken from logs."""
+    if head["y_star_numeric"] is not None:
+        return math.log(head["y_star_numeric"] - 1.0)
+    g = shape.gamma
+    ln_G = (math.log(A) + 0.5 * g * math.log(shape.B)
+            - math.log(g * shape.beta))
+    if ln_G > (g + 1.0) * _SADDLE_FAR:
+        return ln_G / (g + 1.0)
+    return None
 
 
 def _quadrature_block(queries):
     """ln_T_quadrature of each query, with one engine call for all of them;
     a ConvergenceError stands in for the result of a query that fails."""
-    results = [None] * len(queries)
-    heads, consts, u_star, width = [], [], [], []
+    heads, rows = [], []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, query in enumerate(queries):
+        for query in queries:
             shape = PacketShape.from_gamma(query.gamma, query.B)
             A = float(query.A)
             head = _head("quadrature", shape.gamma, *_saddle(A, shape))
-            if query.B < B_DELTA_CUTOFF:
-                # a delta packet at double precision; quadrature would be wasted
-                head["planewave_ok"] = True
-                results[i] = TransmissionResult(ln_T=-A, quad_error_ln=0.0,
-                                                **head)
-                continue
-            heads.append((i, query, shape, head))
-            consts.append(_query_consts(A, shape))
-            # gamma < 1 may have no stationary point; the peak is then y = 1
-            y_star = head["y_star_numeric"]
-            u = math.nan if y_star is None else y_star - 1.0
-            u_star.append(u)
-            width.append(math.nan if y_star is None
-                         else _curvature_width(A, shape, u))
-        if not heads:
-            return results
-        k = np.array(consts)
-        ln_I, rel, ok = _log_quadrature(
-            k, _seed_panels(k, np.array(u_star), np.array(width)))
-    for (i, query, shape, head), ln_Ii, rel_err, ok_i in zip(
-            heads, ln_I.tolist(), rel.tolist(), ok.tolist()):
-        ln_T = shape.log_N - 0.5 * math.log(shape.B) + ln_Ii
-        ln_T = min(ln_T, 0.0)
+            offset, pieces = _pieces(A, shape, _saddle_offset(A, shape, head))
+            heads.append((query, shape, head, offset))
+            rows.extend(pieces)
+        ln_I, move, ok = _de_quadrature(np.array(rows))
+    results = []
+    for (query, shape, head, offset), ln_Ii, move_i, ok_i in zip(
+            heads, ln_I.tolist(), move.tolist(), ok.tolist()):
+        ln_scale = shape.log_N - 0.5 * math.log(shape.B)
+        ln_T = ln_scale - offset + ln_Ii
+        # the last move plus a rounding floor: a few ulp of every magnitude
+        # summed into ln T
+        err_i = move_i + _ROUNDING * (abs(ln_T) + offset + abs(ln_Ii)
+                                      + abs(ln_scale))
+        where = f"A={float(query.A)}, B={query.B}, gamma={query.gamma}"
         if not ok_i:
-            results[i] = ConvergenceError(
-                f"quadrature failed to reach 1e-6 (got {rel_err:.2e}) for "
-                f"A={float(query.A)}, B={query.B}, gamma={query.gamma}",
-                ln_T=ln_T, quad_error_ln=rel_err)
+            results.append(ConvergenceError(
+                f"quadrature failed to reach {_DE_TARGET:g} (got {err_i:.2e}) "
+                f"for {where}", ln_T=ln_T, quad_error_ln=err_i))
+        elif ln_T > err_i:
+            results.append(ConvergenceError(
+                f"quadrature gave ln T = {ln_T!r} > 0 beyond its error "
+                f"{err_i:.2e} for {where}", ln_T=ln_T, quad_error_ln=err_i))
         else:
-            results[i] = TransmissionResult(ln_T=ln_T, quad_error_ln=rel_err,
-                                            **head)
+            results.append(TransmissionResult(ln_T=ln_T, quad_error_ln=err_i,
+                                              **head))
     return results
 
 
 def ln_T_quadrature(query: BarrierQuery) -> TransmissionResult:
-    """Packet-averaged ln T by adaptive log-domain quadrature.
+    """Packet-averaged ln T by double-exponential quadrature.
 
-    The integrand peak is bracketed first (saddle machinery plus the y < 1
-    branch, which is monotone increasing toward y = 1), the domain is split
-    at the peak and the y = 1 cusp, and panels are refined greedily until
-    the estimated relative error drops below 1e-7 (reported bound 1e-6).
-    This is evaluate_many's quadrature engine run on a batch of one.
+    The integral is split at y = 1/2, at the y = 1 cusp, at the saddle y*
+    and, for gamma >= 1, at the density wall, into five pieces (_pieces),
+    each a tanh-sinh or exp-sinh rule whose step is halved until ln T moves
+    by at most 1e-9.  quad_error_ln is that last move plus a rounding
+    floor.  This is evaluate_many's quadrature engine run on a batch of
+    one.
     """
     res, = _quadrature_block([query])
     if isinstance(res, ConvergenceError):
@@ -944,10 +900,9 @@ def evaluate_many(queries) -> list:
 
     A query that fails to converge gets its ConvergenceError in place of a
     result, so one failure costs the batch nothing else.  Quadrature
-    queries run through one vectorised engine, 32 queries per call, which
-    seeds the panels of all of them in one set of array operations
-    (_seed_panels) and refines them as flat (q, coord, a, b) arrays; every
-    query gets the seeds and takes the refinement steps it would alone.
+    queries run through one double-exponential engine, 32 queries per call
+    (_de_quadrature): each level of all of them is one array pass, and
+    every query sums its own nodes and stops at the level it would alone.
     Bessel queries go 32 at a time through one log_bessel_k1 call
     (_bessel_block).  Steepest-descent queries go 1024 at a time through
     one array block (_steepest_block), which evaluates the closed form in

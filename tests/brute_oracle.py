@@ -86,9 +86,15 @@ def mp_ln_T(A, B, gamma, dps=40, extra_points=()):
             1.0 + math.sqrt(B) * np.linspace(-80.0, 80.0, 8001),
         ]))
         ys = ys[ys > 0]
-        hs = np.array([float(_mp_h(mp.mpf(y), Am, Bm, beta, g)) for y in
-                       ys[:: max(1, len(ys) // 4000)]])
-        ys_c = ys[:: max(1, len(ys) // 4000)]
+        # plus the points where the density exponent is 1 ... 1000, so the
+        # window reaches e^-300 of the peak even where the density is
+        # wider than 80 sqrt(B) and the log grid is too coarse near y = 1
+        offsets = (math.sqrt(B)
+                   * (np.logspace(0, 3, 7) / float(beta)) ** (1 / gamma))
+        ys_c = np.unique(np.concatenate([
+            ys[:: max(1, len(ys) // 4000)], 1.0 - offsets, 1.0 + offsets]))
+        ys_c = ys_c[ys_c > 0]
+        hs = np.array([float(_mp_h(mp.mpf(y), Am, Bm, beta, g)) for y in ys_c])
         hmax = hs.max()
         keep = ys_c[hs >= hmax - 300.0]
         y_lo, y_hi = float(keep.min()), float(keep.max())

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,28 @@ def test_sweep_usage_errors_exit_2(run_cli, tmp_path, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, bounds, spacing", [
+    ("sweep", ("1e-3", "inf"), "log"),
+    ("sweep", ("1e-3", "inf"), "linear"),
+    ("sweep", ("inf", "inf"), "log"),
+    ("ratio study", ("1e-3", "inf"), None),
+])
+def test_infinite_B_bound_exits_2_naming_it(run_cli, tmp_path, command,
+                                            bounds, spacing):
+    # refused before numpy builds a grid from it, so no RuntimeWarning
+    argv = [command.split()[0], "--A", 10, "--gammas", 2, "--B-min", bounds[0],
+            "--B-max", bounds[1], "--out", tmp_path / "x.csv"]
+    if spacing:
+        argv += ["--B-spacing", spacing]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(*argv)
+    name = "min" if bounds[0] == "inf" else "max"
+    assert code == 2
+    assert err == (f"invalid {command}: B grid requires a finite "
+                   f"--B-{name}, got inf\n")
+
+
 def test_invalid_grid_reports_its_first_invalid_query(run_cli, tmp_path):
     # the grid is checked without building every query; the message must
     # still be that of the first invalid query in the documented order
@@ -320,9 +343,8 @@ def test_invalid_grid_reports_its_first_invalid_query(run_cli, tmp_path):
             for pool in (A_pool, g_pool, sorted(METHOD_FLAGS)))
         b_min, b_max = b_pool[rng.integers(len(b_pool))]
         spacing = ("log", "linear")[rng.integers(2)]
-        with np.errstate(all="ignore"):
-            b_vals = _b_values(b_min, b_max, 4, spacing)
         try:
+            b_vals = _b_values(b_min, b_max, 4, spacing)
             [BarrierQuery(A, float(B), g, METHOD_FLAGS[m]) for A in A_vals
              for g in gammas for B in b_vals for m in methods]
             continue

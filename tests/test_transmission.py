@@ -22,13 +22,7 @@ from coulombpacket.errors import (
     RegimeError,
     TableFormatError,
 )
-from coulombpacket.packet import (
-    DensityTable,
-    PacketShape,
-    density_exponent,
-    exponent_offset,
-    log_density,
-)
+from coulombpacket.packet import DensityTable, PacketShape, log_density
 from coulombpacket.transmission import (
     BarrierQuery,
     G_param,
@@ -292,9 +286,24 @@ def test_log_integrand_closed_form():
     assert arr.shape == (3,) and arr[1] == -3.0
 
 
-def _engine(x, coord, k):
-    """The engine's log-integrand at one node x of a coord panel."""
-    return float(tr._log_integrand(np.array([[x]]), np.array([coord]), k)[0, 0])
+def _coordinate_exponents(A, shape, y):
+    """h(y) from each engine coordinate that reaches y, in both kernel
+    forms, with the coordinate's Jacobian and kernel offset taken off."""
+    out = []
+    for far in (False, True):
+        (right, _), (left, _), (low, _) = tr._coordinates(A, shape, far)
+        offset = 0.0 if far else A
+        ln_c, p = right[3], right[4]
+        reach = [(low, 1.0 - y, 1.0)] if y < 1.0 else []
+        if y > 0.5:
+            cols = right if y > 1.0 else left
+            q = math.exp((math.log(abs(y - 1.0)) - ln_c) / p)
+            reach.append((cols, q, p))
+        for cols, x, power in reach:
+            out.append(float(tr._log_terms(np.array([x]),
+                                           np.array(cols)[:, None], [1])[0])
+                       - (power - 1.0) * math.log(x) - offset)
+    return out
 
 
 @pytest.mark.parametrize("A, B, gamma", [
@@ -302,21 +311,14 @@ def _engine(x, coord, k):
     (50.0, 0.02, 0.5), (10.0, 0.3, 0.3)])
 @pytest.mark.parametrize("y", [0.3, 0.97, 1.02, 1.6, 6.0, 45.0])
 def test_engine_coordinates_agree_with_log_integrand(A, B, gamma, y):
-    # every panel coordinate of the engine, stripped of its Jacobian, must
-    # give the exponent h(y) of the same point
+    # q right and left of y = 1 and d = 1 - y below it, in the kernel
+    # forms -A/y + A and -A/y, stripped of their Jacobians and offsets,
+    # must give the exponent h(y) of the same point
     shape = PacketShape.from_gamma(gamma, B)
-    k = np.array([tr._query_consts(A, shape)])
-    _, _, beta, half_lnB, _, _, ln_jac, power = k[0]
     h = log_integrand(y, A, shape)
-    assert _engine(y - 1.0, tr._U, k) == pytest.approx(h, rel=1e-12)
-    if y > 1.0:
-        t = 1.0 / y
-        assert (_engine(t, tr._TAIL, k) + 2.0 * math.log(t)
-                == pytest.approx(h, rel=1e-12))
-    s = float(density_exponent(y - 1.0, beta, gamma, half_lnB))
-    side = tr._S_RIGHT if y > 1.0 else tr._S_LEFT
-    assert (_engine(s, side, k) - ln_jac - power * math.log(s)
-            == pytest.approx(h, rel=1e-12))
+    exponents = _coordinate_exponents(A, shape, y)
+    assert len(exponents) == (4 if 0.5 < y < 1.0 else 2)
+    assert exponents == pytest.approx([h] * len(exponents), rel=1e-12)
 
 
 # --- quadrature -----------------------------------------------------------
@@ -369,34 +371,61 @@ def test_delta_packet_limit(A):
     assert abs(res.ln_T + A) <= 1e-2
 
 
-def test_delta_packet_short_circuit():
-    # below the representability cutoff the packet is a delta: T = D(p0)
+def test_tiny_B_is_integrated():
+    # no cutoff in B makes every packet a delta: below B = 1e-14 the
+    # engine still integrates, where ln T = -A was off by 4.9e-12 here and
+    # by 8.1e4 at (A=1e5, B=1e-20, gamma=0.3) (see QUAD_MP)
     res = ln_T_quadrature(BarrierQuery(100.0, 1e-15, 2.0))
-    assert res.ln_T == -100.0
-    assert res.quad_error_ln == 0.0
+    assert abs(res.ln_T - -99.9999999999951) <= res.quad_error_ln < 1e-9
+    assert res.ln_T > -100.0
     assert res.planewave_ok is True
     assert res.method_used == "quadrature"
 
 
 def test_quadrature_failure_carries_partial_estimate(monkeypatch):
-    from coulombpacket import transmission as tr
-
-    def unconverged(consts, seeds, **kwargs):
+    def unconverged(rows):
         return np.array([-123.0]), np.array([3.4e-4]), np.array([False])
 
-    monkeypatch.setattr(tr, "_log_quadrature", unconverged)
+    monkeypatch.setattr(tr, "_de_quadrature", unconverged)
     with pytest.raises(ConvergenceError) as exc_info:
         tr.ln_T_quadrature(BarrierQuery(50.0, 0.1, 2.0))
     assert exc_info.value.quad_error_ln == pytest.approx(3.4e-4)
     assert exc_info.value.ln_T is not None and exc_info.value.ln_T <= 0.0
 
 
-# (A, B, gamma, ln_T, quad_error_ln) of the per-panel heap quadrature that
-# the batch engine replaced.  The engine takes the same refinement steps, so
-# only the order of its sums differs: ln_T may move by a few ulps, and
-# quad_error_ln, a difference of nearly equal sums, by up to about 1e-3
-# relative.  Rows cover every panel coordinate: u (gamma >= 1), s+ and s-
-# (gamma < 1) and the tail t (all), and the delta-packet shortcut.
+def test_quadrature_above_zero_is_a_failure(monkeypatch):
+    # ln T > 0 beyond its error is no probability: a ConvergenceError that
+    # carries the value, not a result clamped to 0
+    query = BarrierQuery(5.0, 0.01, 1.5)
+    lift = 1e-6 - ln_T_quadrature(query).ln_T
+    real = tr._de_quadrature
+
+    def lifted(rows):
+        ln_I, err, ok = real(rows)
+        return ln_I + lift, err, ok
+
+    monkeypatch.setattr(tr, "_de_quadrature", lifted)
+    with pytest.raises(ConvergenceError) as exc_info:
+        ln_T_quadrature(query)
+    assert exc_info.value.ln_T == pytest.approx(1e-6, abs=1e-12)
+    assert exc_info.value.quad_error_ln < 1e-9
+
+
+def test_jensen_point_lies_below_minus_A():
+    # e^(-A/y) is concave for y > A/2, where all but a negligible part of
+    # this packet lies, so ln T < -A; the GK15 engine returned -0.2999999953
+    res = ln_T_quadrature(BarrierQuery(0.3, 1e-12, 0.8))
+    assert abs(res.ln_T - -0.300000000000255) <= min(res.quad_error_ln, 1e-9)
+    assert res.ln_T < -0.3
+
+
+# (A, B, gamma, ln_T, quad_error_ln) of the per-panel heap quadrature and
+# of the Gauss-Kronrod engine that followed it at rel_target 1e-7, with
+# errors up to 8e-8, kept as the record of what they returned.  The rows
+# covered every panel coordinate of that engine and its delta-packet
+# shortcut (B < 1e-14, ln T = -A).  The double-exponential engine is
+# pinned to mp_ln_T at each row (QUAD_PINNED_MP) within its own
+# quad_error_ln, and moves no old value by more than the old target.
 QUAD_PINNED = [
     # a spread over gamma, A and B
     (0.3, 1e-12, 0.3,
@@ -490,11 +519,64 @@ QUAD_PINNED = [
 ]
 
 
+# mp_ln_T of tests/brute_oracle.py at each (A, B, gamma) of QUAD_PINNED
+QUAD_PINNED_MP = {(A, B, gamma): ln_T for A, B, gamma, ln_T in [
+    (0.3, 1e-12, 0.3, -0.300000000000255),
+    (5.0, 1e-07, 0.3, -4.999999250007167),
+    (70.0, 0.01, 0.3, -22.130460900343213),
+    (700.0, 1000.0, 0.3, -8.296892237587912),
+    (5.0, 1e-12, 0.5, -4.9999999999925),
+    (70.0, 1e-07, 0.5, -69.99976181727469),
+    (700.0, 0.01, 0.5, -73.60232228297998),
+    (10000.0, 1000.0, 0.5, -24.43941785853784),
+    (70.0, 1e-12, 0.8, -69.99999999762),
+    (700.0, 1e-07, 0.8, -699.9750057406175),
+    (10000.0, 0.01, 0.8, -463.06925168107756),
+    (0.3, 1000.0, 0.8, -0.705243871791145),
+    (700.0, 1e-12, 1.0, -699.9999997557),
+    (10000.0, 1e-07, 1.0, -8898.38690828282),
+    (0.3, 0.01, 1.0, -0.30267230167633974),
+    (5.0, 1000.0, 1.0, -1.1184102303649626),
+    (10000.0, 1e-12, 1.5, -9999.999950009684),
+    (0.3, 1e-07, 1.5, -0.30000002550000704),
+    (5.0, 0.01, 1.5, -4.929033684261717),
+    (70.0, 1000.0, 1.5, -3.126444952594052),
+    (0.3, 1e-12, 2.0, -0.300000000000255),
+    (5.0, 1e-07, 2.0, -4.9999992500004),
+    (70.0, 0.01, 2.0, -58.15722524637299),
+    (700.0, 1000.0, 2.0, -12.289307161331786),
+    (5.0, 1e-12, 4.0, -4.9999999999925),
+    (70.0, 1e-07, 4.0, -69.99976201002153),
+    (700.0, 0.01, 4.0, -530.4000182529672),
+    (10000.0, 1000.0, 4.0, -108.0853980705111),
+    (70.0, 1e-12, 10.0, -69.99999999762),
+    (700.0, 1e-07, 10.0, -699.9756821257482),
+    (10000.0, 0.01, 10.0, -7877.883235416048),
+    (0.3, 1000.0, 10.0, -0.70603302989407),
+    (10000.0, 2.424462017082331e-12, 0.5, -7037.743634144161),
+    (10000.0, 1.7012542798525893e-08, 0.8, -7320.2908316784615),
+    (0.3, 170.12542798525928, 0.8, -0.6964282742257213),
+    (0.11315520413101747, 733.1297463847716, 0.16274496763917376,
+     -0.3265035151849153),
+    (0.1080997374049099, 211.71257382213278, 0.27548866729559013,
+     -0.42671747397437426),
+    (0.19320325234797608, 9431.636817348428, 0.1234885739036991,
+     -0.40075343845178296),
+    (0.12892498192197635, 6.74706836167088, 0.9833538600976859,
+     -0.4785975955101087),
+    (10000.0, 3.455107294592218e-11, 0.8, -9999.998270020993),
+    (1.7414092782177555, 0.00019435866581828367, 5.9331779075915065,
+     -1.7414529985729221),
+    (100.0, 1e-15, 2.0, -99.9999999999951),
+    (50.0, 5e-15, 0.5, -49.999999999994),
+]}
+
+
 @pytest.mark.parametrize("A, B, gamma, ln_T, err", QUAD_PINNED)
 def test_quadrature_pinned_to_heap_engine(A, B, gamma, ln_T, err):
     res = ln_T_quadrature(BarrierQuery(A, B, gamma))
-    assert abs(res.ln_T - ln_T) <= max(1e-12, 4.0 * math.ulp(ln_T))
-    assert res.quad_error_ln == pytest.approx(err, rel=1e-2)
+    assert abs(res.ln_T - QUAD_PINNED_MP[A, B, gamma]) <= res.quad_error_ln
+    assert abs(res.ln_T - ln_T) <= 1e-7
 
 
 def _bits(results):
@@ -591,125 +673,81 @@ def test_steepest_bits_do_not_depend_on_batching(monkeypatch):
     assert all(r.ln_T > 0.0 and r.low_confidence for r in positive)
 
 
-# one point per seeding branch; the engine seeds a whole block at once
-SEED_BRANCHES = [
-    (50.0, 0.02, 0.5),       # gamma < 1 with a stationary point
-    (0.3, 1e-12, 0.8),       # gamma < 1 without one
-    (0.3, 0.01, 1.0),        # gamma = 1 with G < 1: no saddle above y = 1
-    (1e5, 1e-6, 1.5),        # geomspace bridge: u* > 10 x the ladder's top
-    (1e4, 1e3, 4.0),         # A >= 1e4
-    (0.3, 1e-12, 2.0),       # the right section ends at the kernel's 64
-    (100.0, 1e-15, 2.0),     # B < B_DELTA_CUTOFF: never seeded
+# (A, B, gamma, mp_ln_T) checked in tier-1: the seven seeding branches of
+# the Gauss-Kronrod engine, the two points where its error exceeded 1e-9
+# or its own estimate, and a point of every piece of the double-exponential
+# engine and each extreme of the box, with tests/brute_oracle.py's mp_ln_T
+QUAD_MP = [
+    (50.0, 0.02, 0.5, -23.437263298612137),      # gamma < 1 with a saddle
+    (0.3, 1e-12, 0.8, -0.300000000000255),       # no saddle; Jensen point
+    (0.3, 0.01, 1.0, -0.30267230167633974),      # gamma = 1 with G < 1
+    (1e5, 1e-6, 1.5, -73503.71870653244),        # a saddle far from 1/A
+    (1e4, 1e3, 4.0, -108.0853980705111),         # far saddle, kernel -A/y
+    (0.3, 1e-12, 2.0, -0.300000000000255),       # the GK15 seed's u = 64
+    (100.0, 1e-15, 2.0, -99.9999999999951),      # below the old shortcut
+    (0.16901537837408775, 432.746400424602, 9.214772841377194,
+     -0.6925033311886041),                       # GK15 error 2x its estimate
+    (0.468176770426065, 1.124951338173494e-12, 0.5334373115071721,
+     -0.4681767704264684),                       # near-delta, gamma ~ 0.5
+    (1e5, 1e-13, 10.0, -99999.9995000565),       # the density wall
+    (70.0, 1e-12, 10.0, -69.99999999762),        # wall without a saddle
+    (0.3, 1e3, 0.8, -0.705243871791145),         # tanh-sinh left to y = 1/2
+    (1e5, 1e-20, 0.3, -19110.030727503636),      # ln T = -A was off by 8e4
+    (0.1, 1e4, 0.11, -0.27851482749127193),      # smallest gamma, widest B
+    (0.11315520413101747, 733.1297463847716, 0.16274496763917376,
+     -0.3265035151849153),                       # most GK15 rounds
+    (88858.38570669427, 0.00046892787997432865, 8.476938968158187,
+     -82702.3547000643),                         # largest error, 1 ulp
+    (1e5, 1e4, 0.5, -37.26319321295842),         # saddle at y* ~ 7e3
+    (5.0, 2.0, 3.0, -2.9489005249786193),
+    (0.3, 1e4, 10.0, -0.6992242058560821),       # flat top, wider than 1
+    (1e4, 1e-13, 0.11, -160.52912927774904),
 ]
 
 
-def _seeds(monkeypatch, queries):
-    """Each seeded query's (coord, a, b) as bytes, from one engine call."""
-    seen = []
-
-    def capture(k, seeds, **kwargs):
-        q, coord, a, b = seeds
-        seen.extend(tuple(x[q == i].tobytes() for x in (coord, a, b))
-                    for i in range(len(k)))
-        return np.zeros(len(k)), np.zeros(len(k)), np.ones(len(k), dtype=bool)
-
-    monkeypatch.setattr(tr, "_log_quadrature", capture)
-    evaluate_many(queries)
-    return seen
+@pytest.mark.parametrize("A, B, gamma, expected", QUAD_MP)
+def test_quadrature_error_bounds_the_oracle(A, B, gamma, expected):
+    res = ln_T_quadrature(BarrierQuery(A, B, gamma))
+    assert abs(res.ln_T - expected) <= res.quad_error_ln
+    assert res.quad_error_ln <= 1e-9 * max(1.0, abs(expected))
 
 
-def _reference_seeds(query):
-    """A query's seed panels, one query at a time with np.unique: the
-    per-query seeder the block seeder replaced, kept as its reference."""
-    shape = PacketShape.from_gamma(query.gamma, query.B)
-    A, g, beta, half_lnB, sqB, ln_beta = tr._query_consts(query.A, shape)[:6]
-    y_star = tr._head("", g, *tr._saddle(A, shape))["y_star_numeric"]
-    ladder_u = exponent_offset(tr._LADDER_Q, ln_beta, g, sqB)
-    ladder_u = ladder_u[np.isfinite(ladder_u)]
-    kernel_u = tr._KERNEL_SCALES / max(A, 1.0)
-    saddle_u = np.array([])
-    if y_star is not None:
-        u_star = y_star - 1.0
-        w = tr._curvature_width(A, shape, u_star)
-        saddle_u = u_star + tr._SADDLE_OFFSETS * w
-        saddle_u = saddle_u[saddle_u > 0.0]
-    u_hi = max(float(ladder_u.max(initial=0.0)), float(kernel_u.max()), 7.0,
-               float(saddle_u.max(initial=0.0)))
-    right = [ladder_u, kernel_u, saddle_u]
-    if y_star is not None and u_star > 10.0 * ladder_u.max():
-        right.append(np.geomspace(ladder_u.max(), u_star, 8))
-    right_b = np.unique(np.concatenate(
-        [np.array([0.0, u_hi])] + [r[(r > 0.0) & (r < u_hi)] for r in right]))
-    left_pts = np.concatenate([-ladder_u, -kernel_u])
-    left_pts = left_pts[(left_pts > -1.0) & (left_pts < 0.0)]
-    left_b = np.unique(np.concatenate([np.array([-1.0, 0.0]), left_pts]))
-    if g >= 1.0:
-        edges = [(tr._U, right_b), (tr._U, left_b)]
-    else:
-        edges = [(c, np.unique(np.concatenate(
-                     [np.array([0.0]), density_exponent(u, beta, g, half_lnB)])))
-                 for c, u in ((tr._S_RIGHT, right_b[1:]),
-                              (tr._S_LEFT, left_b[left_b < 0.0]))]
-    t_hi = 1.0 / (1.0 + u_hi)
-    edges.append((tr._TAIL, np.array([0.0, 0.25 * t_hi, 0.5 * t_hi, t_hi])))
-    coord = np.concatenate([np.full(e.size - 1, c) for c, e in edges])
-    a = np.concatenate([e[:-1] for _, e in edges])
-    b = np.concatenate([e[1:] for _, e in edges])
-    return coord.tobytes(), a.tobytes(), b.tobytes()
+@pytest.mark.slow
+@settings(max_examples=60, deadline=None)
+@given(lnA=st.floats(math.log(0.1), math.log(1e5)),
+       lnB=st.floats(math.log(1e-13), math.log(1e4)),
+       gamma=st.floats(0.1, 10.0, exclude_min=True))
+def test_quadrature_error_bounds_the_oracle_over_the_box(lnA, lnB, gamma):
+    from brute_oracle import mp_ln_T
 
-
-def test_block_seeds_match_seeding_alone(monkeypatch):
-    # compared as bytes, since == takes a -0.0 boundary for +0.0
-    rng = np.random.default_rng(3)
-    fill = zip(np.exp(rng.uniform(math.log(0.1), math.log(1e5), 25)),
-               np.exp(rng.uniform(math.log(1e-13), math.log(1e4), 25)),
-               np.exp(rng.uniform(math.log(0.11), math.log(10.0), 25)))
-    points = SEED_BRANCHES + list(fill)
-    queries = [BarrierQuery(A, B, g, method="quadrature") for A, B, g in points]
-    assert len(queries) == tr._BLOCK
-    block = _seeds(monkeypatch, queries)
-    alone = [s for query in queries for s in _seeds(monkeypatch, [query])]
-    assert len(block) == len(queries) - 1
-    assert block == alone
-    with np.errstate(divide="ignore", over="ignore"):
-        assert block == [_reference_seeds(q) for q in queries
-                         if q.B >= tr.B_DELTA_CUTOFF]
-
-    # the branches are really taken
-    y_star = [tr._head("", g, *tr._saddle(A, PacketShape.from_gamma(g, B)))
-              ["y_star_numeric"] for A, B, g in SEED_BRANCHES[:4]]
-    assert y_star[0] is not None and y_star[1] is None and y_star[2] is None
-    A, B, g = SEED_BRANCHES[3]
-    shape = PacketShape.from_gamma(g, B)
-    ladder = exponent_offset(tr._LADDER_Q, math.log(shape.beta), g, math.sqrt(B))
-    assert y_star[3] - 1.0 > 10.0 * ladder.max()
-    coord = np.frombuffer(block[5][0], dtype=int)
-    b = np.frombuffer(block[5][2])
-    assert b[coord == tr._U].max() == tr._KERNEL_SCALES.max() == 64.0
+    A, B = math.exp(lnA), math.exp(lnB)
+    res = ln_T_quadrature(BarrierQuery(A, B, gamma))
+    assert abs(res.ln_T - mp_ln_T(A, B, gamma)) <= res.quad_error_ln
 
 
 def test_failed_query_leaves_its_block_unchanged(monkeypatch):
-    from coulombpacket import transmission as tr
     rng = np.random.default_rng(11)
     queries = [BarrierQuery(A, B, g) for A, B, g in zip(
         np.exp(rng.uniform(math.log(0.1), math.log(1e4), 31)),
         np.exp(rng.uniform(math.log(1e-12), math.log(1e3), 31)),
         rng.uniform(0.2, 6.0, 31))]
     doomed = BarrierQuery(7.77, 1e-3, 2.0, method="quadrature")
-    real_gk15 = tr._gk15
+    real = tr._log_terms
 
-    def no_error_decay(coord, a, b, k):
-        # every panel of the doomed query reports an error as large as its
-        # value, so it refines until max_panels and fails
-        ln_I, ln_err = real_gk15(coord, a, b, k)
-        return ln_I, np.where(k[:, 0] == doomed.A, ln_I, ln_err)
+    def jitter(x, c, count):
+        # the doomed query's terms (its kernel's a is +-A) jitter with x,
+        # so its levels never agree and it fails after the last one
+        doomed_a = np.repeat(np.abs(c[0]) == doomed.A, count)
+        return real(x, c, count) + np.where(doomed_a, 1e-3 * np.sin(1e4 * x),
+                                            0.0)
 
-    monkeypatch.setattr(tr, "_gk15", no_error_decay)
+    monkeypatch.setattr(tr, "_log_terms", jitter)
     without = evaluate_many(queries)
     with_doomed = evaluate_many(queries[:10] + [doomed] + queries[10:])
     failure = with_doomed.pop(10)
     assert isinstance(failure, ConvergenceError)
-    assert failure.quad_error_ln == pytest.approx(1.0)
+    assert 1e-9 < failure.quad_error_ln < 1.0
+    assert math.isfinite(failure.ln_T)
     assert _bits(with_doomed) == _bits(without)
 
 
