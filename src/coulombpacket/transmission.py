@@ -629,7 +629,8 @@ def _de_quadrature(rows):
         inside, np.exp(terms - np.repeat(peak, _PIECES)[:, None]), 0.0)
     owner = np.arange(n_piece) // _PIECES
     total = np.bincount(np.repeat(owner, width), scaled.ravel(), nq)
-    del terms, keep, inside, scaled  # the levels' arrays are the largest
+    # free level 0's arrays before the larger ones of the later levels
+    del terms, keep, inside, scaled
 
     base += first * _DE_STRIDE
     move = np.full(nq, np.inf)
