@@ -24,8 +24,9 @@ The `cli` set then runs the command line of each tree in that subprocess
 and compares the files it writes byte for byte:
 
 - cli:    every fast sweep of seeds 501, 502 and 611, as CSV and as JSON;
-          the eight quadrature sweeps, one per gamma; and the `ratio`
-          example of README.md.
+          the eight quadrature sweeps, one per gamma; the `sweep` and
+          `ratio` examples of README.md; and a `--method auto` grid whose
+          rows go to both routes that auto picks, as CSV and as JSON.
 
 The points come from perfbench/inputs.py, which is only read.  For each
 set the script prints how many ln_T and quad_error_ln values are
@@ -69,6 +70,11 @@ STEEPEST_EDGES = (
     (1.7e308, 1.0, 2.0), (1.0, 1.7e308, 0.11),     # extreme saddles
     (1e5, 1e-13, 10.0), (0.1, 1e4, 0.11),
 )
+# a grid that --method auto splits between the Bessel route (gamma = 1,
+# A >= 10, A^2 B >= 8) and quadrature, with points on both sides of each
+AUTO_GRID = ["sweep", "--A", "5", "10", "700", "--gammas", "0.5", "1", "2",
+             "--B-min", "1e-12", "--B-max", "10", "--B-count", "12",
+             "--method", "auto"]
 FLOAT_FIELDS = ("ln_T", "quad_error_ln", "G", "y_star_numeric",
                 "y_star_approx", "ln_T_asymptotic")
 OTHER_FIELDS = ("planewave_ok", "low_confidence", "method_used")
@@ -115,10 +121,13 @@ def _cli_runs():
         runs[f"quad-{g!r}.csv"] = argv[:argv.index("--out")]
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read().replace("\\\n", " ")
-    argv = shlex.split(re.search(r"\n\$ coulombpacket (ratio .*)\n",
-                                 readme).group(1))
-    i = argv.index("--out")
-    runs["readme-ratio.csv"] = argv[:i] + argv[i + 2:]
+    for command in ("sweep", "ratio"):
+        argv = shlex.split(re.search(rf"\n\$ coulombpacket ({command} .*)\n",
+                                     readme).group(1))
+        i = argv.index("--out")
+        runs[f"readme-{command}.csv"] = argv[:i] + argv[i + 2:]
+    for fmt in ("csv", "json"):
+        runs[f"auto.{fmt}"] = AUTO_GRID + ["--format", fmt]
     return runs
 
 

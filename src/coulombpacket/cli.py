@@ -30,20 +30,19 @@ from .errors import (
 from .packet import read_density_table
 from .specfun import LogMagnitude
 from .transmission import (
+    _LN10,
+    CHUNK,
     BarrierQuery,
+    _evaluate_columns,
     evaluate_many,
     ln_T_from_table,
-    planewave_validity,
-    route,
 )
 
 SWEEP_HEADER = "A,B,gamma,method,ln_T,log10_T,quad_error_ln,planewave_ok"
 RATIO_HEADER = "A,B,gamma,ln_T_quad,ln_T_star,R"
 SWEEP_KEYS = SWEEP_HEADER.split(",") + ["note"]
-# queries that sweep and ratio evaluate, render and write at a time; a
-# two-method sweep fills steepest-descent blocks only half, which measured
-# as fast as 2048 and holds half the rows
-CHUNK = 1024
+# every number of every output: 12 significant digits in scientific notation
+_NUMBER = "%.11e"
 
 # user-facing method names -> internal enums
 METHOD_FLAGS = {
@@ -63,7 +62,7 @@ def _token(x, json=False) -> str:
         return "true" if x else "false"
     if isinstance(x, str):
         return f'"{x}"' if json else x
-    return f"{x:.11e}"
+    return _NUMBER % x
 
 
 def _render_json(pairs) -> str:
@@ -105,8 +104,9 @@ def _b_values(b_min, b_max, count, spacing="log"):
 
 
 def _grid(A_vals, gammas, b_vals, methods):
-    """The queries of a grid, ordered by A, then gamma, then B, then method,
-    built lazily once the whole grid is known to be valid.
+    """The grid's rows as columns (A, B, gamma, method), CHUNK rows at a
+    time, ordered by A, then gamma, then B, then method, built lazily once
+    the whole grid is known to be valid.
 
     The check builds one query per (A, gamma, method) at the first B, plus
     one per B in the first (A, gamma) block.  It raises the error of the
@@ -120,20 +120,23 @@ def _grid(A_vals, gammas, b_vals, methods):
         if i == 0:
             for B in b_vals[1:]:
                 BarrierQuery(A, float(B), g, methods[0])
-    return (BarrierQuery(A, float(B), g, m)
-            for A in A_vals for g in gammas for B in b_vals for m in methods)
+    return _grid_chunks(*(np.array(v, dtype=dtype) for v, dtype in (
+        (A_vals, float), (gammas, float), (b_vals, float), (methods, str))))
 
 
-def _evaluated(queries):
-    """(query, result or ConvergenceError) in query order, evaluated
-    CHUNK queries at a time so that memory does not grow with the grid."""
-    queries = iter(queries)
-    while chunk := list(itertools.islice(queries, CHUNK)):
-        yield from zip(chunk, evaluate_many(chunk))
+def _grid_chunks(A_vals, gammas, b_vals, methods):
+    # the rows of each chunk by their flat index into the grid
+    shape = (A_vals.size, gammas.size, b_vals.size, methods.size)
+    total = math.prod(shape)
+    for lo in range(0, total, CHUNK):
+        a, g, b, m = np.unravel_index(np.arange(lo, min(lo + CHUNK, total)),
+                                      shape)
+        yield A_vals[a], b_vals[b], gammas[g], methods[m]
 
 
 def _write_lines(path, lines) -> int:
-    """Write lines to path, all or nothing when path is a regular file.
+    """Write lines, strings that end in a newline, to path, all or nothing
+    when path is a regular file.
 
     A path that is a regular file, or absent, gets a new file beside it
     (beside its target, if path is a symlink), which replaces it once the
@@ -156,8 +159,7 @@ def _write_lines(path, lines) -> int:
             fh = open(tmp, "x", encoding="utf-8", newline="\n")
             ours = True
         with fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(lines)
         if ours:
             os.replace(tmp, target)
             ours = False
@@ -171,24 +173,61 @@ def _write_lines(path, lines) -> int:
     return 0
 
 
-def _csv_lines(header, rows):
-    yield header
-    for row in rows:
-        yield ",".join(map(_token, row))
+def _sweep_format(json):
+    """The %-format of a sweep row that holds a result: numbers in _token's
+    format, the method as a string, and the quad_error_ln and planewave_ok
+    cells as tokens that _token made."""
+    text = '"%s"' if json else "%s"
+    cells = [_NUMBER] * 3 + [text] + [_NUMBER] * 2 + ["%s"] * 2
+    if json:
+        return "  {" + ", ".join(
+            f'"{k}": {c}' for k, c in zip(SWEEP_KEYS, cells)) + "}"
+    return ",".join(cells)
 
 
-def _json_lines(keys, rows):
-    """A JSON array, one row object per line; each line is held back until
-    the next row shows whether it needs a trailing comma."""
-    yield "["
-    line = None
-    for row in rows:
-        if line is not None:
-            yield line + ","
-        line = "  " + _render_json(zip(keys, row))
-    if line is not None:
-        yield line
-    yield "]"
+_SWEEP_FORMATS = {json: _sweep_format(json) for json in (False, True)}
+_RATIO_FORMAT = ",".join([_NUMBER] * 5 + ["%s"])
+
+
+def _sweep_rows(A, B, gamma, cols, json):
+    """The rendered rows, one at a time, of a chunk of grid columns and
+    their results (see _evaluate_columns).  A failed row keeps its
+    coordinates, the route and the plane-wave verdict, and notes its
+    partial ln_T."""
+    ln_T, err, ok = cols["ln_T"], cols["quad_error_ln"], cols["planewave_ok"]
+    none = _token(None, json)
+    # nan: the route gives no estimate
+    errs = [none if e != e else _NUMBER % e for e in err.tolist()]
+    fmt, failures = _SWEEP_FORMATS[json], cols["failures"]
+    for i, row in enumerate(zip(
+            A.tolist(), B.tolist(), gamma.tolist(),
+            cols["method_used"].tolist(), ln_T.tolist(),
+            (ln_T / _LN10).tolist(), errs, map(_token, ok))):
+        if i not in failures:
+            yield fmt % row
+            continue
+        row = (*row[:4], None, None, None, ok[i],
+               f"no convergence; best ln_T={_token(row[4])}")
+        yield ("  " + _render_json(zip(SWEEP_KEYS, row)) if json
+               else ",".join(map(_token, row)))
+
+
+def _csv_lines(header, chunks):
+    """A CSV table from chunks of rendered rows, line by line."""
+    yield header + "\n"
+    for rows in chunks:
+        for row in rows:
+            yield row + "\n"
+
+
+def _json_lines(chunks):
+    """A JSON array from chunks of rendered rows, one row object per line."""
+    sep = "[\n"
+    for rows in chunks:
+        for row in rows:
+            yield sep + row
+            sep = ",\n"
+    yield "[\n]\n" if sep == "[\n" else "\n]\n"
 
 
 def cmd_transmit(args) -> int:
@@ -202,64 +241,66 @@ def cmd_transmit(args) -> int:
     if isinstance(res, ConvergenceError):
         partial = [("ln_T", res.ln_T), ("quad_error_ln", res.quad_error_ln)]
         print(_render_json(partial), file=sys.stderr)
-        print(f"quadrature did not converge: {res}", file=sys.stderr)
+        print(f"no convergence: {res}", file=sys.stderr)
         return 3
     print(_render_json(_result_pairs(res)))
     return 0
 
 
 def cmd_sweep(args) -> int:
-    """Write the grid as CSV or JSON: CHUNK queries are evaluated and their
-    rows rendered and written before the next CHUNK is built, and --out
-    appears only once complete (see _write_lines)."""
+    """Write the grid as CSV or JSON: each chunk of CHUNK rows is evaluated
+    as columns, and its rows rendered and written, before the next chunk is
+    built, and --out appears only once complete (see _write_lines)."""
     try:
         b_vals = _b_values(args.B_min, args.B_max, args.B_count,
                            args.B_spacing)
-        queries = _grid(args.A, args.gammas, b_vals,
-                        [METHOD_FLAGS[m] for m in args.method])
+        grid = _grid(args.A, args.gammas, b_vals,
+                     [METHOD_FLAGS[m] for m in args.method])
     except (DomainError, RangeError) as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return 2
-
-    def rows():
-        for q, res in _evaluated(queries):
-            if isinstance(res, ConvergenceError):
-                ok = planewave_validity(q.A, q.B)[1]
-                yield (q.A, q.B, q.gamma, route(q), None, None, None, ok,
-                       f"no convergence; best ln_T={_token(res.ln_T)}")
-            else:
-                yield (q.A, q.B, q.gamma, res.method_used, res.ln_T,
-                       res.log10_T, res.quad_error_ln, res.planewave_ok)
-
-    if args.format == "csv":
-        return _write_lines(args.out, _csv_lines(SWEEP_HEADER, rows()))
-    return _write_lines(args.out, _json_lines(SWEEP_KEYS, rows()))
+    json = args.format == "json"
+    chunks = (_sweep_rows(A, B, g, _evaluate_columns(A, B, g, m), json)
+              for A, B, g, m in grid)
+    return _write_lines(args.out, _json_lines(chunks) if json
+                        else _csv_lines(SWEEP_HEADER, chunks))
 
 
 def cmd_ratio(args) -> int:
-    """Write the ratio table, streamed as cmd_sweep streams its grid."""
+    """Write the ratio table, streamed as cmd_sweep streams its grid: each
+    point's quadrature and steepest-descent rows are neighbours in the
+    grid, which may split them over two chunks."""
     try:
         b_vals = _b_values(args.B_min, args.B_max, args.B_count)
-        queries = _grid([args.A], args.gammas, b_vals,
-                        ["quadrature", "steepest_descent"])
+        grid = _grid([args.A], args.gammas, b_vals,
+                     ["quadrature", "steepest_descent"])
     except (DomainError, RangeError) as exc:
         print(f"invalid ratio study: {exc}", file=sys.stderr)
         return 2
 
-    def rows():
-        # each point's quadrature and steepest-descent results, in turn
-        results = _evaluated(queries)
-        for (q, rq), (_, rs) in zip(results, results):
-            if (isinstance(rq, ConvergenceError)
-                    or isinstance(rs, ConvergenceError)):
-                yield (q.A, q.B, q.gamma, None, None, None, "no convergence")
-                continue
-            # R can under/overflow a float; render via its log instead.
-            # 11 decimals = 12 significant digits, same as _token.
-            yield (q.A, q.B, q.gamma, rq.ln_T, rs.ln_T,
-                   LogMagnitude(rs.ln_T - rq.ln_T).scientific(11))
+    def results():
+        # (A, B, gamma, ln_T, failed) of each row in grid order
+        for A, B, g, m in grid:
+            cols = _evaluate_columns(A, B, g, m)
+            failed = np.zeros(len(A), dtype=bool)
+            failed[list(cols["failures"])] = True
+            yield from zip(A.tolist(), B.tolist(), g.tolist(),
+                           cols["ln_T"].tolist(), failed.tolist())
 
-    return _write_lines(args.out, _csv_lines(RATIO_HEADER, rows()))
+    def rows():
+        rows = results()
+        for (A, B, g, ln_q, fail_q), (_, _, _, ln_s, fail_s) in zip(rows,
+                                                                      rows):
+            if fail_q or fail_s:
+                yield ",".join(map(_token, (A, B, g, None, None, None,
+                                            "no convergence")))
+            else:
+                # R can under/overflow a float; render via its log instead.
+                # 11 decimals = 12 significant digits, same as _token.
+                yield _RATIO_FORMAT % (A, B, g, ln_q, ln_s, LogMagnitude(
+                    ln_s - ln_q).scientific(11))
+
+    return _write_lines(args.out, _csv_lines(RATIO_HEADER, [rows()]))
 
 
 def cmd_from_table(args) -> int:

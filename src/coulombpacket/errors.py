@@ -23,14 +23,15 @@ class RegimeError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """An evaluation gave no valid result: quadrature did not reach its
+    tolerance, or a route gave ln T above 0, which no probability reaches.
 
     Attributes
     ----------
     ln_T : float
         Best available estimate of the log-probability at failure time.
-    quad_error_ln : float
-        Relative error estimate attached to ``ln_T``.
+    quad_error_ln : float or None
+        Error estimate attached to ``ln_T``; None where the route has none.
     """
 
     def __init__(self, message, ln_T=None, quad_error_ln=None):

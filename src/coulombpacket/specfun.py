@@ -36,6 +36,9 @@ _K1_SERIES_BELOW = 0.75
 _K1_U2 = (np.arange(64) / 8.0) ** 2
 _K1_W = np.where(np.arange(64) == 0, 0.125, 0.25) * np.exp(-_K1_U2)
 _K1_W[53:] = 0.0
+# rows of z per pass of the trapezoid rule: its two arrays of 64 columns
+# stay at 64 KB each however many values are asked for
+_K1_ROWS = 128
 _K1_TERMS = 12
 _K1_C = np.array([1.0 / (math.factorial(k) * math.factorial(k + 1))
                   for k in range(_K1_TERMS)])
@@ -147,14 +150,25 @@ def log_bessel_k1(z):
 
 
 def _log_k1_trapezoid(z):
-    """ln K₁ for z >= 0.75 by the folded trapezoid rule (log_bessel_k1)."""
-    r = _K1_U2 / z[:, None]
-    terms = _K1_W * (1.0 + r) / np.sqrt(2.0 + r)
+    """ln K₁ for z >= 0.75 by the folded trapezoid rule (log_bessel_k1),
+    _K1_ROWS rows at a time."""
+    if z.size > _K1_ROWS:
+        return np.concatenate([_log_k1_trapezoid(z[lo:lo + _K1_ROWS])
+                               for lo in range(0, z.size, _K1_ROWS)])
+    # W (1 + r)/sqrt(2 + r), in place: two arrays of the rows' size
+    terms = _K1_U2 / z[:, None]
+    root = terms + 2.0
+    np.sqrt(root, out=root)
+    terms += 1.0
+    terms *= _K1_W
+    terms /= root
+    del root
     # a fixed tree of column adds, never a BLAS product, so that each
     # row's bits do not depend on the other rows
     while terms.shape[1] > 1:
         half = terms.shape[1] // 2
-        terms = terms[:, :half] + terms[:, half:]
+        terms[:, :half] += terms[:, half:]
+        terms = terms[:, :half]
     return np.log(terms[:, 0]) - 0.5 * np.log(z) - z
 
 

@@ -12,12 +12,16 @@ form built on the saddle of h, an exact Bessel-K1 form for gamma = 1, and a
 log-domain trapezoid rule over user-tabulated densities.  T can be as small
 as e^-1000 and the interesting regime has T/e^-A as large as e^+400, so no
 code path ever forms T itself -- only ln T.
+
+Many queries are evaluated as columns (_evaluate_columns), one array block
+per route; evaluate and evaluate_many are its view as result objects, and
+the CLI's sweep and ratio render the columns themselves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,20 +90,31 @@ _DE_COARSE = np.arange(0, 2 * _DE_HALF + 1, _DE_STRIDE)
 _TANH_SINH, _EXP_SINH = 0, 1
 # terms below e^-40 of their query's largest are dropped
 _DE_KEEP = 40.0
-# the move of ln T between levels at which a query stops
+# the move of ln T between levels at which a query stops, unless its
+# rounding floor is larger
 _DE_TARGET = 1e-9
 # pieces per query (see _pieces)
 _PIECES = 5
 # the rounding floor of quad_error_ln, per unit of the magnitudes in ln T
 _ROUNDING = 4.0 * 2.0 ** -52
-# queries per engine call in evaluate_many; bounds the engine's memory
+# queries that evaluate_many and the CLI's sweep and ratio evaluate at a
+# time, as one block per route; bounds the memory of every route
+CHUNK = 1024
+# queries per quadrature engine call; bounds the engine's memory.  On the
+# 200-point sweeps of one gamma, blocks of 64 ran as fast with 1.8x the
+# peak memory, and blocks of 200 20% slower with 5x
 _BLOCK = 32
-# steepest-descent queries per _steepest_block call in evaluate_many
-_STEEPEST_BLOCK = 1024
 # ln(y* - 1) of the farthest saddle that _saddle_bracket searches for
 _SADDLE_FAR = math.log(1e6)
 # (xtol, rtol, maxiter) of the saddle root in t = ln(y-1)
 _SADDLE_TOL = (1e-14, 8.9e-16, 200)
+# the routes, as method_used names them, in METHODS order; and METHODS in
+# sorted order with each one's index into METHODS, to look names up by
+# np.searchsorted
+_ROUTES = np.array(METHODS[:3])
+_QUADRATURE, _STEEPEST, _BESSEL, _AUTO = range(len(METHODS))
+_SORTED_METHODS = np.array(sorted(METHODS))
+_METHOD_INDEX = np.array([METHODS.index(m) for m in sorted(METHODS)])
 
 
 @dataclass(frozen=True)
@@ -395,7 +410,7 @@ def saddle_point_approx(G: float, gamma: float) -> float:
 def _saddle(A: float, shape: PacketShape) -> tuple:
     """(G, y*, plane-wave verdict) of one query, the saddle solved on its
     own by saddle_point_numeric; y* is None where no stationary point is
-    reachable.  _steepest_block derives the same values in arrays."""
+    reachable.  _saddles derives the same values in arrays."""
     G = _G(A, shape.B, shape.gamma, shape.beta)
     y_num = None
     if 0.0 < G < math.inf:
@@ -409,7 +424,7 @@ def _saddle(A: float, shape: PacketShape) -> tuple:
 def _head(method_used: str, gamma: float, G: float, y_num, planewave_ok):
     """The result fields every (A, B, gamma) route shares, from G, the
     numeric stationary point y_num (None where unreachable) and the
-    plane-wave verdict, as _saddle or _steepest_block derive them.
+    plane-wave verdict, as _saddle or _saddles derive them.
 
     G is None when it overflows.  Results publish only stationary points
     above 1: the gamma = 1 root sqrt(G) drops below 1 when G < 1 (peak at
@@ -497,7 +512,7 @@ def _log_terms(x, c, count):
     a, s, e, ln_c, p, gp, k, ln_end = c
 
     def spread(column):
-        return np.repeat(column, count)
+        return column.repeat(count)
 
     ln_x = np.log(x)
     ln_d = spread(p) * ln_x
@@ -579,18 +594,20 @@ def _node_terms(cols, pieces, count, node):
     pieces[i] (see _de_quadrature), in that order; node is each term's
     index into the flat node tables."""
     c = cols[:, pieces]
-    x = np.repeat(c[10], count)
+    x = c[10].repeat(count)
     x *= _DE_X[node]
-    x += np.repeat(c[9], count)
-    out = np.repeat(c[8], count)
+    x += c[9].repeat(count)
+    out = c[8].repeat(count)
     out += _DE_LN_DX[node]
     out += _log_terms(x, c[:8], count)
     return out
 
 
-def _de_quadrature(rows):
+def _de_quadrature(rows, ln_scale, offset):
     """ln of the integrals of a block of queries by one nested
-    double-exponential rule; _PIECES rows per query, as _pieces makes them.
+    double-exponential rule; _PIECES rows per query, as _pieces makes them,
+    and per query the ln_scale and offset that turn its ln integral into
+    ln T (see _rounding_floor).
 
     Level 0 evaluates every piece at its nodes of step 1/8 and keeps, per
     piece, the nodes from the first to the last whose term exceeds
@@ -598,13 +615,15 @@ def _de_quadrature(rows):
     later level halves the step: it evaluates only the new midpoints inside
     those spans, for the queries still running, in one array pass.  A
     query stops at the first level whose ln integral moves by at most
-    _DE_TARGET from the last, and after _DE_LEVELS levels at the latest.
+    _DE_TARGET from the last, or by at most its rounding floor where that
+    is larger (taken at level 0), and after _DE_LEVELS levels at the
+    latest.
     Its sums are bincounts over its own nodes in order, so its bits do not
     depend on what else is in the block.  The caller holds the np.errstate
     that silences the -inf and overflow of nodes far out on a tail.
 
     Returns per query the ln integral, its last move and whether that
-    reached _DE_TARGET.
+    reached the query's stop.
     """
     # each piece's row of the node tables
     base = rows[:, 0].astype(np.intp) * (2 * _DE_HALF + 1)
@@ -613,12 +632,12 @@ def _de_quadrature(rows):
     nq = n_piece // _PIECES
     width = _DE_COARSE.size
     terms = np.full((n_piece, width), -np.inf)
-    live = np.flatnonzero(cols[10])
+    live = cols[10].nonzero()[0]
     terms[live] = _node_terms(
         cols, live, width,
         (base[live, None] + _DE_COARSE).ravel()).reshape(live.size, width)
     peak = terms.reshape(nq, -1).max(axis=1)
-    keep = terms > np.repeat(peak - _DE_KEEP, _PIECES)[:, None]
+    keep = terms > (peak - _DE_KEEP).repeat(_PIECES)[:, None]
     used = keep.any(axis=1)
     first = np.maximum(keep.argmax(axis=1) - 1, 0)
     last = np.minimum(width - keep[:, ::-1].argmax(axis=1), width - 1)
@@ -626,11 +645,15 @@ def _de_quadrature(rows):
     node = np.arange(width)
     inside = (node >= first[:, None]) & (node <= last[:, None]) & used[:, None]
     scaled = np.where(
-        inside, np.exp(terms - np.repeat(peak, _PIECES)[:, None]), 0.0)
+        inside, np.exp(terms - peak.repeat(_PIECES)[:, None]), 0.0)
     owner = np.arange(n_piece) // _PIECES
-    total = np.bincount(np.repeat(owner, width), scaled.ravel(), nq)
+    total = np.bincount(owner.repeat(width), scaled.ravel(), nq)
     # free level 0's arrays before the larger ones of the later levels
     del terms, keep, inside, scaled
+    # each query's stop: _DE_TARGET, or the rounding floor at level 0's ln
+    # integral where that is larger
+    stop = np.array([max(_DE_TARGET, _rounding_floor(*v)) for v in zip(
+        (peak + np.log(np.ldexp(total, -3))).tolist(), ln_scale, offset)])
 
     base += first * _DE_STRIDE
     move = np.full(nq, np.inf)
@@ -641,10 +664,10 @@ def _de_quadrature(rows):
         count = span[pieces] << (lev - 1)
         # the k-th new node of a piece sits at base + stride (2k + 1)
         stride = _DE_STRIDE >> lev
-        before = np.cumsum(count) - count
+        before = count.cumsum() - count
         node = (2 * stride * np.arange(before[-1] + count[-1])
-                + np.repeat(base[pieces] + stride * (1 - 2 * before), count))
-        q = np.repeat(owner[pieces], count)
+                + (base[pieces] + stride * (1 - 2 * before)).repeat(count))
+        q = owner[pieces].repeat(count)
         new = np.bincount(
             q, np.exp(_node_terms(cols, pieces, count, node) - peak[q]),
             nq)[run]
@@ -652,21 +675,22 @@ def _de_quadrature(rows):
         move[run] = np.abs(np.log1p((new - prev) / (2.0 * prev)))
         total[run] = prev + new
         level[run] = lev
-        run = run[move[run] > _DE_TARGET]
+        run = run[move[run] > stop[run]]
         if not run.size:
             break
     # the step of the last level is 2^-(3 + level)
     ln_I = peak + np.log(np.ldexp(total, -3 - level))
-    return ln_I, move, move <= _DE_TARGET
+    return ln_I, move, move <= stop
 
 
-def _saddle_offset(A: float, shape: PacketShape, head):
+def _saddle_offset(A: float, shape: PacketShape, y_num):
     """ln(y* - 1) of a query's saddle for _pieces, or None where it has
-    none above y = 1.  Where Brent's method gave none because the saddle
-    lies beyond y = 1 + 1e6, or G overflows, it is the large-G asymptote
-    ln G/(gamma + 1), taken from logs."""
-    if head["y_star_numeric"] is not None:
-        return math.log(head["y_star_numeric"] - 1.0)
+    none above y = 1; y_num is _saddle's stationary point.  Where Brent's
+    method gave none because the saddle lies beyond y = 1 + 1e6, or G
+    overflows, it is the large-G asymptote ln G/(gamma + 1), taken from
+    logs."""
+    if y_num and y_num > 1.0:
+        return math.log(y_num - 1.0)
     g = shape.gamma
     ln_G = (math.log(A) + 0.5 * g * math.log(shape.B)
             - math.log(g * shape.beta))
@@ -675,41 +699,63 @@ def _saddle_offset(A: float, shape: PacketShape, head):
     return None
 
 
-def _quadrature_block(queries):
-    """ln_T_quadrature of each query, with one engine call for all of them;
-    a ConvergenceError stands in for the result of a query that fails."""
-    heads, rows = [], []
+def _rounding_floor(ln_I, ln_scale, offset):
+    """The rounding floor of quad_error_ln: _ROUNDING per unit of every
+    magnitude summed into ln T = ln_scale - offset + ln_I."""
+    return _ROUNDING * (abs(ln_scale - offset + ln_I) + offset + abs(ln_I)
+                        + abs(ln_scale))
+
+
+def _quadrature_block(A, B, gamma, consts):
+    """ln_T_quadrature of each row, the engine run on _BLOCK rows at a time.
+
+    Every row is set up on its own: its shape, from consts[gamma] = (beta,
+    ln N), its saddle by _saddle and its pieces.  Returns the columns ln_T,
+    quad_error_ln, G and y* (nan where _saddle found none), as lists, and
+    the failures, {row: message}; a failed row's ln_T and quad_error_ln
+    are its partial estimate, and the estimate is inf where nothing finite
+    is known.
+    """
+    n = len(A)
+    coords = A.tolist(), B.tolist(), gamma.tolist()
+    G, y_num, offset, ln_scale, rows = [], [], [], [], []
+    ln_I, move, ok = [None] * n, [None] * n, [None] * n
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for query in queries:
-            shape = PacketShape.from_gamma(query.gamma, query.B)
-            A = float(query.A)
-            head = _head("quadrature", shape.gamma, *_saddle(A, shape))
-            offset, pieces = _pieces(A, shape, _saddle_offset(A, shape, head))
-            heads.append((query, shape, head, offset))
+        for a, b, g in zip(*coords):
+            be, ln_N = consts[g]
+            shape = PacketShape(gamma=g, B=b, beta=be, log_N=ln_N)
+            Gi, yi, _ = _saddle(a, shape)
+            off, pieces = _pieces(a, shape, _saddle_offset(a, shape, yi))
+            G.append(Gi)
+            y_num.append(math.nan if yi is None else yi)
+            offset.append(off)
+            ln_scale.append(ln_N - 0.5 * math.log(b))
             rows.extend(pieces)
-        ln_I, move, ok = _de_quadrature(np.array(rows))
-    results = []
-    for (query, shape, head, offset), ln_Ii, move_i, ok_i in zip(
-            heads, ln_I.tolist(), move.tolist(), ok.tolist()):
-        ln_scale = shape.log_N - 0.5 * math.log(shape.B)
-        ln_T = ln_scale - offset + ln_Ii
-        # the last move plus a rounding floor: a few ulp of every magnitude
-        # summed into ln T
-        err_i = move_i + _ROUNDING * (abs(ln_T) + offset + abs(ln_Ii)
-                                      + abs(ln_scale))
-        where = f"A={float(query.A)}, B={query.B}, gamma={query.gamma}"
-        if not ok_i:
-            results.append(ConvergenceError(
-                f"quadrature failed to reach {_DE_TARGET:g} (got {err_i:.2e}) "
-                f"for {where}", ln_T=ln_T, quad_error_ln=err_i))
-        elif ln_T > err_i:
-            results.append(ConvergenceError(
-                f"quadrature gave ln T = {ln_T!r} > 0 beyond its error "
-                f"{err_i:.2e} for {where}", ln_T=ln_T, quad_error_ln=err_i))
-        else:
-            results.append(TransmissionResult(ln_T=ln_T, quad_error_ln=err_i,
-                                              **head))
-    return results
+        rows = np.array(rows)
+        for lo in range(0, n, _BLOCK):
+            hi = lo + _BLOCK
+            ln_I[lo:hi], move[lo:hi], ok[lo:hi] = (
+                v.tolist() for v in _de_quadrature(
+                    rows[lo * _PIECES:hi * _PIECES], ln_scale[lo:hi],
+                    offset[lo:hi]))
+    ln_T, err, failures = [], [], {}
+    for i, (a, b, g, ln_Ii, move_i, ok_i, ln_s, off) in enumerate(zip(
+            *coords, ln_I, move, ok, ln_scale, offset)):
+        ln_Ti = ln_s - off + ln_Ii
+        # the last move plus the rounding floor; inf where it is not known
+        err_i = move_i + _rounding_floor(ln_Ii, ln_s, off)
+        if math.isnan(err_i):
+            err_i = math.inf
+        ln_T.append(ln_Ti)
+        err.append(err_i)
+        if not (ok_i and err_i < math.inf):
+            failures[i] = (f"quadrature failed to reach {_DE_TARGET:g} or "
+                           f"its rounding floor (got {err_i:.2e}) "
+                           f"for A={a}, B={b}, gamma={g}")
+        elif ln_Ti > err_i:
+            failures[i] = (f"quadrature gave ln T = {ln_Ti!r} > 0 beyond its "
+                           f"error {err_i:.2e} for A={a}, B={b}, gamma={g}")
+    return ln_T, err, G, y_num, failures
 
 
 def ln_T_quadrature(query: BarrierQuery) -> TransmissionResult:
@@ -718,41 +764,29 @@ def ln_T_quadrature(query: BarrierQuery) -> TransmissionResult:
     The integral is split at y = 1/2, at the y = 1 cusp, at the saddle y*
     and, for gamma >= 1, at the density wall, into five pieces (_pieces),
     each a tanh-sinh or exp-sinh rule whose step is halved until ln T moves
-    by at most 1e-9.  quad_error_ln is that last move plus a rounding
-    floor.  This is evaluate_many's quadrature engine run on a batch of
-    one.
+    by at most 1e-9, or by its rounding floor where that is larger.
+    quad_error_ln is that last move plus the floor.  This is evaluate with
+    method quadrature.
     """
-    res, = _quadrature_block([query])
-    if isinstance(res, ConvergenceError):
-        raise res
-    return res
+    return evaluate(replace(query, method="quadrature"))
 
 
-def _steepest_block(queries):
-    """ln_T_steepest of each query, with the closed form, G's flags and the
-    saddle solve of the whole block in arrays.
+def _steepest_block(A, B, gamma, consts):
+    """ln_T_steepest of each row, and its low_confidence, in arrays.
 
-    shape_constants runs once per distinct gamma.  What numpy's array
-    functions may round differently from math stays per query in math:
-    the logarithms, the powers in G and y_star_approx, the saddle bracket
-    and y* = 1 + e^t*.  The saddles of all gamma != 1 queries are solved
-    by one _brentq_many call.  So each value is bit-identical to the
-    query's own evaluation, however the queries are batched.
+    What numpy's array functions may round differently from math stays
+    in math: the logarithms of A and B, per row, and of each gamma's
+    constants, from consts[gamma] = (beta, ln N).  So each value is
+    bit-identical to the row's own evaluation, however the rows are
+    batched.  No saddle is solved: the closed form needs only G.
     """
-    consts = {}
-    for q in queries:
-        if q.gamma not in consts:
-            beta, log_N = shape_constants(q.gamma)
-            gp1 = q.gamma + 1.0
-            consts[q.gamma] = (beta, log_N, math.log(q.gamma * beta),
-                               math.log(2.0 * math.pi / gp1))
-    A = [float(q.A) for q in queries]
-    B = [float(q.B) for q in queries]
-    gammas = [float(q.gamma) for q in queries]
-    beta, log_N, ln_gb, ln_2pi = np.array([consts[q.gamma] for q in queries]).T
-    lnA = np.array([math.log(a) for a in A])
-    lnB = np.array([math.log(b) for b in B])
-    g = np.array(gammas)
+    keys = sorted(consts)
+    table = np.array([(consts[g][1], math.log(g * consts[g][0]),
+                       math.log(2.0 * math.pi / (g + 1.0))) for g in keys])
+    log_N, ln_gb, ln_2pi = table[np.searchsorted(keys, gamma)].T
+    lnA = np.array([math.log(a) for a in A.tolist()])
+    lnB = np.array([math.log(b) for b in B.tolist()])
+    g = gamma
     gp1 = g + 1.0
     lnG = lnA + 0.5 * g * lnB - ln_gb
     ln_pref = (log_N + 0.5 * ln_2pi - 1.5 / gp1 * ln_gb
@@ -762,34 +796,7 @@ def _steepest_block(queries):
         correction = gp1 / g - np.exp(-lnG / gp1)
         ln_T = ln_pref - big * correction
         low = (np.exp(lnG / gp1) < LOW_CONFIDENCE_THRESHOLD) | (ln_T > 0.0)
-        planewave_ok = np.array(A) * np.sqrt(B) < PLANEWAVE_THRESHOLD
-
-    G = [_G(a, b, gi, bi) for a, b, gi, bi in zip(A, B, gammas, beta.tolist())]
-    y_num = [None] * len(queries)
-    solve, brackets = [], []
-    for i, (Gi, gi) in enumerate(zip(G, gammas)):
-        if not 0.0 < Gi < math.inf:
-            continue
-        if gi == 1.0:
-            y_num[i] = math.sqrt(Gi)
-            continue
-        try:
-            brackets.append((math.log(Gi), gi, *_saddle_bracket(Gi, gi)))
-        except ConvergenceError:
-            continue
-        solve.append(i)
-    if solve:
-        t_star = _brentq_many(*zip(*brackets), *_SADDLE_TOL)
-        for i, t in zip(solve, t_star.tolist()):
-            # nan: no root within maxiter steps
-            y_num[i] = None if math.isnan(t) else 1.0 + math.exp(t)
-
-    return [TransmissionResult(
-                ln_T=lt, **_head("steepest_descent", gi, Gi, yi, pw),
-                low_confidence=lc)
-            for lt, gi, Gi, yi, pw, lc in zip(
-                ln_T.tolist(), gammas, G, y_num, planewave_ok.tolist(),
-                low.tolist())]
+    return ln_T, low
 
 
 def ln_T_steepest(query: BarrierQuery) -> TransmissionResult:
@@ -803,31 +810,36 @@ def ln_T_steepest(query: BarrierQuery) -> TransmissionResult:
     Always evaluable; results with G^(1/(gamma+1)) < 5 are flagged
     low-confidence since the expansion assumes that quantity is large, and
     so is any ln T > 0, which no probability can reach (huge B).  This is
-    evaluate_many's steepest-descent block run on a batch of one.
+    evaluate with method steepest_descent.
     """
-    res, = _steepest_block([query])
-    return res
+    return evaluate(replace(query, method="steepest_descent"))
 
 
-def _bessel_block(queries):
-    """ln_T_bessel_gamma1 of each query, with one shape_constants and one
-    log_bessel_k1 call for all of them; every other step is per query, so
-    each value is bit-identical however the queries are batched."""
-    beta, log_N = shape_constants(1.0)
-    heads, ln_common, z = [], [], []
-    for query in queries:
-        A, B = float(query.A), float(query.B)
-        shape = PacketShape(gamma=1.0, B=B, beta=beta, log_N=log_N)
-        eta = math.sqrt(2.0 / B)
-        z.append(2.0 * math.sqrt(A * eta))
-        ln_common.append(log_N - 0.5 * math.log(B) + eta + math.log(2.0)
-                         + 0.5 * (math.log(A) - math.log(eta)))
-        heads.append(_head("bessel_gamma1", 1.0, *_saddle(A, shape)))
-    ln_k1 = log_bessel_k1(np.array(z)).tolist()
-    return [TransmissionResult(
-                ln_T=min(c + lk, 0.0), **head,
-                ln_T_asymptotic=c + log_bessel_k1_asymptotic(zi))
-            for head, c, lk, zi in zip(heads, ln_common, ln_k1, z)]
+def _bessel_terms(A, B, log_N):
+    """(ln of the prefactor, argument z of K1) of the gamma = 1 closed form
+    at each row (see ln_T_bessel_gamma1), in math; log_N is ln N at
+    gamma = 1."""
+    ln_common, z = [], []
+    for a, b in zip(A.tolist(), B.tolist()):
+        eta = math.sqrt(2.0 / b)
+        z.append(2.0 * math.sqrt(a * eta))
+        ln_common.append(log_N - 0.5 * math.log(b) + eta + math.log(2.0)
+                         + 0.5 * (math.log(a) - math.log(eta)))
+    return ln_common, z
+
+
+def _bessel_block(A, B, log_N):
+    """ln_T_bessel_gamma1 of each row, with one log_bessel_k1 call for all
+    of them, and the failures {row: message}: a value above 0, which no
+    probability reaches, is a failure that carries it."""
+    ln_common, z = _bessel_terms(A, B, log_N)
+    ln_T = np.array(ln_common) + log_bessel_k1(np.array(z))
+    failures = {
+        i: (f"bessel_gamma1 gave ln T = {float(ln_T[i])!r} > 0 for "
+            f"A={float(A[i])}, B={float(B[i])}: its |y-1| -> y-1 "
+            f"replacement fails at small A^2 B")
+        for i in np.flatnonzero(ln_T > 0.0).tolist()}
+    return ln_T, failures
 
 
 def ln_T_bessel_gamma1(A: float, B: float) -> TransmissionResult:
@@ -841,9 +853,9 @@ def ln_T_bessel_gamma1(A: float, B: float) -> TransmissionResult:
 
     The corresponding large-argument form of K1 gives the secondary
     diagnostic ln_T_asymptotic.  Requires A >= 10; for A^2 B << 1 the
-    replacement overestimates and the (clamped) value loses meaning --
-    that regime belongs to the quadrature path.  This is evaluate_many's
-    Bessel block run on a batch of one.
+    replacement overestimates, and a value above 0 raises ConvergenceError
+    with the value attached -- that regime belongs to the quadrature path.
+    This is evaluate with method bessel_gamma1.
     """
     A = require_positive("A", A)
     B = require_positive("B", B)
@@ -851,8 +863,7 @@ def ln_T_bessel_gamma1(A: float, B: float) -> TransmissionResult:
         raise RegimeError(
             f"gamma=1 closed form needs A >= {BESSEL_MIN_A} "
             f"(|y-1| -> y-1 replacement unjustified), got A={A}")
-    res, = _bessel_block([BarrierQuery(A, B, 1.0, "bessel_gamma1")])
-    return res
+    return evaluate(BarrierQuery(A, B, 1.0, "bessel_gamma1"))
 
 
 def ln_T_from_table(table: DensityTable, A: float) -> TransmissionResult:
@@ -881,7 +892,8 @@ def ln_T_from_table(table: DensityTable, A: float) -> TransmissionResult:
 
 
 def route(query: BarrierQuery) -> str:
-    """The evaluator that evaluate and evaluate_many send a query to.
+    """The evaluator that evaluate, evaluate_many and the CLI send a query
+    to; _evaluate_columns routes its rows by array masks that equal this.
 
     An explicit method is used as given.  ``auto`` prefers the exact
     gamma = 1 closed form where its derivation holds (A >= 10 and A^2 B not
@@ -896,41 +908,149 @@ def route(query: BarrierQuery) -> str:
     return "quadrature"
 
 
+def _saddles(A, B, gamma, consts):
+    """G and the stationary point y* (nan where there is none) of each row,
+    as _saddle finds them one at a time: G per row, y* = sqrt(G) for
+    gamma = 1, and for the rest a scalar bracket each and one
+    _brentq_many call, which takes each row's scalar steps."""
+    G = [_G(a, b, g, consts[g][0])
+         for a, b, g in zip(A.tolist(), B.tolist(), gamma.tolist())]
+    y_num = [math.nan] * len(G)
+    solve, brackets = [], []
+    for i, (Gi, gi) in enumerate(zip(G, gamma.tolist())):
+        if not 0.0 < Gi < math.inf:
+            continue
+        if gi == 1.0:
+            y_num[i] = math.sqrt(Gi)
+            continue
+        try:
+            brackets.append((math.log(Gi), gi, *_saddle_bracket(Gi, gi)))
+        except ConvergenceError:
+            continue
+        solve.append(i)
+    if solve:
+        t_star = _brentq_many(*zip(*brackets), *_SADDLE_TOL)
+        for i, t in zip(solve, t_star.tolist()):
+            # nan: no root within maxiter steps
+            y_num[i] = 1.0 + math.exp(t)
+    return np.array(G), np.array(y_num)
+
+
+def _evaluate_columns(A, B, gamma, method, diagnostics=False):
+    """Evaluate queries given as columns; the one way that any query is
+    evaluated.
+
+    A, B and gamma are float arrays and method the METHODS name of each
+    row's method, each row valid as BarrierQuery checks it.  Each row
+    goes where route() sends it, by array masks with the same arithmetic,
+    and each route evaluates all its rows in one block: the
+    steepest-descent closed form in arrays, the Bessel form with one
+    log_bessel_k1 call, quadrature with its per-row set-up and one engine
+    call per _BLOCK rows.  shape_constants runs once per distinct gamma.
+    Every value is bit-identical however the rows are batched or ordered.
+
+    Returns a dict of columns: ln_T; quad_error_ln, nan where the route
+    gives none; planewave_ok, a list; method_used, the route of each row;
+    and failures, {row: message} of the rows that failed, whose ln_T and
+    quad_error_ln hold their partial estimate.  With diagnostics, the
+    fields that only a TransmissionResult publishes are added: G and
+    y_star (nan where there is none), low_confidence (steepest-descent
+    rows) and ln_T_asymptotic (nan off the Bessel route).
+    """
+    n = len(A)
+    # each row's index into METHODS, and into _ROUTES once auto is routed
+    route = _METHOD_INDEX[np.searchsorted(_SORTED_METHODS, method)]
+    routes = set(route.tolist())
+    if _AUTO in routes:
+        with np.errstate(over="ignore"):
+            bessel = (gamma == 1.0) & (A >= BESSEL_MIN_A) & (A * A * B >= 8.0)
+        route = np.where(route == _AUTO,
+                         np.where(bessel, _BESSEL, _QUADRATURE), route)
+        routes = set(route.tolist())
+    consts = {g: shape_constants(g) for g in set(gamma.tolist())}
+    ln_T, low = np.empty(n), np.zeros(n, dtype=bool)
+    err, G, y_star = np.empty((3, n))
+    err.fill(math.nan)
+    failures = {}
+
+    def rows(*codes):
+        # the rows of the routes codes; all of them as a slice, not a copy
+        if routes <= set(codes):
+            return slice(None)
+        return np.isin(route, codes).nonzero()[0]
+
+    for code in routes:
+        i = rows(code)
+        failed = {}
+        if code == _QUADRATURE:
+            ln_T[i], err[i], G[i], y_star[i], failed = _quadrature_block(
+                A[i], B[i], gamma[i], consts)
+        elif code == _STEEPEST:
+            ln_T[i], low[i] = _steepest_block(A[i], B[i], gamma[i], consts)
+        else:
+            ln_T[i], failed = _bessel_block(A[i], B[i], consts[1.0][1])
+        if failed:
+            at = range(n)[i] if isinstance(i, slice) else i.tolist()
+            failures.update((at[k], why) for k, why in failed.items())
+    cols = {"ln_T": ln_T, "quad_error_ln": err,
+            "planewave_ok": [a * math.sqrt(b) < PLANEWAVE_THRESHOLD
+                             for a, b in zip(A.tolist(), B.tolist())],
+            "method_used": _ROUTES[route], "failures": failures}
+    if diagnostics:
+        asymptotic = np.full(n, math.nan)
+        if routes - {_QUADRATURE}:
+            i = rows(_STEEPEST, _BESSEL)
+            G[i], y_star[i] = _saddles(A[i], B[i], gamma[i], consts)
+        if _BESSEL in routes:
+            i = rows(_BESSEL)
+            ln_common, z = _bessel_terms(A[i], B[i], consts[1.0][1])
+            asymptotic[i] = [c + log_bessel_k1_asymptotic(zi)
+                             for c, zi in zip(ln_common, z)]
+        cols.update(G=G, y_star=y_star, low_confidence=low,
+                    ln_T_asymptotic=asymptotic)
+    return cols
+
+
 def evaluate_many(queries) -> list:
     """Evaluate queries; one result per query, in order.
 
-    A query that fails to converge gets its ConvergenceError in place of a
-    result, so one failure costs the batch nothing else.  Quadrature
-    queries run through one double-exponential engine, 32 queries per call
-    (_de_quadrature): each level of all of them is one array pass, and
-    every query sums its own nodes and stops at the level it would alone.
-    Bessel queries go 32 at a time through one log_bessel_k1 call
-    (_bessel_block).  Steepest-descent queries go 1024 at a time through
-    one array block (_steepest_block), which evaluates the closed form in
-    arrays and solves all their saddles with one _brentq_many call.  So
-    each value is bit-identical however the queries are batched or
-    ordered.
+    A query that fails gets its ConvergenceError in place of a result, so
+    one failure costs the batch nothing else.  The results are a view of
+    _evaluate_columns, run on CHUNK queries at a time, which bounds memory
+    on every route.  Only here are the saddle diagnostics solved, those of
+    a chunk's closed-form queries with one _brentq_many call.  So each
+    value is bit-identical however the queries are batched or ordered.
     """
     queries = list(queries)
-    results = [None] * len(queries)
-    blocks = {}
-    for i, query in enumerate(queries):
-        blocks.setdefault(route(query), []).append(i)
-    runs = {"bessel_gamma1": (_bessel_block, _BLOCK),
-            "quadrature": (_quadrature_block, _BLOCK),
-            "steepest_descent": (_steepest_block, _STEEPEST_BLOCK)}
-    for method, indices in blocks.items():
-        run, size = runs[method]
-        for lo in range(0, len(indices), size):
-            block = indices[lo:lo + size]
-            for i, res in zip(block, run([queries[i] for i in block])):
-                results[i] = res
+    results = []
+    for lo in range(0, len(queries), CHUNK):
+        chunk = queries[lo:lo + CHUNK]
+        A, B, gamma = np.array([(q.A, q.B, q.gamma) for q in chunk],
+                               dtype=float).T
+        cols = _evaluate_columns(A, B, gamma, [q.method for q in chunk],
+                                 diagnostics=True)
+        failures = cols["failures"]
+        for i, (m, g, ok, ln_T, err, G, y, low, asym) in enumerate(zip(
+                cols["method_used"].tolist(), gamma.tolist(),
+                cols["planewave_ok"], *(cols[k].tolist() for k in (
+                    "ln_T", "quad_error_ln", "G", "y_star", "low_confidence",
+                    "ln_T_asymptotic")))):
+            err = None if math.isnan(err) else err
+            if i in failures:
+                results.append(ConvergenceError(failures[i], ln_T=ln_T,
+                                                quad_error_ln=err))
+                continue
+            results.append(TransmissionResult(
+                ln_T=ln_T, quad_error_ln=err,
+                low_confidence=low if m == "steepest_descent" else None,
+                ln_T_asymptotic=None if math.isnan(asym) else asym,
+                **_head(m, g, G, None if math.isnan(y) else y, ok)))
     return results
 
 
 def evaluate(query: BarrierQuery) -> TransmissionResult:
     """Evaluate one query on the route that route() picks; evaluate_many
-    with a batch of one.  Raises ConvergenceError if quadrature fails."""
+    with a batch of one.  Raises ConvergenceError if the route fails."""
     res, = evaluate_many([query])
     if isinstance(res, ConvergenceError):
         raise res

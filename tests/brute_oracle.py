@@ -109,6 +109,27 @@ def mp_ln_T(A, B, gamma, dps=40, extra_points=()):
         return float(lnN - mp.log(Bm) / 2 + shift + mp.log(integral))
 
 
+def mp_ln_T_saddle(A, B, gamma, dps=40, widths=60):
+    """ln T by tanh-sinh quadrature over widths curvature widths either side
+    of the saddle, which bisect_saddle finds: for packets so sharp at the
+    saddle (huge A) that mp_ln_T's scan steps over the whole peak.  Beyond
+    60 widths the integrand is below e^-1800 of its peak wherever the
+    exponent is about quadratic over the window."""
+    with mp.workdps(dps):
+        Am, Bm, g = mp.mpf(A), mp.mpf(B), mp.mpf(gamma)
+        beta, lnN = mp_shape_constants(gamma, dps)
+        y_star = mp.mpf(bisect_saddle(float(Am * Bm ** (g / 2) / (g * beta)),
+                                      gamma))
+        curvature = (2 * Am / y_star ** 3 + beta * g * (g - 1)
+                     * (y_star - 1) ** (g - 2) / Bm ** (g / 2))
+        w = widths / mp.sqrt(curvature)
+        shift = _mp_h(y_star, Am, Bm, beta, g)
+        integral = mp.quad(
+            lambda y: mp.e ** (_mp_h(y, Am, Bm, beta, g) - shift),
+            [y_star - w, y_star, y_star + w])
+        return float(lnN - mp.log(Bm) / 2 + shift + mp.log(integral))
+
+
 def mp_ln_T_steepest(A, B, gamma, dps=40):
     """High-precision evaluation of the steepest-descent closed form,
     arranged as the product formula rather than a sum of logs."""

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 import coulombpacket
+import coulombpacket.transmission as tr
 from coulombpacket.cli import RATIO_HEADER, SWEEP_HEADER, SWEEP_KEYS
 from coulombpacket.errors import ConvergenceError
-from coulombpacket.transmission import BarrierQuery, evaluate
+from coulombpacket.transmission import BarrierQuery, evaluate, evaluate_many
 
 RESULT_KEYS = ["ln_T", "log10_T", "G", "y_star_numeric", "y_star_approx",
                "quad_error_ln", "planewave_ok", "method_used"]
@@ -36,28 +37,22 @@ def _strict_json(text, **kw):
     return json.loads(text, parse_constant=refuse, **kw)
 
 
-def _fail_above(monkeypatch, b_limit, module=None):
-    """Make module.evaluate_many (the CLI's by default) give a
-    ConvergenceError in place of the result of every query with B > b_limit."""
+def _fail_above(monkeypatch, b_limit):
+    """Make every evaluation, by evaluate_many or by the CLI's columns, fail
+    each query with B > b_limit, with partial ln_T -1 and quad_error_ln
+    0.5."""
     import coulombpacket.cli as cli_mod
-    module = module or cli_mod
-    real_evaluate_many = module.evaluate_many
+    real = tr._evaluate_columns
 
-    def one(query):
-        if query.B > b_limit:
-            raise ConvergenceError("forced", ln_T=-1.0, quad_error_ln=0.5)
-        return real_evaluate_many([query])[0]
+    def flaky(A, B, gamma, method, **kw):
+        cols = real(A, B, gamma, method, **kw)
+        for i in np.flatnonzero(B > b_limit).tolist():
+            cols["ln_T"][i], cols["quad_error_ln"][i] = -1.0, 0.5
+            cols["failures"][i] = "forced"
+        return cols
 
-    def flaky(queries):
-        results = []
-        for query in queries:
-            try:
-                results.append(one(query))
-            except ConvergenceError as exc:
-                results.append(exc)
-        return results
-
-    monkeypatch.setattr(module, "evaluate_many", flaky)
+    monkeypatch.setattr(tr, "_evaluate_columns", flaky)
+    monkeypatch.setattr(cli_mod, "_evaluate_columns", flaky)
 
 
 # --- transmit -------------------------------------------------------------
@@ -174,6 +169,26 @@ def test_transmit_convergence_failure_exits_3(run_cli, monkeypatch):
     assert partial["quad_error_ln"] == pytest.approx(0.25)
 
 
+def test_bessel_above_zero_exits_3_with_its_value(run_cli, tmp_path):
+    # the gamma = 1 closed form at small A^2 B gives ln T = +4.46e6: a
+    # failure that carries the value, where ln T = 0 used to be printed
+    code, out, err = run_cli("transmit", "--A", 10, "--B", 1e-13, "--gamma",
+                             1, "--method", "bessel")
+    assert (code, out) == (3, "")
+    partial = _strict_json(err.splitlines()[0])
+    assert partial["ln_T"] == pytest.approx(4.46e6, rel=1e-3)
+    assert partial["quad_error_ln"] is None
+    sweep = tmp_path / "s.csv"
+    assert run_cli("sweep", "--A", 10, "--gammas", 1, "--B-min", 1e-13,
+                   "--B-max", 1e12, "--B-count", 5, "--method", "bessel",
+                   "--out", sweep) == (0, "", "")
+    first = _csv_rows(sweep)[1]
+    assert first[:4] == ["1.00000000000e+01", "1.00000000000e-13",
+                         "1.00000000000e+00", "bessel_gamma1"]
+    assert first[4:] == ["", "", "", "true",
+                         f"no convergence; best ln_T={partial['ln_T']:.11e}"]
+
+
 # --- sweep ----------------------------------------------------------------
 
 def _sweep(run_cli, out_path, *extra):
@@ -275,11 +290,11 @@ def test_sweep_records_failure_rows(run_cli, tmp_path, monkeypatch):
 def test_sweep_unwritable_path_exits_4(run_cli, tmp_path, monkeypatch):
     import coulombpacket.cli as cli_mod
 
-    def refuse(queries):
+    def refuse(*columns):
         raise AssertionError("evaluated before the output was opened")
 
     # refused before any query is evaluated
-    monkeypatch.setattr(cli_mod, "evaluate_many", refuse)
+    monkeypatch.setattr(cli_mod, "_evaluate_columns", refuse)
     for out in ("/nonexistent-dir/out.csv", tmp_path):
         code, _, err = _sweep(run_cli, out)
         assert code == 4
@@ -395,7 +410,7 @@ def test_sweep_linear_spacing(run_cli, tmp_path):
 
 # --- streaming: chunks, memory, all-or-nothing output ----------------------
 
-MIXED_GRID = ("sweep", "--A", 10, 700, "--gammas", 1, "--B-min", 1e-6,
+MIXED_GRID = ("sweep", "--A", 700, 3000, "--gammas", 1, "--B-min", 1e-6,
               "--B-max", 1e-2, "--B-count", 5, "--method", "bessel", "saddle")
 QUAD_GRID = ("sweep", "--A", 10, 100, "--gammas", 1, 2, "--B-min", 1e-6,
              "--B-max", 1e-4, "--B-count", 3, "--method", "quad")
@@ -411,13 +426,13 @@ def test_chunk_boundaries_leave_no_trace(run_cli, tmp_path, monkeypatch,
     import coulombpacket.cli as cli_mod
     if forced:
         _fail_above(monkeypatch, 2e-5)          # rows of each grid fail
-    inner, sizes = cli_mod.evaluate_many, []
+    inner, sizes = cli_mod._evaluate_columns, []
 
-    def recording(queries):
-        sizes.append(len(queries))
-        return inner(queries)
+    def recording(A, B, gamma, method):
+        sizes.append(len(A))
+        return inner(A, B, gamma, method)
 
-    monkeypatch.setattr(cli_mod, "evaluate_many", recording)
+    monkeypatch.setattr(cli_mod, "_evaluate_columns", recording)
     runs = [(MIXED_GRID, "csv", 20), (MIXED_GRID, "json", 20),
             (QUAD_GRID, "csv", 12), (QUAD_GRID, "json", 12),
             (RATIO_GRID, None, 20)]
@@ -437,6 +452,64 @@ def test_chunk_boundaries_leave_no_trace(run_cli, tmp_path, monkeypatch,
             assert len(_strict_json(texts[0].decode())) == count
         failures = texts[0].count(b"no convergence")
         assert (failures > 0) is forced
+
+
+# (A values, gammas, (B-min, B-max, B-count), methods): gamma = 1 on every
+# route, with Bessel failures at small A^2 B, and gamma != 1 on the rest
+EQUIVALENCE_GRIDS = [
+    ((10.0, 700.0), (1.0,), (1e-12, 1.0, 5), ("auto", "bessel", "saddle",
+                                              "quad")),
+    ((5.0, 700.0), (0.5, 2.0), (1e-6, 10.0, 4), ("auto", "saddle", "quad")),
+]
+
+
+def _sweep_through_results(A_vals, gammas, b_vals, methods, json):
+    """A sweep file rendered row by row from evaluate_many's results, each
+    cell through _token, as sweep rendered it before it went by columns."""
+    from coulombpacket.cli import METHOD_FLAGS, _render_json, _token
+
+    queries = [BarrierQuery(A, float(B), g, METHOD_FLAGS[m]) for A in A_vals
+               for g in gammas for B in b_vals for m in methods]
+    rows = []
+    for q, res in zip(queries, evaluate_many(queries)):
+        if isinstance(res, ConvergenceError):
+            rows.append((q.A, q.B, q.gamma, tr.route(q), None, None, None,
+                         tr.planewave_validity(q.A, q.B)[1],
+                         f"no convergence; best ln_T={_token(res.ln_T)}"))
+        else:
+            rows.append((q.A, q.B, q.gamma, res.method_used, res.ln_T,
+                         res.log10_T, res.quad_error_ln, res.planewave_ok))
+    if json:
+        return ("[\n" + ",\n".join("  " + _render_json(zip(SWEEP_KEYS, row))
+                                    for row in rows) + "\n]\n")
+    return "".join(line + "\n" for line in [SWEEP_HEADER] + [
+        ",".join(map(_token, row)) for row in rows])
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_columns_render_as_evaluate_many_results(run_cli, tmp_path,
+                                                 monkeypatch, forced):
+    # the chunk's columns, rendered one format per row, give the bytes of
+    # rendering each result through _token, at any chunk size
+    import coulombpacket.cli as cli_mod
+    if forced:
+        _fail_above(monkeypatch, 1e-3)          # rows of every route fail
+    out = tmp_path / "sweep.out"
+    for A_vals, gammas, (b_min, b_max, count), methods in EQUIVALENCE_GRIDS:
+        b_vals = cli_mod._b_values(b_min, b_max, count)
+        for fmt in ("csv", "json"):
+            expected = _sweep_through_results(A_vals, gammas, b_vals,
+                                              methods, fmt == "json")
+            failed = expected.count("no convergence")
+            assert failed > 0 if forced or "bessel" in methods else not failed
+            for chunk in (1, 5, 10**6):
+                monkeypatch.setattr(cli_mod, "CHUNK", chunk)
+                assert run_cli("sweep", "--A", *A_vals, "--gammas", *gammas,
+                               "--B-min", b_min, "--B-max", b_max,
+                               "--B-count", count, "--method", *methods,
+                               "--format", fmt, "--out", out) == (0, "", "")
+                assert out.read_text(encoding="utf-8") == expected, (
+                    methods, fmt, chunk)
 
 
 def test_sweep_memory_does_not_grow_with_the_grid(run_cli, tmp_path):
@@ -470,15 +543,15 @@ def test_failed_evaluation_leaves_no_file(run_cli, tmp_path, monkeypatch,
                                           argv, extra, error):
     import coulombpacket.cli as cli_mod
     monkeypatch.setattr(cli_mod, "CHUNK", 5)
-    real_evaluate_many, calls = cli_mod.evaluate_many, []
+    real, calls = cli_mod._evaluate_columns, []
 
-    def fails_second(queries):
-        calls.append(len(queries))
+    def fails_second(A, B, gamma, method):
+        calls.append(len(A))
         if len(calls) == 2:
             raise error("killed")
-        return real_evaluate_many(queries)
+        return real(A, B, gamma, method)
 
-    monkeypatch.setattr(cli_mod, "evaluate_many", fails_second)
+    monkeypatch.setattr(cli_mod, "_evaluate_columns", fails_second)
     new, old = tmp_path / "new.out", tmp_path / "old.out"
     old.write_bytes(b"earlier table\n")
     for out in (new, old):
@@ -736,6 +809,15 @@ def test_readme_sweep_example_bytes(run_cli, tmp_path, monkeypatch):
     assert data.split(b"\n")[:4] == [line.encode() for line in shown[1:]]
 
 
+def test_readme_ratio_example_bytes(run_cli, tmp_path, monkeypatch):
+    argv, shown = _readme_example("ratio")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == (0, "", "")
+    assert shown[0] == "$ head -2 ratio.csv"
+    data = (tmp_path / "ratio.csv").read_bytes()
+    assert data.split(b"\n")[:2] == [line.encode() for line in shown[1:]]
+
+
 def test_readme_transmit_example_bytes(run_cli):
     argv, shown = _readme_example("transmit")
     code, out, err = run_cli(*argv)
@@ -785,7 +867,7 @@ def test_ratio_study_skips_failed_rows(tmp_path, monkeypatch, capsys):
 
 def test_sweep_figure_data_skips_failed_points(tmp_path, monkeypatch, capsys):
     script = _script("sweep_figure_data")
-    _fail_above(monkeypatch, 1e-3, script)      # B = 1e-2 and 1 fail
+    _fail_above(monkeypatch, 1e-3)              # B = 1e-2 and 1 fail
     out = tmp_path / "fig.csv"
     code = script.main(["--gammas", "2", "--B-min", "1e-6", "--B-max", "1",
                         "--B-count", "4", "--out", str(out)])

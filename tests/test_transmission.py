@@ -383,7 +383,7 @@ def test_tiny_B_is_integrated():
 
 
 def test_quadrature_failure_carries_partial_estimate(monkeypatch):
-    def unconverged(rows):
+    def unconverged(rows, *scale):
         return np.array([-123.0]), np.array([3.4e-4]), np.array([False])
 
     monkeypatch.setattr(tr, "_de_quadrature", unconverged)
@@ -400,8 +400,8 @@ def test_quadrature_above_zero_is_a_failure(monkeypatch):
     lift = 1e-6 - ln_T_quadrature(query).ln_T
     real = tr._de_quadrature
 
-    def lifted(rows):
-        ln_I, err, ok = real(rows)
+    def lifted(rows, *scale):
+        ln_I, err, ok = real(rows, *scale)
         return ln_I + lift, err, ok
 
     monkeypatch.setattr(tr, "_de_quadrature", lifted)
@@ -409,6 +409,33 @@ def test_quadrature_above_zero_is_a_failure(monkeypatch):
         ln_T_quadrature(query)
     assert exc_info.value.ln_T == pytest.approx(1e-6, abs=1e-12)
     assert exc_info.value.quad_error_ln < 1e-9
+
+
+@pytest.mark.parametrize("A, B, gamma", [(1e11, 1e-3, 2.0), (1e9, 1.0, 10.0)])
+def test_quadrature_stops_at_its_rounding_floor(A, B, gamma):
+    # where ln T is ~1e8, its rounding alone moves it by more than 1e-9
+    # between levels; the route stops there and reports the floor, where
+    # it used to fail (5.75e-07 at A = 1e11).  mp_ln_T's scan steps over
+    # so sharp a peak, so the reference integrates around the saddle
+    from brute_oracle import mp_ln_T, mp_ln_T_saddle
+
+    res = ln_T_quadrature(BarrierQuery(A, B, gamma))
+    assert 1e-9 < res.quad_error_ln < 1e-14 * abs(res.ln_T)
+    assert abs(res.ln_T - mp_ln_T_saddle(A, B, gamma)) <= res.quad_error_ln
+    assert mp_ln_T(A, B, gamma) == -math.inf
+
+
+def test_quadrature_estimate_is_never_nan():
+    # queries whose terms overflow fail with an infinite estimate, where
+    # they used to give nan; where the route succeeds its estimate is finite
+    queries = [BarrierQuery(A, B, g, "quadrature") for A in (1e200, 1.7e308)
+               for B in (1e-300, 1e-3, 1e300) for g in (0.5, 1.0, 2.0)]
+    results = evaluate_many(queries)
+    failures = [r for r in results if isinstance(r, ConvergenceError)]
+    assert len(failures) > len(queries) // 2
+    assert all(r.quad_error_ln == math.inf for r in failures)
+    assert all(math.isfinite(r.quad_error_ln) and r.ln_T <= r.quad_error_ln
+               for r in results if not isinstance(r, ConvergenceError))
 
 
 def test_jensen_point_lies_below_minus_A():
@@ -608,9 +635,10 @@ def test_evaluate_many_bits_do_not_depend_on_batching():
     _assert_batching_keeps_bits(queries, rng)
 
 
-def test_bessel_bits_do_not_depend_on_batching():
+def test_bessel_bits_do_not_depend_on_batching(monkeypatch):
     # gamma = 1 queries on every route, the Bessel ones over both K1
-    # branches (z < 0.75 needs B > 1e4 even at A = 10) and three blocks
+    # branches (z < 0.75 needs B > 1e4 even at A = 10) and, in chunks of
+    # 32, three blocks
     rng = np.random.default_rng(8)
     n = 120
     A = np.exp(rng.uniform(math.log(10.0), math.log(1e4), n))
@@ -622,8 +650,10 @@ def test_bessel_bits_do_not_depend_on_batching():
     queries[:2] = [BarrierQuery(10.0, 1e12, 1.0, "bessel_gamma1"),
                    BarrierQuery(10.0, 1e-13, 1.0)]
     routes = [tr.route(q) for q in queries]
-    assert routes.count("bessel_gamma1") > 2 * tr._BLOCK
+    assert routes.count("bessel_gamma1") > 2 * 32
     assert {"quadrature", "steepest_descent"} <= set(routes)
+    _assert_batching_keeps_bits(queries, rng)
+    monkeypatch.setattr(tr, "CHUNK", 32)
     _assert_batching_keeps_bits(queries, rng)
 
 
@@ -647,8 +677,8 @@ def test_steepest_bits_do_not_depend_on_batching(monkeypatch):
     methods = ["steepest_descent"] * (len(points) - 6) + ["auto"] * 6
     queries = [BarrierQuery(A, B, g, m) for (A, B, g), m in zip(points, methods)]
     _assert_batching_keeps_bits(queries, rng)
-    # blocks of 32 split the 113 steepest-descent rows four ways
-    monkeypatch.setattr(tr, "_STEEPEST_BLOCK", 32)
+    # chunks of 32 split the 119 queries four ways
+    monkeypatch.setattr(tr, "CHUNK", 32)
     _assert_batching_keeps_bits(queries, rng)
 
     # the block's G, stationary points and plane-wave verdict are the
@@ -815,6 +845,43 @@ def test_bessel_gamma1_matches_quadrature_in_regime(B):
     assert abs(lb - lq) <= 1e-3 * abs(lq)
 
 
+def test_bessel_above_zero_is_a_failure():
+    # at small A^2 B the |y-1| -> y-1 replacement overweights y < 1 by
+    # about e^eta; the value, +4.46e6 here, comes back as a failure, where
+    # it used to be clamped to ln T = 0
+    with pytest.raises(ConvergenceError, match="bessel_gamma1") as exc_info:
+        ln_T_bessel_gamma1(10.0, 1e-13)
+    assert exc_info.value.ln_T == pytest.approx(4.46e6, rel=1e-3)
+    assert exc_info.value.quad_error_ln is None
+    ok, failed = evaluate_many([BarrierQuery(10.0, B, 1.0, "bessel_gamma1")
+                                for B in (0.01, 1e-13)])
+    assert ok.ln_T < 0.0
+    assert isinstance(failed, ConvergenceError)
+    assert failed.ln_T == exc_info.value.ln_T
+
+
+def test_column_routes_match_route():
+    # _evaluate_columns routes by array masks; they must equal route(),
+    # the A^2 B = 8 and A = 10 edges included
+    rng = np.random.default_rng(12)
+    n = 600
+    A = np.exp(rng.uniform(math.log(1.0), math.log(1e3), n))
+    B = 8.0 / A ** 2 * np.exp(rng.uniform(-0.5, 0.5, n))
+    A[:40], B[:40] = 10.0, 0.08
+    A[40:80] = np.nextafter(10.0, 0.0)
+    gamma = np.where(rng.uniform(size=n) < 0.7, 1.0, rng.uniform(0.2, 3.0, n))
+    methods = rng.choice(tr.METHODS, n)
+    queries = [BarrierQuery(a, b, g, str(m))
+               for a, b, g, m in zip(A, B, gamma, methods)
+               if not (m == "bessel_gamma1" and (g != 1.0 or a < 10.0))]
+    cols = tr._evaluate_columns(
+        *np.array([(q.A, q.B, q.gamma) for q in queries]).T,
+        [q.method for q in queries])
+    assert cols["method_used"].tolist() == [tr.route(q) for q in queries]
+    assert {tr.route(q) for q in queries if q.method == "auto"} == {
+        "quadrature", "bessel_gamma1"}
+
+
 def test_bessel_gamma1_regime_and_domain():
     with pytest.raises(RegimeError):
         ln_T_bessel_gamma1(5.0, 0.01)      # A < 10: replacement unjustified
@@ -825,7 +892,7 @@ def test_bessel_gamma1_regime_and_domain():
 
 
 def test_bessel_gamma1_suppresses_subunit_stationary_point():
-    r = ln_T_bessel_gamma1(700.0, 1e-8)    # G < 1: peak sits at the y=1 cusp
+    r = ln_T_bessel_gamma1(700.0, 2e-6)    # G < 1: peak sits at the y=1 cusp
     assert r.G < 1.0
     assert r.y_star_numeric is None
     assert r.y_star_approx == pytest.approx(math.sqrt(r.G), rel=1e-15)
