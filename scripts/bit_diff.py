@@ -6,8 +6,8 @@
 BASE_SRC and SRC (default: this checkout's src/) are directories that hold
 a `coulombpacket` package, for example the src/ of a `git archive` of the
 parent commit.  Each tree is imported in its own subprocess, which
-evaluates each set of points with one evaluate_many call, so that every
-route's blocks hold many queries:
+evaluates each set of points but `single` with one evaluate_many call, so
+that every route's blocks hold many queries:
 
 - grid:   the benchmark's 1600-point quadrature sweep grid;
 - pool:   its 2000-point quadrature pool;
@@ -18,7 +18,14 @@ route's blocks hold many queries:
           steepest descent;
 - steepest/edges: steepest-descent points where G underflows to 0 or
           overflows, gamma < 1 has no saddle, the saddle rounds to y = 1,
-          gamma = 1, or ln T > 0.
+          gamma = 1, or ln T > 0;
+- single: the oracle points, the steepest-descent edges, and 100 points
+          log-uniform over the pool's box (every fourth at gamma = 1) by
+          quadrature and by steepest descent, with those of A >= 10 at
+          gamma = 1 by the Bessel form; each point with its own evaluate
+          call, the batch of one that `transmit`, `validate` and the
+          acceptance checks take.  A raised ConvergenceError is recorded
+          as evaluate_many's failures are.
 
 The `cli` set then runs the command line of each tree in that subprocess
 and compares the files it writes byte for byte:
@@ -55,6 +62,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FAST_SEEDS = (501, 502, 611)
 BOX_SEED = 20261019
 BOX_SIZE = 20000
+SINGLE_SEED = 20261020
+SINGLE_BOX_SIZE = 100
 # (A, B, gamma), each by steepest descent
 STEEPEST_EDGES = (
     (0.1, 1e-300, 10.0), (1e-300, 1e-300, 0.5),    # G underflows to 0
@@ -91,18 +100,29 @@ def _points():
     quad, steep = "quadrature", "steepest_descent"
     fast = [row for seed in FAST_SEEDS
             for _, rows in inputs.fast_sweep_specs(seed) for row in rows]
-    rng = np.random.default_rng(BOX_SEED)
-    box = zip(*(np.exp(rng.uniform(np.log(lo), np.log(hi), BOX_SIZE))
-                for lo, hi in (inputs.POOL_BOX[k] for k in ("A", "B", "gamma"))))
+    def log_uniform(seed, size):
+        rng = np.random.default_rng(seed)
+        return [[float(v) for v in np.exp(rng.uniform(np.log(lo), np.log(hi),
+                                                      size))]
+                for lo, hi in (inputs.POOL_BOX[k] for k in ("A", "B", "gamma"))]
+
+    box = zip(*log_uniform(BOX_SEED, BOX_SIZE))
+    A, B, gamma = log_uniform(SINGLE_SEED, SINGLE_BOX_SIZE)
+    gamma[::4] = [1.0] * len(gamma[::4])
+    single_box = list(zip(A, B, gamma))
     return {
         "grid": [(*p, quad) for p in inputs.quad_sweep_points()],
         "pool": [(*p, quad) for p in inputs.pool_points()],
         "oracle": [(*p, quad) for p in inputs.ORACLE_POINTS],
         "fast/bessel": [r for r in fast if r[3] == "bessel_gamma1"],
         "fast/steepest": [r for r in fast if r[3] == steep],
-        "steepest/box": [(float(A), float(B), float(g), steep)
-                         for A, B, g in box],
+        "steepest/box": [(A, B, g, steep) for A, B, g in box],
         "steepest/edges": [(*p, steep) for p in STEEPEST_EDGES],
+        "single": ([(*p, quad) for p in inputs.ORACLE_POINTS]
+                   + [(*p, steep) for p in STEEPEST_EDGES]
+                   + [(*p, m) for m in (quad, steep) for p in single_box]
+                   + [(A, B, 1.0, "bessel_gamma1") for A, B, _ in single_box
+                      if A >= 10.0]),
     }
 
 
@@ -142,15 +162,28 @@ def _worker(src, out_dir):
     sys.path.insert(0, os.path.abspath(src))
     import coulombpacket
     from coulombpacket.errors import ConvergenceError
-    from coulombpacket.transmission import BarrierQuery, evaluate_many
+    from coulombpacket.transmission import (
+        BarrierQuery,
+        evaluate,
+        evaluate_many,
+    )
 
     where = os.path.dirname(os.path.abspath(coulombpacket.__file__))
     if not where.startswith(os.path.abspath(src) + os.sep):
         raise SystemExit(f"imported coulombpacket from {where}, not {src}")
+    def evaluate_one(query):
+        try:
+            return evaluate(query)
+        except ConvergenceError as exc:
+            return exc
+
     out = {}
     for name, points in _points().items():
-        results = evaluate_many([BarrierQuery(A, B, g, method=m)
-                                 for A, B, g, m in points])
+        queries = [BarrierQuery(A, B, g, method=m) for A, B, g, m in points]
+        if name == "single":
+            results = [evaluate_one(q) for q in queries]
+        else:
+            results = evaluate_many(queries)
         out[name] = [[isinstance(r, ConvergenceError)]
                      + [_hex(getattr(r, f, None)) for f in FLOAT_FIELDS]
                      + [getattr(r, f, None) for f in OTHER_FIELDS]

@@ -15,7 +15,8 @@ code path ever forms T itself -- only ln T.
 
 Many queries are evaluated as columns (_evaluate_columns), one array block
 per route; evaluate and evaluate_many are its view as result objects, and
-the CLI's sweep and ratio render the columns themselves.
+the CLI's sweep and ratio render the columns themselves.  Every saddle y*
+is solved one query at a time by saddle_point_numeric, through _saddles.
 """
 
 from __future__ import annotations
@@ -269,79 +270,6 @@ def _brentq(f, xa, xb, args, xtol, rtol, maxiter):
     raise ConvergenceError(f"root not found in {maxiter} iterations")
 
 
-def _saddle_residual(t, lnG, gamma):
-    # _saddle_shifted on arrays; np.logaddexp gives the same bits
-    return lnG - 2.0 * np.logaddexp(0.0, t) - (gamma - 1.0) * t
-
-
-def _brentq_many(lnG, gamma, t_lo, t_hi, xtol, rtol, maxiter):
-    """_brentq of the saddle residual on many brackets [t_lo, t_hi] at once.
-
-    Each branch of the scalar step is a np.where over the same IEEE
-    operations, so every element takes the steps, and returns the bits,
-    that _brentq(_saddle_shifted, ...) would on its own bracket.  An
-    element leaves the working arrays as soon as it converges.  Returns
-    the roots, nan where maxiter steps find none; raises DomainError if a
-    bracket does not change sign.
-    """
-    lnG, gamma, xpre, xcur = (np.array(v, dtype=float)
-                              for v in (lnG, gamma, t_lo, t_hi))
-    fpre = _saddle_residual(xpre, lnG, gamma)
-    fcur = _saddle_residual(xcur, lnG, gamma)
-    root = np.where(fpre == 0.0, xpre, np.where(fcur == 0.0, xcur, np.nan))
-    idx = np.flatnonzero(np.isnan(root))
-    if np.any(np.signbit(fpre[idx]) == np.signbit(fcur[idx])):
-        raise DomainError("every bracket's residuals must differ in sign")
-    lnG, gamma, xpre, xcur, fpre, fcur = (
-        v[idx] for v in (lnG, gamma, xpre, xcur, fpre, fcur))
-    xblk = fblk = spre = scur = np.zeros(idx.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(maxiter):
-            if not idx.size:
-                break
-            new = ((fpre != 0.0) & (fcur != 0.0)
-                   & (np.signbit(fpre) != np.signbit(fcur)))
-            xblk = np.where(new, xpre, xblk)
-            fblk = np.where(new, fpre, fblk)
-            spre = np.where(new, xcur - xpre, spre)
-            scur = np.where(new, spre, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (np.where(swap, xcur, xpre),
-                                np.where(swap, xblk, xcur),
-                                np.where(swap, xcur, xblk))
-            fpre, fcur, fblk = (np.where(swap, fcur, fpre),
-                                np.where(swap, fblk, fcur),
-                                np.where(swap, fcur, fblk))
-            delta = (xtol + rtol * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = (fcur == 0.0) | (np.abs(sbis) < delta)
-            if done.any():
-                root[idx[done]] = xcur[done]
-                left = ~done
-                (idx, lnG, gamma, xpre, xcur, xblk, fpre, fcur, fblk, spre,
-                 scur, delta, sbis) = (
-                    v[left] for v in (idx, lnG, gamma, xpre, xcur, xblk, fpre,
-                                      fcur, fblk, spre, scur, delta, sbis))
-            # interpolate where xpre == xblk, else extrapolate
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(
-                xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
-                (-fcur * (fblk * dblk - fpre * dpre)
-                 / (dblk * dpre * (fblk - fpre))))
-            # a good short step, else bisection
-            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                     & (2 * np.abs(stry)
-                        < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-            spre = np.where(short, scur, sbis)
-            scur = np.where(short, stry, sbis)
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur,
-                                   np.where(sbis > 0, delta, -delta))
-            fcur = _saddle_residual(xcur, lnG, gamma)
-    return root
-
-
 def _saddle_bracket(G: float, gamma: float) -> tuple[float, float]:
     """A bracket [t_lo, t_hi] of the saddle root in t = ln(y-1), gamma != 1:
     the residual is at least 0 at t_lo and at most 0 at t_hi."""
@@ -407,24 +335,28 @@ def saddle_point_approx(G: float, gamma: float) -> float:
     return G ** (1.0 / (gamma + 1.0)) + (gamma - 1.0) / (gamma + 1.0)
 
 
-def _saddle(A: float, shape: PacketShape) -> tuple:
-    """(G, y*, plane-wave verdict) of one query, the saddle solved on its
-    own by saddle_point_numeric; y* is None where no stationary point is
-    reachable.  _saddles derives the same values in arrays."""
-    G = _G(A, shape.B, shape.gamma, shape.beta)
-    y_num = None
-    if 0.0 < G < math.inf:
-        try:
-            y_num = saddle_point_numeric(G, shape.gamma)
-        except ConvergenceError:
-            pass
-    return G, y_num, planewave_validity(A, shape.B)[1]
+def _saddles(A, B, gamma, consts):
+    """G and the stationary point y* of each row, as lists, with beta from
+    consts[gamma]: G by _G, and y* by saddle_point_numeric, nan where G is
+    0 or inf or the solve raises ConvergenceError."""
+    G, y_num = [], []
+    for a, b, g in zip(A.tolist(), B.tolist(), gamma.tolist()):
+        Gi = _G(a, b, g, consts[g][0])
+        y = math.nan
+        if 0.0 < Gi < math.inf:
+            try:
+                y = saddle_point_numeric(Gi, g)
+            except ConvergenceError:
+                pass
+        G.append(Gi)
+        y_num.append(y)
+    return G, y_num
 
 
 def _head(method_used: str, gamma: float, G: float, y_num, planewave_ok):
-    """The result fields every (A, B, gamma) route shares, from G, the
-    numeric stationary point y_num (None where unreachable) and the
-    plane-wave verdict, as _saddle or _saddles derive them.
+    """The result fields every (A, B, gamma) route shares, from G and the
+    numeric stationary point y_num (None where unreachable), as _saddles
+    derives them, and the plane-wave verdict.
 
     G is None when it overflows.  Results publish only stationary points
     above 1: the gamma = 1 root sqrt(G) drops below 1 when G < 1 (peak at
@@ -683,14 +615,14 @@ def _de_quadrature(rows, ln_scale, offset):
     return ln_I, move, move <= stop
 
 
-def _saddle_offset(A: float, shape: PacketShape, y_num):
+def _saddle_offset(A: float, shape: PacketShape, y_star: float):
     """ln(y* - 1) of a query's saddle for _pieces, or None where it has
-    none above y = 1; y_num is _saddle's stationary point.  Where Brent's
-    method gave none because the saddle lies beyond y = 1 + 1e6, or G
-    overflows, it is the large-G asymptote ln G/(gamma + 1), taken from
-    logs."""
-    if y_num and y_num > 1.0:
-        return math.log(y_num - 1.0)
+    none above y = 1; y_star is its stationary point as _saddles finds it,
+    nan where there is none.  Where Brent's method gave none because the
+    saddle lies beyond y = 1 + 1e6, or G overflows, it is the large-G
+    asymptote ln G/(gamma + 1), taken from logs."""
+    if y_star > 1.0:
+        return math.log(y_star - 1.0)
     g = shape.gamma
     ln_G = (math.log(A) + 0.5 * g * math.log(shape.B)
             - math.log(g * shape.beta))
@@ -706,28 +638,25 @@ def _rounding_floor(ln_I, ln_scale, offset):
                         + abs(ln_scale))
 
 
-def _quadrature_block(A, B, gamma, consts):
+def _quadrature_block(A, B, gamma, consts, y_star):
     """ln_T_quadrature of each row, the engine run on _BLOCK rows at a time.
 
     Every row is set up on its own: its shape, from consts[gamma] = (beta,
-    ln N), its saddle by _saddle and its pieces.  Returns the columns ln_T,
-    quad_error_ln, G and y* (nan where _saddle found none), as lists, and
+    ln N), and its pieces around its stationary point y_star, as _saddles
+    finds it.  Returns the columns ln_T and quad_error_ln, as lists, and
     the failures, {row: message}; a failed row's ln_T and quad_error_ln
     are its partial estimate, and the estimate is inf where nothing finite
     is known.
     """
     n = len(A)
     coords = A.tolist(), B.tolist(), gamma.tolist()
-    G, y_num, offset, ln_scale, rows = [], [], [], [], []
+    offset, ln_scale, rows = [], [], []
     ln_I, move, ok = [None] * n, [None] * n, [None] * n
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for a, b, g in zip(*coords):
+        for a, b, g, y in zip(*coords, y_star):
             be, ln_N = consts[g]
             shape = PacketShape(gamma=g, B=b, beta=be, log_N=ln_N)
-            Gi, yi, _ = _saddle(a, shape)
-            off, pieces = _pieces(a, shape, _saddle_offset(a, shape, yi))
-            G.append(Gi)
-            y_num.append(math.nan if yi is None else yi)
+            off, pieces = _pieces(a, shape, _saddle_offset(a, shape, y))
             offset.append(off)
             ln_scale.append(ln_N - 0.5 * math.log(b))
             rows.extend(pieces)
@@ -755,7 +684,7 @@ def _quadrature_block(A, B, gamma, consts):
         elif ln_Ti > err_i:
             failures[i] = (f"quadrature gave ln T = {ln_Ti!r} > 0 beyond its "
                            f"error {err_i:.2e} for A={a}, B={b}, gamma={g}")
-    return ln_T, err, G, y_num, failures
+    return ln_T, err, failures
 
 
 def ln_T_quadrature(query: BarrierQuery) -> TransmissionResult:
@@ -908,34 +837,6 @@ def route(query: BarrierQuery) -> str:
     return "quadrature"
 
 
-def _saddles(A, B, gamma, consts):
-    """G and the stationary point y* (nan where there is none) of each row,
-    as _saddle finds them one at a time: G per row, y* = sqrt(G) for
-    gamma = 1, and for the rest a scalar bracket each and one
-    _brentq_many call, which takes each row's scalar steps."""
-    G = [_G(a, b, g, consts[g][0])
-         for a, b, g in zip(A.tolist(), B.tolist(), gamma.tolist())]
-    y_num = [math.nan] * len(G)
-    solve, brackets = [], []
-    for i, (Gi, gi) in enumerate(zip(G, gamma.tolist())):
-        if not 0.0 < Gi < math.inf:
-            continue
-        if gi == 1.0:
-            y_num[i] = math.sqrt(Gi)
-            continue
-        try:
-            brackets.append((math.log(Gi), gi, *_saddle_bracket(Gi, gi)))
-        except ConvergenceError:
-            continue
-        solve.append(i)
-    if solve:
-        t_star = _brentq_many(*zip(*brackets), *_SADDLE_TOL)
-        for i, t in zip(solve, t_star.tolist()):
-            # nan: no root within maxiter steps
-            y_num[i] = 1.0 + math.exp(t)
-    return np.array(G), np.array(y_num)
-
-
 def _evaluate_columns(A, B, gamma, method, diagnostics=False):
     """Evaluate queries given as columns; the one way that any query is
     evaluated.
@@ -945,8 +846,9 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
     goes where route() sends it, by array masks with the same arithmetic,
     and each route evaluates all its rows in one block: the
     steepest-descent closed form in arrays, the Bessel form with one
-    log_bessel_k1 call, quadrature with its per-row set-up and one engine
-    call per _BLOCK rows.  shape_constants runs once per distinct gamma.
+    log_bessel_k1 call, quadrature with its per-row saddle (_saddles) and
+    set-up and one engine call per _BLOCK rows.  shape_constants runs once
+    per distinct gamma.
     Every value is bit-identical however the rows are batched or ordered.
 
     Returns a dict of columns: ln_T; quad_error_ln, nan where the route
@@ -954,8 +856,9 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
     and failures, {row: message} of the rows that failed, whose ln_T and
     quad_error_ln hold their partial estimate.  With diagnostics, the
     fields that only a TransmissionResult publishes are added: G and
-    y_star (nan where there is none), low_confidence (steepest-descent
-    rows) and ln_T_asymptotic (nan off the Bessel route).
+    y_star (nan where there is none; the quadrature rows' from their
+    set-up, the others' solved only here, by _saddles), low_confidence
+    (steepest-descent rows) and ln_T_asymptotic (nan off the Bessel route).
     """
     n = len(A)
     # each row's index into METHODS, and into _ROUTES once auto is routed
@@ -983,8 +886,10 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
         i = rows(code)
         failed = {}
         if code == _QUADRATURE:
-            ln_T[i], err[i], G[i], y_star[i], failed = _quadrature_block(
-                A[i], B[i], gamma[i], consts)
+            Gq, yq = _saddles(A[i], B[i], gamma[i], consts)
+            G[i], y_star[i] = Gq, yq
+            ln_T[i], err[i], failed = _quadrature_block(
+                A[i], B[i], gamma[i], consts, yq)
         elif code == _STEEPEST:
             ln_T[i], low[i] = _steepest_block(A[i], B[i], gamma[i], consts)
         else:
@@ -1017,9 +922,10 @@ def evaluate_many(queries) -> list:
     A query that fails gets its ConvergenceError in place of a result, so
     one failure costs the batch nothing else.  The results are a view of
     _evaluate_columns, run on CHUNK queries at a time, which bounds memory
-    on every route.  Only here are the saddle diagnostics solved, those of
-    a chunk's closed-form queries with one _brentq_many call.  So each
-    value is bit-identical however the queries are batched or ordered.
+    on every route.  Only here are the saddle diagnostics of the
+    closed-form queries solved, one row at a time by _saddles, as the
+    quadrature queries' saddles are.  So each value is bit-identical
+    however the queries are batched or ordered.
     """
     queries = list(queries)
     results = []

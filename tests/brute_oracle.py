@@ -75,7 +75,9 @@ def mp_ln_T(A, B, gamma, dps=40, extra_points=()):
     """ln T by tanh-sinh quadrature in arbitrary precision.
 
     Splits at y = 1 (cusp for gamma < 2) and at the scanned peak; tanh-sinh
-    handles the endpoint cusp exactly.  Slow but authoritative.
+    handles the endpoint cusp exactly.  Slow but authoritative.  Raises
+    ValueError where the peak is so narrow that the scan keeps a single
+    point of it; mp_ln_T_saddle is the reference there.
     """
     with mp.workdps(dps):
         Am, Bm, g = mp.mpf(A), mp.mpf(B), mp.mpf(gamma)
@@ -98,6 +100,11 @@ def mp_ln_T(A, B, gamma, dps=40, extra_points=()):
         hmax = hs.max()
         keep = ys_c[hs >= hmax - 300.0]
         y_lo, y_hi = float(keep.min()), float(keep.max())
+        if not y_lo < y_hi:
+            raise ValueError(
+                f"mp_ln_T: the peak at A={A}, B={B}, gamma={gamma} is "
+                f"narrower than the scan, whose window has zero width at "
+                f"y = {y_lo}; use mp_ln_T_saddle there")
         y_pk = float(ys_c[hs.argmax()])
 
         pts = sorted({y_lo, y_hi, y_pk, 1.0, *map(float, extra_points)})

@@ -22,7 +22,12 @@ from coulombpacket.errors import (
     RegimeError,
     TableFormatError,
 )
-from coulombpacket.packet import DensityTable, PacketShape, log_density
+from coulombpacket.packet import (
+    DensityTable,
+    PacketShape,
+    log_density,
+    shape_constants,
+)
 from coulombpacket.transmission import (
     BarrierQuery,
     G_param,
@@ -89,7 +94,6 @@ def test_overflowing_G_is_reported_as_none(method, A, B, gamma):
 def test_G_param_survives_power_underflow():
     # B^(gamma/2) underflows a double here; the log-domain rescue must kick in
     G = G_param(1e300, 1e-250, 4.0)
-    from coulombpacket.packet import shape_constants
     beta4 = shape_constants(4.0)[0]
     expected = math.exp(math.log(1e300) + 2.0 * math.log(1e-250)
                         - math.log(4.0 * beta4))
@@ -176,6 +180,10 @@ def test_brentq_matches_scipy_bit_for_bit():
 
     brackets = (_saddle_brackets(1000, 0.1, 1.0, seed=31)
                 + _saddle_brackets(1000, 1.0, 10.0, seed=32))
+    # at t = 0 the residual of ln G = 2 ln 2 is exactly 0, at either end
+    zero = 2.0 * math.log(2.0)
+    brackets += [((zero, g), lo, hi) for g in (0.5, 2.0)
+                 for lo, hi in ((0.0, 1.0), (-1.0, 0.0))]
     for args, t_lo, t_hi in brackets:
         kw = dict(args=args, xtol=1e-14, rtol=8.9e-16, maxiter=200)
         ours = tr._brentq(tr._saddle_shifted, t_lo, t_hi, **kw)
@@ -183,35 +191,9 @@ def test_brentq_matches_scipy_bit_for_bit():
         assert ours == theirs, (args, t_lo, t_hi)
 
 
-def test_brentq_many_matches_brentq_bit_for_bit(monkeypatch):
-    brackets = (_saddle_brackets(1000, 0.1, 1.0, seed=31)
-                + _saddle_brackets(1000, 1.0, 10.0, seed=32))
-    # at t = 0 the residual of ln G = 2 ln 2 is exactly 0, at either end
-    zero = 2.0 * math.log(2.0)
-    brackets += [((zero, g), lo, hi) for g in (0.5, 2.0)
-                 for lo, hi in ((0.0, 1.0), (-1.0, 0.0))]
-    columns = list(zip(*((*args, t_lo, t_hi) for args, t_lo, t_hi in brackets)))
-    # 5 steps leave most brackets without a root
-    for maxiter, unsolved in ((200, 0), (5, 1000)):
-        kw = dict(xtol=1e-14, rtol=8.9e-16, maxiter=maxiter)
-        roots = tr._brentq_many(*columns, **kw).tolist()
-        assert roots[-4:] == [0.0, 0.0, 0.0, 0.0]
-        assert sum(math.isnan(r) for r in roots) >= unsolved
-        for (args, t_lo, t_hi), root in zip(brackets, roots):
-            try:
-                expected = tr._brentq(tr._saddle_shifted, t_lo, t_hi,
-                                      args=args, **kw)
-            except ConvergenceError:
-                assert math.isnan(root), (args, t_lo, t_hi)
-            else:
-                assert root.hex() == expected.hex(), (args, t_lo, t_hi)
-    (args, t_lo, t_hi), = _saddle_brackets(1, 1.0, 10.0, seed=33)
-    with pytest.raises(DomainError):     # no sign change in [t_hi, t_hi + 1]
-        tr._brentq_many([args[0]], [args[1]], [t_hi], [t_hi + 1.0],
-                        *tr._SADDLE_TOL)
-
-    # a saddle the steps do not reach is published as None, in a block as
-    # in saddle_point_numeric
+def test_unreached_saddle_is_published_as_none(monkeypatch):
+    # with 6 steps, a saddle the solve does not reach is published as None,
+    # exactly where saddle_point_numeric raises on its own
     monkeypatch.setattr(tr, "_SADDLE_TOL", tr._SADDLE_TOL[:2] + (6,))
     rng = np.random.default_rng(35)
     queries = [BarrierQuery(A, B, g, "steepest_descent") for A, B, g in zip(
@@ -220,15 +202,20 @@ def test_brentq_many_matches_brentq_bit_for_bit(monkeypatch):
         rng.uniform(0.2, 6.0, 60))]
     block = [r.y_star_numeric for r in evaluate_many(queries)]
     assert block.count(None) > 10      # 4 at the default maxiter
-    alone = [tr._head("", q.gamma, *tr._saddle(
-                 q.A, PacketShape.from_gamma(q.gamma, q.B)))["y_star_numeric"]
-             for q in queries]
+    alone = []
+    for q in queries:
+        try:
+            alone.append(saddle_point_numeric(G_param(q.A, q.B, q.gamma),
+                                              q.gamma))
+        except ConvergenceError:
+            alone.append(None)
     assert block == alone
     assert any(y is not None for y in block)
 
 
 def test_saddle_residual_matches_logaddexp_form_bit_for_bit():
-    # the residual computes ln(1 + e^t) in math, as np.logaddexp(0, t) does
+    # the residual computes ln(1 + e^t) in math, as np.logaddexp(0, t)
+    # does: the bits of every y* depend on it
     rng = np.random.default_rng(34)
     edges = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 800.0, -800.0,
              37.0, -37.0, 709.8, -745.2, math.inf, -math.inf]
@@ -417,12 +404,21 @@ def test_quadrature_stops_at_its_rounding_floor(A, B, gamma):
     # between levels; the route stops there and reports the floor, where
     # it used to fail (5.75e-07 at A = 1e11).  mp_ln_T's scan steps over
     # so sharp a peak, so the reference integrates around the saddle
-    from brute_oracle import mp_ln_T, mp_ln_T_saddle
+    from brute_oracle import mp_ln_T_saddle
 
     res = ln_T_quadrature(BarrierQuery(A, B, gamma))
     assert 1e-9 < res.quad_error_ln < 1e-14 * abs(res.ln_T)
     assert abs(res.ln_T - mp_ln_T_saddle(A, B, gamma)) <= res.quad_error_ln
-    assert mp_ln_T(A, B, gamma) == -math.inf
+
+
+@pytest.mark.parametrize("A, B, gamma", [(1e11, 1e-3, 2.0), (1e9, 1.0, 10.0)])
+def test_oracle_refuses_a_peak_narrower_than_its_scan(A, B, gamma):
+    # the scan keeps a single point of the peak, a window of zero width,
+    # where mp_ln_T returned -inf without an error
+    from brute_oracle import mp_ln_T
+
+    with pytest.raises(ValueError, match=r"A=.*use mp_ln_T_saddle"):
+        mp_ln_T(A, B, gamma)
 
 
 def test_quadrature_estimate_is_never_nan():
@@ -687,8 +683,11 @@ def test_steepest_bits_do_not_depend_on_batching(monkeypatch):
             for lo, hi in ((0.1, 1e5), (1e-13, 1e4), (0.11, 10.0))]
     box = [BarrierQuery(A, B, g, "steepest_descent") for A, B, g in zip(*cols)]
     for q, res in zip(box, evaluate_many(box)):
-        shape = PacketShape.from_gamma(q.gamma, q.B)
-        head = tr._head(res.method_used, q.gamma, *tr._saddle(q.A, shape))
+        (G,), (y,) = tr._saddles(*(np.array([v]) for v in (q.A, q.B, q.gamma)),
+                                 {q.gamma: shape_constants(q.gamma)})
+        head = tr._head(res.method_used, q.gamma, G,
+                        None if math.isnan(y) else y,
+                        planewave_validity(q.A, q.B)[1])
         assert _bits([res]) == _bits([dataclasses.replace(res, **head)])
 
     # the edges are really reached
