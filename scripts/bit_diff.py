@@ -32,8 +32,10 @@ and compares the files it writes byte for byte:
 
 - cli:    every fast sweep of seeds 501, 502 and 611, as CSV and as JSON;
           the eight quadrature sweeps, one per gamma; the `sweep` and
-          `ratio` examples of README.md; and a `--method auto` grid whose
-          rows go to both routes that auto picks, as CSV and as JSON.
+          `ratio` examples of README.md; a `--method auto` grid whose
+          rows go to both routes that auto picks, as CSV and as JSON; and
+          the standard output of `validate` and of the `transmit` example
+          of README.md (the files named *.out).
 
 The points come from perfbench/inputs.py, which is only read.  For each
 set the script prints how many ln_T and quad_error_ln values are
@@ -48,6 +50,7 @@ file.  The script exits 0 when every field and every file is identical and
 """
 
 import argparse
+import contextlib
 import filecmp
 import json
 import os
@@ -141,13 +144,17 @@ def _cli_runs():
         runs[f"quad-{g!r}.csv"] = argv[:argv.index("--out")]
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read().replace("\\\n", " ")
-    for command in ("sweep", "ratio"):
+    for command in ("sweep", "ratio", "transmit"):
         argv = shlex.split(re.search(rf"\n\$ coulombpacket ({command} .*)\n",
                                      readme).group(1))
+        if command == "transmit":
+            runs["readme-transmit.out"] = argv
+            continue
         i = argv.index("--out")
         runs[f"readme-{command}.csv"] = argv[:i] + argv[i + 2:]
     for fmt in ("csv", "json"):
         runs[f"auto.{fmt}"] = AUTO_GRID + ["--format", fmt]
+    runs["validate.out"] = ["validate"]
     return runs
 
 
@@ -191,7 +198,15 @@ def _worker(src, out_dir):
     from coulombpacket.cli import main as cli_main
 
     for name, argv in _cli_runs().items():
-        code = cli_main(argv + ["--out", os.path.join(out_dir, name)])
+        path = os.path.join(out_dir, name)
+        if name.endswith(".out"):
+            # standard output, whatever the exit code: validate exits 1
+            # while a check fails
+            with open(path, "w", encoding="utf-8") as fh, \
+                    contextlib.redirect_stdout(fh):
+                cli_main(argv)
+            continue
+        code = cli_main(argv + ["--out", path])
         if code != 0:
             raise SystemExit(f"{argv} exited {code}")
     json.dump(out, sys.stdout)

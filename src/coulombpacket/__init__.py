@@ -1,9 +1,10 @@
 """Tunneling of momentum wave packets through a high 1-D Coulomb barrier.
 
 Log-domain evaluation of the packet-averaged transmission probability for
-generalized-Gaussian momentum packets: double-exponential quadrature, a
-steepest-descent closed form, the exact Bessel-K1 form for gamma = 1, and
-trapezoid averaging of user-tabulated densities.
+generalized-Gaussian momentum packets.  evaluate and evaluate_many give
+every ln T, by double-exponential quadrature, a steepest-descent closed
+form or the exact Bessel-K1 form for gamma = 1, as the query's method
+picks; ln_T_from_table averages over user-tabulated densities.
 
 The package root exports the functions README names and the types their
 arguments and results need; everything else is imported from its module.
@@ -24,7 +25,6 @@ from .transmission import (
     TransmissionResult,
     evaluate,
     evaluate_many,
-    ln_T_bessel_gamma1,
     planewave_validity,
     saddle_point_numeric,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "little_a",
-    "ln_T_bessel_gamma1",
     "log_bessel_k1",
     "log_density",
     "planewave_validity",

@@ -20,10 +20,7 @@ from .errors import AcceptanceDataError
 from .packet import PacketShape, central_moment
 from .transmission import (
     BarrierQuery,
-    G_param,
-    ln_T_bessel_gamma1,
-    ln_T_quadrature,
-    ln_T_steepest,
+    evaluate,
     saddle_point_approx,
     saddle_point_numeric,
 )
@@ -58,7 +55,7 @@ def load_targets(path=None) -> dict:
 
 def check_worked_example(targets) -> CheckResult:
     """G(700, 0.1, gamma=2) = 70 exactly; its cube root = 4.121 +- 0.001."""
-    G = G_param(700.0, 0.1, 2.0)
+    G = evaluate(BarrierQuery(700.0, 0.1, 2.0, "steepest_descent")).G
     root = G ** (1.0 / 3.0)
     ok = (G == 70.0) and abs(root - 4.121) <= 1e-3
     return CheckResult("worked_example_G70", ok,
@@ -84,11 +81,11 @@ def check_delta_limit(targets) -> CheckResult:
     """Sharp packets transmit like the central plane wave."""
     msgs, ok = [], True
     for A in (10.0, 100.0):
-        r = ln_T_quadrature(BarrierQuery(A, 1e-8, 2.0))
+        r = evaluate(BarrierQuery(A, 1e-8, 2.0, "quadrature"))
         d = abs(r.ln_T + A)
         ok &= d <= 1e-2
         msgs.append(f"|ln_T({A:.0f},1e-8)+{A:.0f}|={d:.2e}")
-    r = ln_T_quadrature(BarrierQuery(700.0, 1e-10, 2.0))
+    r = evaluate(BarrierQuery(700.0, 1e-10, 2.0, "quadrature"))
     d = abs(r.ln_T + 700.0)
     bound = 2.0 * 700.0 ** 2 * 1e-10
     ok &= d <= bound
@@ -102,8 +99,8 @@ def check_gamma1_closed_form(targets) -> CheckResult:
     msgs, ok = [], True
     for row in targets["gamma1_closed_form"]:
         A, B, ref = row["A"], row["B"], row["ln_T"]
-        lq = ln_T_quadrature(BarrierQuery(A, B, 1.0)).ln_T
-        lb = ln_T_bessel_gamma1(A, B).ln_T
+        lq = evaluate(BarrierQuery(A, B, 1.0, "quadrature")).ln_T
+        lb = evaluate(BarrierQuery(A, B, 1.0, "bessel_gamma1")).ln_T
         tol = 1e-3 * abs(lq)
         worst = max(abs(lq - lb), abs(lq - ref), abs(lb - ref))
         ok &= worst <= tol
@@ -141,7 +138,7 @@ def check_enhancement_magnitudes(targets) -> CheckResult:
     msgs, ok = [], True
     for row in targets["enhancement"]:
         A, B, g, ref = row["A"], row["B"], row["gamma"], row["ln_T"]
-        lq = ln_T_quadrature(BarrierQuery(A, B, g)).ln_T
+        lq = evaluate(BarrierQuery(A, B, g, "quadrature")).ln_T
         pinned = abs(lq - ref) <= 1e-4
         lo, hi, source = windows[(B, g)]
         inside = lo <= lq <= hi
@@ -157,16 +154,16 @@ def check_ratio_study(targets) -> CheckResult:
     B in [1e-5, 1]; |ln R| strictly decreasing in B for gamma in {2, 3}."""
     msgs, ok = [], True
     for B in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-        lq = ln_T_quadrature(BarrierQuery(700.0, B, 1.0)).ln_T
-        ls = ln_T_steepest(BarrierQuery(700.0, B, 1.0)).ln_T
+        lq = evaluate(BarrierQuery(700.0, B, 1.0, "quadrature")).ln_T
+        ls = evaluate(BarrierQuery(700.0, B, 1.0, "steepest_descent")).ln_T
         R = math.exp(ls - lq)
         ok &= 0.95 <= R <= 1.05
     msgs.append("gamma=1: R in [0.95,1.05] across B grid")
     for g in (2.0, 3.0):
         lnR = []
         for B in (0.1, 1.0, 10.0):
-            lq = ln_T_quadrature(BarrierQuery(700.0, B, g)).ln_T
-            ls = ln_T_steepest(BarrierQuery(700.0, B, g)).ln_T
+            lq = evaluate(BarrierQuery(700.0, B, g, "quadrature")).ln_T
+            ls = evaluate(BarrierQuery(700.0, B, g, "steepest_descent")).ln_T
             lnR.append(abs(ls - lq))
         dec = lnR[0] > lnR[1] > lnR[2]
         ok &= dec
@@ -226,10 +223,11 @@ def check_correlation_scaling(targets) -> CheckResult:
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
     ok &= worst <= 1e-12
     msgs.append(f"leading-exponent identity worst rel {worst:.1e}")
-    ln0 = ln_T_steepest(BarrierQuery(700.0, 1.0, 2.0)).ln_T
+    ln0 = evaluate(BarrierQuery(700.0, 1.0, 2.0, "steepest_descent")).ln_T
     for r in (0.3, 0.6, 0.9):
         f = 1.0 - r * r
-        lnr = ln_T_steepest(BarrierQuery(700.0, 1.0 / f, 2.0)).ln_T
+        lnr = evaluate(BarrierQuery(700.0, 1.0 / f, 2.0,
+                                    "steepest_descent")).ln_T
         diff = abs(lnr / ln0 - f ** (1.0 / 3.0))
         ok &= diff <= 0.02
         msgs.append(f"r={r}: |ratio-(1-r^2)^(1/3)|={diff:.4f}")

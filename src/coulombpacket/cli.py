@@ -55,8 +55,9 @@ METHOD_FLAGS = {
 
 def _token(x, json=False) -> str:
     """One value as a CSV cell or, with ``json``, a JSON token; numbers
-    carry 12 significant digits in scientific notation."""
-    if x is None:
+    carry 12 significant digits in scientific notation, and a JSON number
+    that is not finite, which JSON cannot hold, is null."""
+    if x is None or json and isinstance(x, float) and not math.isfinite(x):
         return "null" if json else ""
     if isinstance(x, bool):
         return "true" if x else "false"

@@ -24,12 +24,13 @@ class RegimeError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An evaluation gave no valid result: quadrature did not reach its
-    tolerance, or a route gave ln T above 0, which no probability reaches.
+    tolerance, a route gave ln T above 0, which no probability reaches, or
+    the Bessel form's K1 argument overflowed.
 
     Attributes
     ----------
     ln_T : float
-        Best available estimate of the log-probability at failure time.
+        Best available estimate of the log-probability, or nan.
     quad_error_ln : float or None
         Error estimate attached to ``ln_T``; None where the route has none.
     """

@@ -50,11 +50,11 @@ _K1_D = _K1_C * (_K1_H[:-1] + _K1_H[1:] - 2.0 * 0.5772156649015329)
 
 @dataclass(frozen=True)
 class LogMagnitude:
-    """A strictly positive quantity stored as its natural log.
+    """A strictly positive quantity stored as its natural log, for
+    rendering.
 
     ``exp(ln_value)`` may underflow or overflow a double; ``ln_value``
-    itself must stay finite.  Multiplication and division of magnitudes
-    are addition and subtraction here, which is the entire point.
+    itself must stay finite.
     """
 
     ln_value: float
@@ -64,27 +64,9 @@ class LogMagnitude:
             raise DomainError("LogMagnitude requires a finite log value, got %r"
                               % (self.ln_value,))
 
-    @classmethod
-    def from_value(cls, x: float) -> "LogMagnitude":
-        return cls(math.log(require_positive("x", x)))
-
     @property
     def log10(self) -> float:
         return self.ln_value / _LN10
-
-    @property
-    def value(self) -> float:
-        """The represented magnitude; may underflow to 0.0 or overflow to inf."""
-        try:
-            return math.exp(self.ln_value)
-        except OverflowError:
-            return math.inf
-
-    def __mul__(self, other: "LogMagnitude") -> "LogMagnitude":
-        return LogMagnitude(self.ln_value + other.ln_value)
-
-    def __truediv__(self, other: "LogMagnitude") -> "LogMagnitude":
-        return LogMagnitude(self.ln_value - other.ln_value)
 
     def scientific(self, digits: int = 6) -> str:
         """Render as ``m.mmm...e±XXX`` in base 10 without ever exponentiating.

@@ -13,16 +13,16 @@ log-domain trapezoid rule over user-tabulated densities.  T can be as small
 as e^-1000 and the interesting regime has T/e^-A as large as e^+400, so no
 code path ever forms T itself -- only ln T.
 
-Many queries are evaluated as columns (_evaluate_columns), one array block
-per route; evaluate and evaluate_many are its view as result objects, and
-the CLI's sweep and ratio render the columns themselves.  Every saddle y*
-is solved one query at a time by saddle_point_numeric, through _saddles.
+Queries are evaluated as columns (_evaluate_columns), one array block per
+route (_routes); evaluate and evaluate_many, the one way to ask for ln T,
+are its view as result objects.  Every saddle y* is solved one query at a
+time by saddle_point_numeric, through _saddles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     RangeError,
-    RegimeError,
     TableFormatError,
     require_positive,
 )
@@ -43,7 +42,6 @@ from .packet import (
     shape_constants,
 )
 from .specfun import (
-    LogMagnitude,
     log_bessel_k1,
     log_bessel_k1_asymptotic,
     log_sum_exp,
@@ -52,15 +50,10 @@ from .specfun import (
 __all__ = [
     "BarrierQuery",
     "TransmissionResult",
-    "plane_wave_log_D",
     "planewave_validity",
-    "G_param",
     "saddle_point_numeric",
     "saddle_point_approx",
     "log_integrand",
-    "ln_T_quadrature",
-    "ln_T_steepest",
-    "ln_T_bessel_gamma1",
     "ln_T_from_table",
     "evaluate",
     "evaluate_many",
@@ -161,18 +154,6 @@ class TransmissionResult:
     def log10_T(self) -> float:
         return self.ln_T / _LN10
 
-    @property
-    def magnitude(self) -> LogMagnitude:
-        return LogMagnitude(self.ln_T)
-
-
-def plane_wave_log_D(A: float, y: float) -> float:
-    """ln D for a single plane wave of reduced momentum y: -A/y."""
-    require_positive("A", A)
-    if not (y > 0.0):
-        raise DomainError(f"plane-wave kernel needs y > 0 (right-movers), got {y!r}")
-    return -A / y
-
 
 def planewave_validity(A: float, B: float) -> tuple[float, bool]:
     """The sharp-packet condition A*sqrt(B) << 1: (value, value < 0.1)."""
@@ -192,14 +173,6 @@ def _G(A: float, B: float, gamma: float, beta: float) -> float:
             G = float(np.exp(math.log(A) + 0.5 * gamma * math.log(B)
                              - math.log(gamma * beta)))
     return G
-
-
-def G_param(A: float, B: float, gamma: float) -> float:
-    """Saddle-equation parameter G = A B^(gamma/2) / (gamma beta); inf
-    beyond the double range."""
-    A, B, gamma = (require_positive(name, v) for name, v in
-                   (("A", A), ("B", B), ("gamma", gamma)))
-    return _G(A, B, gamma, shape_constants(gamma)[0])
 
 
 def _saddle_shifted(t: float, lnG: float, gamma: float) -> float:
@@ -639,7 +612,7 @@ def _rounding_floor(ln_I, ln_scale, offset):
 
 
 def _quadrature_block(A, B, gamma, consts, y_star):
-    """ln_T_quadrature of each row, the engine run on _BLOCK rows at a time.
+    """Quadrature ln T of each row, the engine run on _BLOCK rows at a time.
 
     Every row is set up on its own: its shape, from consts[gamma] = (beta,
     ln N), and its pieces around its stationary point y_star, as _saddles
@@ -687,21 +660,18 @@ def _quadrature_block(A, B, gamma, consts, y_star):
     return ln_T, err, failures
 
 
-def ln_T_quadrature(query: BarrierQuery) -> TransmissionResult:
-    """Packet-averaged ln T by double-exponential quadrature.
-
-    The integral is split at y = 1/2, at the y = 1 cusp, at the saddle y*
-    and, for gamma >= 1, at the density wall, into five pieces (_pieces),
-    each a tanh-sinh or exp-sinh rule whose step is halved until ln T moves
-    by at most 1e-9, or by its rounding floor where that is larger.
-    quad_error_ln is that last move plus the floor.  This is evaluate with
-    method quadrature.
-    """
-    return evaluate(replace(query, method="quadrature"))
-
-
 def _steepest_block(A, B, gamma, consts):
-    """ln_T_steepest of each row, and its low_confidence, in arrays.
+    """The steepest-descent (Laplace) closed form of each row, and its
+    low_confidence, in arrays:
+
+    ln T* = ln N + (1/2) ln(2 pi/(gamma+1)) - 3/(2(gamma+1)) ln(gamma beta)
+            + (gamma-2)/(4(gamma+1)) ln(B/A^2)
+            - (gamma beta)^(1/(gamma+1)) (A^2/B)^(gamma/(2(gamma+1)))
+              ((gamma+1)/gamma - G^(-1/(gamma+1)))
+
+    Always evaluable; rows with G^(1/(gamma+1)) < 5 are flagged
+    low-confidence since the expansion assumes that quantity is large, and
+    so is any ln T > 0, which no probability can reach (huge B).
 
     What numpy's array functions may round differently from math stays
     in math: the logarithms of A and B, per row, and of each gamma's
@@ -728,26 +698,18 @@ def _steepest_block(A, B, gamma, consts):
     return ln_T, low
 
 
-def ln_T_steepest(query: BarrierQuery) -> TransmissionResult:
-    """Steepest-descent (Laplace) closed form for ln T.
-
-    ln T* = ln N + (1/2) ln(2 pi/(gamma+1)) - 3/(2(gamma+1)) ln(gamma beta)
-            + (gamma-2)/(4(gamma+1)) ln(B/A^2)
-            - (gamma beta)^(1/(gamma+1)) (A^2/B)^(gamma/(2(gamma+1)))
-              ((gamma+1)/gamma - G^(-1/(gamma+1)))
-
-    Always evaluable; results with G^(1/(gamma+1)) < 5 are flagged
-    low-confidence since the expansion assumes that quantity is large, and
-    so is any ln T > 0, which no probability can reach (huge B).  This is
-    evaluate with method steepest_descent.
-    """
-    return evaluate(replace(query, method="steepest_descent"))
-
-
 def _bessel_terms(A, B, log_N):
-    """(ln of the prefactor, argument z of K1) of the gamma = 1 closed form
-    at each row (see ln_T_bessel_gamma1), in math; log_N is ln N at
-    gamma = 1."""
+    """(ln of the prefactor, argument z of K1) of the exact gamma = 1
+    closed form at each row, in math; log_N is ln N at gamma = 1.
+
+    With the two-sided exponential density and |y-1| -> y-1 (the mass this
+    misweights at y < 1 is killed by exp(-A/y) when A^2 B is not small),
+
+        T1 = (N/sqrt(B)) e^eta * 2 sqrt(xi/eta) K1(2 sqrt(xi eta)),
+        xi = A,  eta = sqrt(2/B).
+
+    The large-argument form of K1 gives the diagnostic ln_T_asymptotic.
+    z is inf where xi eta overflows."""
     ln_common, z = [], []
     for a, b in zip(A.tolist(), B.tolist()):
         eta = math.sqrt(2.0 / b)
@@ -758,41 +720,25 @@ def _bessel_terms(A, B, log_N):
 
 
 def _bessel_block(A, B, log_N):
-    """ln_T_bessel_gamma1 of each row, with one log_bessel_k1 call for all
-    of them, and the failures {row: message}: a value above 0, which no
-    probability reaches, is a failure that carries it."""
+    """The gamma = 1 closed form (_bessel_terms) of each row, with one
+    log_bessel_k1 call for all of them, and the failures {row: message}:
+    a value above 0, which no probability reaches (the replacement
+    overestimates at A^2 B << 1), is a failure that carries it, and a row
+    whose K1 argument overflows is a failure with ln T nan."""
     ln_common, z = _bessel_terms(A, B, log_N)
-    ln_T = np.array(ln_common) + log_bessel_k1(np.array(z))
+    ln_T, z = np.array(ln_common), np.array(z)
+    fits = z < math.inf
+    ln_T[~fits] = math.nan
+    if fits.any():
+        ln_T[fits] += log_bessel_k1(z[fits])
     failures = {
         i: (f"bessel_gamma1 gave ln T = {float(ln_T[i])!r} > 0 for "
             f"A={float(A[i])}, B={float(B[i])}: its |y-1| -> y-1 "
-            f"replacement fails at small A^2 B")
-        for i in np.flatnonzero(ln_T > 0.0).tolist()}
+            f"replacement fails at small A^2 B" if fits[i] else
+            f"bessel_gamma1 cannot evaluate A={float(A[i])}, "
+            f"B={float(B[i])}: its K1 argument overflows")
+        for i in np.flatnonzero(~(ln_T <= 0.0)).tolist()}
     return ln_T, failures
-
-
-def ln_T_bessel_gamma1(A: float, B: float) -> TransmissionResult:
-    """Exact gamma = 1 closed form through the Macdonald function K1.
-
-    With the two-sided exponential density and |y-1| -> y-1 (the mass this
-    misweights at y < 1 is killed by exp(-A/y) when A^2 B is not small),
-
-        T1 = (N/sqrt(B)) e^eta * 2 sqrt(xi/eta) K1(2 sqrt(xi eta)),
-        xi = A,  eta = sqrt(2/B).
-
-    The corresponding large-argument form of K1 gives the secondary
-    diagnostic ln_T_asymptotic.  Requires A >= 10; for A^2 B << 1 the
-    replacement overestimates, and a value above 0 raises ConvergenceError
-    with the value attached -- that regime belongs to the quadrature path.
-    This is evaluate with method bessel_gamma1.
-    """
-    A = require_positive("A", A)
-    B = require_positive("B", B)
-    if A < BESSEL_MIN_A:
-        raise RegimeError(
-            f"gamma=1 closed form needs A >= {BESSEL_MIN_A} "
-            f"(|y-1| -> y-1 replacement unjustified), got A={A}")
-    return evaluate(BarrierQuery(A, B, 1.0, "bessel_gamma1"))
 
 
 def ln_T_from_table(table: DensityTable, A: float) -> TransmissionResult:
@@ -820,21 +766,30 @@ def ln_T_from_table(table: DensityTable, A: float) -> TransmissionResult:
                               method_used="table_trapezoid")
 
 
-def route(query: BarrierQuery) -> str:
-    """The evaluator that evaluate, evaluate_many and the CLI send a query
-    to; _evaluate_columns routes its rows by array masks that equal this.
+def _routes(A, B, gamma, method):
+    """Each row's route, as its index into _ROUTES, from the columns that
+    _evaluate_columns takes; the one statement of the routing policy.
 
     An explicit method is used as given.  ``auto`` prefers the exact
     gamma = 1 closed form where its derivation holds (A >= 10 and A^2 B not
     small, so the y < 1 misweighting stays suppressed) and takes quadrature
-    everywhere else.
+    everywhere else; only a column with an auto row pays for that test.
     """
-    if query.method != "auto":
-        return query.method
-    if (query.gamma == 1.0 and query.A >= BESSEL_MIN_A
-            and query.A * query.A * query.B >= 8.0):
-        return "bessel_gamma1"
-    return "quadrature"
+    route = _METHOD_INDEX[np.searchsorted(_SORTED_METHODS, method)]
+    if _AUTO in route.tolist():
+        with np.errstate(over="ignore"):
+            bessel = (gamma == 1.0) & (A >= BESSEL_MIN_A) & (A * A * B >= 8.0)
+        route = np.where(route == _AUTO,
+                         np.where(bessel, _BESSEL, _QUADRATURE), route)
+    return route
+
+
+def route(query: BarrierQuery) -> str:
+    """The route that evaluate, evaluate_many and the CLI send a query to
+    (see _routes)."""
+    code, = _routes(*np.array([[query.A], [query.B], [query.gamma]],
+                              dtype=float), [query.method])
+    return str(_ROUTES[code])
 
 
 def _evaluate_columns(A, B, gamma, method, diagnostics=False):
@@ -842,9 +797,8 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
     evaluated.
 
     A, B and gamma are float arrays and method the METHODS name of each
-    row's method, each row valid as BarrierQuery checks it.  Each row
-    goes where route() sends it, by array masks with the same arithmetic,
-    and each route evaluates all its rows in one block: the
+    row's method, each row valid as BarrierQuery checks it.  Each route
+    that _routes picks evaluates all its rows in one block: the
     steepest-descent closed form in arrays, the Bessel form with one
     log_bessel_k1 call, quadrature with its per-row saddle (_saddles) and
     set-up and one engine call per _BLOCK rows.  shape_constants runs once
@@ -861,15 +815,8 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
     (steepest-descent rows) and ln_T_asymptotic (nan off the Bessel route).
     """
     n = len(A)
-    # each row's index into METHODS, and into _ROUTES once auto is routed
-    route = _METHOD_INDEX[np.searchsorted(_SORTED_METHODS, method)]
+    route = _routes(A, B, gamma, method)
     routes = set(route.tolist())
-    if _AUTO in routes:
-        with np.errstate(over="ignore"):
-            bessel = (gamma == 1.0) & (A >= BESSEL_MIN_A) & (A * A * B >= 8.0)
-        route = np.where(route == _AUTO,
-                         np.where(bessel, _BESSEL, _QUADRATURE), route)
-        routes = set(route.tolist())
     consts = {g: shape_constants(g) for g in set(gamma.tolist())}
     ln_T, low = np.empty(n), np.zeros(n, dtype=bool)
     err, G, y_star = np.empty((3, n))
@@ -910,6 +857,7 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
             i = rows(_BESSEL)
             ln_common, z = _bessel_terms(A[i], B[i], consts[1.0][1])
             asymptotic[i] = [c + log_bessel_k1_asymptotic(zi)
+                             if zi < math.inf else math.nan
                              for c, zi in zip(ln_common, z)]
         cols.update(G=G, y_star=y_star, low_confidence=low,
                     ln_T_asymptotic=asymptotic)
@@ -955,7 +903,7 @@ def evaluate_many(queries) -> list:
 
 
 def evaluate(query: BarrierQuery) -> TransmissionResult:
-    """Evaluate one query on the route that route() picks; evaluate_many
+    """Evaluate one query on the route that _routes picks; evaluate_many
     with a batch of one.  Raises ConvergenceError if the route fails."""
     res, = evaluate_many([query])
     if isinstance(res, ConvergenceError):

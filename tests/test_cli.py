@@ -189,6 +189,39 @@ def test_bessel_above_zero_exits_3_with_its_value(run_cli, tmp_path):
                          f"no convergence; best ln_T={partial['ln_T']:.11e}"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--A", 1e300, "--B", 1e-20, "--gamma", 1),
+    ("--A", 10, "--B", 5e-324, "--gamma", 1, "--method", "bessel")])
+def test_bessel_overflow_exits_3(run_cli, argv):
+    # 2 sqrt(A sqrt(2/B)) overflows: a failure of this query, where a
+    # traceback ended the command
+    code, out, err = run_cli("transmit", *argv)
+    assert (code, out) == (3, "")
+    first, second = err.splitlines()
+    assert _strict_json(first) == {"ln_T": None, "quad_error_ln": None}
+    assert second.startswith("no convergence: bessel_gamma1")
+    assert "overflows" in second
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bessel_overflow_is_a_sweep_failure_row(run_cli, tmp_path, fmt):
+    out = tmp_path / f"s.{fmt}"
+    assert run_cli("sweep", "--A", 10, 1e300, "--gammas", 1, "--B-min",
+                   1e-20, "--B-max", 1e-19, "--B-count", 2, "--format", fmt,
+                   "--out", out) == (0, "", "")
+    if fmt == "json":
+        rows = [[d[k] for k in SWEEP_KEYS if k in d]
+                for d in _strict_json(out.read_text(encoding="utf-8"))]
+    else:
+        rows = _csv_rows(out)[1:]
+    assert [row[3] for row in rows] == ["quadrature"] * 2 + [
+        "bessel_gamma1"] * 2
+    for row in rows[:2]:
+        assert len(row) == 8 and float(row[4]) == pytest.approx(-10.0)
+    for row in rows[2:]:
+        assert row[-1] == "no convergence; best ln_T=nan"
+
+
 # --- sweep ----------------------------------------------------------------
 
 def _sweep(run_cli, out_path, *extra):
@@ -746,6 +779,11 @@ def test_every_json_output_is_strict(run_cli, tmp_path, monkeypatch,
                            "--energy-eV", 1e4)
     assert code == 0
     texts.append(out)
+    # a real failure whose partial ln_T and quad_error_ln are not finite
+    code, _, err = run_cli("transmit", "--A", 1e300, "--B", 1e-20,
+                           "--gamma", 1, "--method", "quad")
+    assert code == 3
+    texts.append(err.splitlines()[0])
     _fail_above(monkeypatch, 1e-5)
     sweep = tmp_path / "s.json"
     assert _sweep(run_cli, sweep, "--format", "json")[0] == 0
@@ -754,6 +792,7 @@ def test_every_json_output_is_strict(run_cli, tmp_path, monkeypatch,
     assert code == 3
     texts.append(err.splitlines()[0])
     docs = [_strict_json(t) for t in texts]
+    assert docs[-3] == {"ln_T": None, "quad_error_ln": None}
     assert any(d.get("note") for d in docs[-2])     # the failure rows
     assert docs[-1] == {"ln_T": -1.0, "quad_error_ln": 0.5}
 

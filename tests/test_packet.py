@@ -157,12 +157,12 @@ def test_density_exponent_and_its_inverse(gamma, B):
     assert s[2] == 0.0
     back = exponent_offset(s, math.log(shape.beta), gamma, math.sqrt(B))
     np.testing.assert_allclose(back, np.abs(u), rtol=1e-12)
-    # the quadrature engine passes its constants as (P, 1) columns
+    # constants given as (P, 1) columns broadcast over a (P, n) grid
     cols = [np.full((2, 1), c) for c in (shape.beta, gamma, half_lnB)]
     grid = np.vstack([u, -u])
     np.testing.assert_array_equal(density_exponent(grid, *cols),
                                   np.vstack([s, s]))
-    # a float, as the moment integrand passes it, gives the same value
+    # a scalar offset, as for log_density of a scalar y, gives the same value
     assert density_exponent(0.25, shape.beta, gamma, half_lnB) == s[4]
 
 

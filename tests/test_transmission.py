@@ -19,7 +19,6 @@ from coulombpacket.errors import (
     ConvergenceError,
     DomainError,
     RangeError,
-    RegimeError,
     TableFormatError,
 )
 from coulombpacket.packet import (
@@ -30,15 +29,10 @@ from coulombpacket.packet import (
 )
 from coulombpacket.transmission import (
     BarrierQuery,
-    G_param,
     evaluate,
     evaluate_many,
-    ln_T_bessel_gamma1,
     ln_T_from_table,
-    ln_T_quadrature,
-    ln_T_steepest,
     log_integrand,
-    plane_wave_log_D,
     planewave_validity,
     saddle_point_approx,
     saddle_point_numeric,
@@ -46,16 +40,6 @@ from coulombpacket.transmission import (
 
 
 # --- kernel and validity ---------------------------------------------------
-
-def test_plane_wave_log_D():
-    assert plane_wave_log_D(700.0, 1.0) == -700.0
-    assert plane_wave_log_D(10.0, 2.0) == -5.0
-    for bad_y in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            plane_wave_log_D(10.0, bad_y)
-    with pytest.raises(DomainError):
-        plane_wave_log_D(0.0, 1.0)
-
 
 def test_planewave_validity_threshold():
     v, ok = planewave_validity(10.0, 1e-6)
@@ -68,17 +52,25 @@ def test_planewave_validity_threshold():
 
 # --- G parameter -------------------------------------------------------------
 
+def G_of(A, B, gamma):
+    """G as every result derives it: tr._G with beta of gamma."""
+    return tr._G(A, B, gamma, shape_constants(gamma)[0])
+
+
 def test_G_param_worked_value():
-    assert G_param(700.0, 0.1, 2.0) == 70.0
-    assert G_param(700.0, 1e-4, 1.0) == pytest.approx(
+    assert G_of(700.0, 0.1, 2.0) == 70.0
+    assert G_of(700.0, 1e-4, 1.0) == pytest.approx(
         7.0 / math.sqrt(2.0), rel=1e-13)
+    res = evaluate(BarrierQuery(700.0, 0.1, 2.0, "steepest_descent"))
+    assert res.G == 70.0
 
 
 def test_G_param_overflow_gives_inf():
     # B^(gamma/2) = 1e500 overflows a Python float power, which raises
-    # rather than returning inf; G itself is out of range too
-    assert G_param(1.0, 1e100, 10.0) == math.inf
-    assert G_param(1e12, 1e300, 2.0) == math.inf
+    # rather than returning inf; G itself is out of range too, and a result
+    # publishes it as None (test_overflowing_G_is_reported_as_none)
+    assert G_of(1.0, 1e100, 10.0) == math.inf
+    assert G_of(1e12, 1e300, 2.0) == math.inf
 
 
 @pytest.mark.parametrize("method", ["quadrature", "steepest_descent"])
@@ -93,7 +85,7 @@ def test_overflowing_G_is_reported_as_none(method, A, B, gamma):
 
 def test_G_param_survives_power_underflow():
     # B^(gamma/2) underflows a double here; the log-domain rescue must kick in
-    G = G_param(1e300, 1e-250, 4.0)
+    G = G_of(1e300, 1e-250, 4.0)
     beta4 = shape_constants(4.0)[0]
     expected = math.exp(math.log(1e300) + 2.0 * math.log(1e-250)
                         - math.log(4.0 * beta4))
@@ -105,8 +97,9 @@ def test_G_param_survives_power_underflow():
     (math.nan, 1.0, 2.0), (1.0, math.inf, 2.0),
 ])
 def test_G_param_domain(A, B, gamma):
+    # G is formed only for a query, which refuses these
     with pytest.raises(DomainError):
-        G_param(A, B, gamma)
+        BarrierQuery(A, B, gamma)
 
 
 # --- saddle machinery ------------------------------------------------------
@@ -205,7 +198,7 @@ def test_unreached_saddle_is_published_as_none(monkeypatch):
     alone = []
     for q in queries:
         try:
-            alone.append(saddle_point_numeric(G_param(q.A, q.B, q.gamma),
+            alone.append(saddle_point_numeric(G_of(q.A, q.B, q.gamma),
                                               q.gamma))
         except ConvergenceError:
             alone.append(None)
@@ -329,16 +322,16 @@ QUAD_ORACLE = [
 
 @pytest.mark.parametrize("A, B, gamma, expected", QUAD_ORACLE)
 def test_ln_T_quadrature_oracle_grid(A, B, gamma, expected):
-    res = ln_T_quadrature(BarrierQuery(A, B, gamma))
+    res = evaluate(BarrierQuery(A, B, gamma, "quadrature"))
     assert res.ln_T == pytest.approx(expected, rel=1e-9, abs=1e-9)
     assert res.method_used == "quadrature"
     assert res.quad_error_ln is not None and res.quad_error_ln < 1e-6
     assert res.planewave_ok == planewave_validity(A, B)[1]
-    assert res.G == pytest.approx(G_param(A, B, gamma), rel=1e-15)
+    assert res.G == pytest.approx(G_of(A, B, gamma), rel=1e-15)
 
 
 def test_ln_T_monotone_decreasing_in_A():
-    vals = [ln_T_quadrature(BarrierQuery(A, 1e-3, 2.0)).ln_T
+    vals = [evaluate(BarrierQuery(A, 1e-3, 2.0, "quadrature")).ln_T
             for A in (10.0, 50.0, 200.0, 700.0)]
     assert vals[0] > vals[1] > vals[2] > vals[3]
 
@@ -348,13 +341,13 @@ def test_ln_T_monotone_decreasing_in_A():
 def test_packet_average_bounded_by_construction(A, B, gamma):
     # half the density sits at y >= 1 where D(y) >= e^-A, so
     # e^-A / 2 <= T <= 1 rigorously
-    r = ln_T_quadrature(BarrierQuery(A, B, gamma))
+    r = evaluate(BarrierQuery(A, B, gamma, "quadrature"))
     assert -A + math.log(0.49) <= r.ln_T <= 0.0
 
 
 @pytest.mark.parametrize("A", [10.0, 100.0])
 def test_delta_packet_limit(A):
-    res = ln_T_quadrature(BarrierQuery(A, 1e-8, 2.0))
+    res = evaluate(BarrierQuery(A, 1e-8, 2.0, "quadrature"))
     assert abs(res.ln_T + A) <= 1e-2
 
 
@@ -362,7 +355,7 @@ def test_tiny_B_is_integrated():
     # no cutoff in B makes every packet a delta: below B = 1e-14 the
     # engine still integrates, where ln T = -A was off by 4.9e-12 here and
     # by 8.1e4 at (A=1e5, B=1e-20, gamma=0.3) (see QUAD_MP)
-    res = ln_T_quadrature(BarrierQuery(100.0, 1e-15, 2.0))
+    res = evaluate(BarrierQuery(100.0, 1e-15, 2.0, "quadrature"))
     assert abs(res.ln_T - -99.9999999999951) <= res.quad_error_ln < 1e-9
     assert res.ln_T > -100.0
     assert res.planewave_ok is True
@@ -375,7 +368,7 @@ def test_quadrature_failure_carries_partial_estimate(monkeypatch):
 
     monkeypatch.setattr(tr, "_de_quadrature", unconverged)
     with pytest.raises(ConvergenceError) as exc_info:
-        tr.ln_T_quadrature(BarrierQuery(50.0, 0.1, 2.0))
+        tr.evaluate(BarrierQuery(50.0, 0.1, 2.0, "quadrature"))
     assert exc_info.value.quad_error_ln == pytest.approx(3.4e-4)
     assert exc_info.value.ln_T is not None and exc_info.value.ln_T <= 0.0
 
@@ -383,8 +376,8 @@ def test_quadrature_failure_carries_partial_estimate(monkeypatch):
 def test_quadrature_above_zero_is_a_failure(monkeypatch):
     # ln T > 0 beyond its error is no probability: a ConvergenceError that
     # carries the value, not a result clamped to 0
-    query = BarrierQuery(5.0, 0.01, 1.5)
-    lift = 1e-6 - ln_T_quadrature(query).ln_T
+    query = BarrierQuery(5.0, 0.01, 1.5, "quadrature")
+    lift = 1e-6 - evaluate(query).ln_T
     real = tr._de_quadrature
 
     def lifted(rows, *scale):
@@ -393,7 +386,7 @@ def test_quadrature_above_zero_is_a_failure(monkeypatch):
 
     monkeypatch.setattr(tr, "_de_quadrature", lifted)
     with pytest.raises(ConvergenceError) as exc_info:
-        ln_T_quadrature(query)
+        evaluate(query)
     assert exc_info.value.ln_T == pytest.approx(1e-6, abs=1e-12)
     assert exc_info.value.quad_error_ln < 1e-9
 
@@ -406,7 +399,7 @@ def test_quadrature_stops_at_its_rounding_floor(A, B, gamma):
     # so sharp a peak, so the reference integrates around the saddle
     from brute_oracle import mp_ln_T_saddle
 
-    res = ln_T_quadrature(BarrierQuery(A, B, gamma))
+    res = evaluate(BarrierQuery(A, B, gamma, "quadrature"))
     assert 1e-9 < res.quad_error_ln < 1e-14 * abs(res.ln_T)
     assert abs(res.ln_T - mp_ln_T_saddle(A, B, gamma)) <= res.quad_error_ln
 
@@ -437,7 +430,7 @@ def test_quadrature_estimate_is_never_nan():
 def test_jensen_point_lies_below_minus_A():
     # e^(-A/y) is concave for y > A/2, where all but a negligible part of
     # this packet lies, so ln T < -A; the GK15 engine returned -0.2999999953
-    res = ln_T_quadrature(BarrierQuery(0.3, 1e-12, 0.8))
+    res = evaluate(BarrierQuery(0.3, 1e-12, 0.8, "quadrature"))
     assert abs(res.ln_T - -0.300000000000255) <= min(res.quad_error_ln, 1e-9)
     assert res.ln_T < -0.3
 
@@ -597,7 +590,7 @@ QUAD_PINNED_MP = {(A, B, gamma): ln_T for A, B, gamma, ln_T in [
 
 @pytest.mark.parametrize("A, B, gamma, ln_T, err", QUAD_PINNED)
 def test_quadrature_pinned_to_heap_engine(A, B, gamma, ln_T, err):
-    res = ln_T_quadrature(BarrierQuery(A, B, gamma))
+    res = evaluate(BarrierQuery(A, B, gamma, "quadrature"))
     assert abs(res.ln_T - QUAD_PINNED_MP[A, B, gamma]) <= res.quad_error_ln
     assert abs(res.ln_T - ln_T) <= 1e-7
 
@@ -736,7 +729,7 @@ QUAD_MP = [
 
 @pytest.mark.parametrize("A, B, gamma, expected", QUAD_MP)
 def test_quadrature_error_bounds_the_oracle(A, B, gamma, expected):
-    res = ln_T_quadrature(BarrierQuery(A, B, gamma))
+    res = evaluate(BarrierQuery(A, B, gamma, "quadrature"))
     assert abs(res.ln_T - expected) <= res.quad_error_ln
     assert res.quad_error_ln <= 1e-9 * max(1.0, abs(expected))
 
@@ -750,7 +743,7 @@ def test_quadrature_error_bounds_the_oracle_over_the_box(lnA, lnB, gamma):
     from brute_oracle import mp_ln_T
 
     A, B = math.exp(lnA), math.exp(lnB)
-    res = ln_T_quadrature(BarrierQuery(A, B, gamma))
+    res = evaluate(BarrierQuery(A, B, gamma, "quadrature"))
     assert abs(res.ln_T - mp_ln_T(A, B, gamma)) <= res.quad_error_ln
 
 
@@ -780,10 +773,9 @@ def test_failed_query_leaves_its_block_unchanged(monkeypatch):
     assert _bits(with_doomed) == _bits(without)
 
 
-def test_result_log10_and_magnitude():
-    r = ln_T_quadrature(BarrierQuery(10.0, 1e-6, 2.0))
+def test_result_log10():
+    r = evaluate(BarrierQuery(10.0, 1e-6, 2.0, "quadrature"))
     assert r.log10_T == pytest.approx(r.ln_T / math.log(10.0), rel=1e-15)
-    assert r.magnitude.ln_value == r.ln_T
 
 
 # --- steepest descent -------------------------------------------------------
@@ -800,36 +792,38 @@ STEEPEST_ORACLE = [
 
 @pytest.mark.parametrize("A, B, gamma, expected, low", STEEPEST_ORACLE)
 def test_ln_T_steepest_frozen(A, B, gamma, expected, low):
-    res = ln_T_steepest(BarrierQuery(A, B, gamma))
+    res = evaluate(BarrierQuery(A, B, gamma, "steepest_descent"))
     assert res.ln_T == pytest.approx(expected, rel=1e-10)
     assert res.method_used == "steepest_descent"
     assert res.low_confidence is low
 
 
 def test_steepest_low_confidence_tracks_G():
-    # G = 70 -> G^(1/3) = 4.12: below the trust threshold
-    assert ln_T_steepest(BarrierQuery(700.0, 0.1, 2.0)).low_confidence is True
-    # G = 700 -> G^(1/3) = 8.88: trusted
-    assert ln_T_steepest(BarrierQuery(700.0, 1.0, 2.0)).low_confidence is False
+    def low(B):
+        return evaluate(BarrierQuery(700.0, B, 2.0,
+                                     "steepest_descent")).low_confidence
+
+    assert low(0.1) is True    # G = 70 -> G^(1/3) = 4.12: below the threshold
+    assert low(1.0) is False   # G = 700 -> G^(1/3) = 8.88: trusted
 
 
 def test_steepest_to_quadrature_ratio_gamma2():
-    lq = ln_T_quadrature(BarrierQuery(700.0, 1.0, 2.0)).ln_T
-    ls = ln_T_steepest(BarrierQuery(700.0, 1.0, 2.0)).ln_T
+    lq = evaluate(BarrierQuery(700.0, 1.0, 2.0, "quadrature")).ln_T
+    ls = evaluate(BarrierQuery(700.0, 1.0, 2.0, "steepest_descent")).ln_T
     assert math.exp(ls - lq) == pytest.approx(1.3396123067980195, rel=1e-6)
 
 
 def test_steepest_matches_exact_gamma1_form_asymptotically():
     # for gamma = 1 the Laplace value reproduces the large-argument K1 form
-    r = ln_T_bessel_gamma1(700.0, 1e-4)
-    s = ln_T_steepest(BarrierQuery(700.0, 1e-4, 1.0))
+    r = evaluate(BarrierQuery(700.0, 1e-4, 1.0, "bessel_gamma1"))
+    s = evaluate(BarrierQuery(700.0, 1e-4, 1.0, "steepest_descent"))
     assert s.ln_T == pytest.approx(r.ln_T_asymptotic, abs=1e-9)
 
 
 # --- gamma = 1 closed form ---------------------------------------------------
 
 def test_bessel_gamma1_frozen_value():
-    r = ln_T_bessel_gamma1(100.0, 0.01)
+    r = evaluate(BarrierQuery(100.0, 0.01, 1.0, "bessel_gamma1"))
     assert r.ln_T == pytest.approx(-59.37217312237709, rel=1e-12)
     assert r.ln_T_asymptotic == pytest.approx(-59.377126258316636, rel=1e-12)
     assert r.ln_T > r.ln_T_asymptotic      # K1 exceeds its asymptotic form
@@ -839,8 +833,8 @@ def test_bessel_gamma1_frozen_value():
 
 @pytest.mark.parametrize("B", [1e-3, 1e-2])
 def test_bessel_gamma1_matches_quadrature_in_regime(B):
-    lb = ln_T_bessel_gamma1(700.0, B).ln_T
-    lq = ln_T_quadrature(BarrierQuery(700.0, B, 1.0)).ln_T
+    lb = evaluate(BarrierQuery(700.0, B, 1.0, "bessel_gamma1")).ln_T
+    lq = evaluate(BarrierQuery(700.0, B, 1.0, "quadrature")).ln_T
     assert abs(lb - lq) <= 1e-3 * abs(lq)
 
 
@@ -849,7 +843,7 @@ def test_bessel_above_zero_is_a_failure():
     # about e^eta; the value, +4.46e6 here, comes back as a failure, where
     # it used to be clamped to ln T = 0
     with pytest.raises(ConvergenceError, match="bessel_gamma1") as exc_info:
-        ln_T_bessel_gamma1(10.0, 1e-13)
+        evaluate(BarrierQuery(10.0, 1e-13, 1.0, "bessel_gamma1"))
     assert exc_info.value.ln_T == pytest.approx(4.46e6, rel=1e-3)
     assert exc_info.value.quad_error_ln is None
     ok, failed = evaluate_many([BarrierQuery(10.0, B, 1.0, "bessel_gamma1")
@@ -859,9 +853,29 @@ def test_bessel_above_zero_is_a_failure():
     assert failed.ln_T == exc_info.value.ln_T
 
 
+def test_bessel_overflow_fails_only_its_row():
+    # the K1 argument 2 sqrt(A sqrt(2/B)) overflows at huge A or tiny B;
+    # such a row fails on its own, and the batch's other rows keep the bits
+    # they have alone
+    good = [BarrierQuery(700.0, 1e-3, 1.0, "bessel_gamma1"),
+            BarrierQuery(100.0, 0.01, 1.0, "bessel_gamma1")]
+    bad = [BarrierQuery(1e300, 1e-20, 1.0),           # auto picks bessel
+           BarrierQuery(10.0, 5e-324, 1.0, "bessel_gamma1")]
+    results = evaluate_many([good[0], bad[0], good[1], bad[1]])
+    for q, r in zip(good, results[::2]):
+        assert r == evaluate(q)
+    for q, r in zip(bad, results[1::2]):
+        assert isinstance(r, ConvergenceError)
+        assert "K1 argument overflows" in str(r)
+        assert math.isnan(r.ln_T) and r.quad_error_ln is None
+        with pytest.raises(ConvergenceError, match="overflows"):
+            evaluate(q)
+
+
 def test_column_routes_match_route():
-    # _evaluate_columns routes by array masks; they must equal route(),
-    # the A^2 B = 8 and A = 10 edges included
+    # route() and _evaluate_columns both route by _routes; a query alone
+    # must go where its row in a column goes, the A^2 B = 8 and A = 10
+    # edges included
     rng = np.random.default_rng(12)
     n = 600
     A = np.exp(rng.uniform(math.log(1.0), math.log(1e3), n))
@@ -882,16 +896,16 @@ def test_column_routes_match_route():
 
 
 def test_bessel_gamma1_regime_and_domain():
-    with pytest.raises(RegimeError):
-        ln_T_bessel_gamma1(5.0, 0.01)      # A < 10: replacement unjustified
+    # A < 10 (replacement unjustified): test_bessel_query_needs_min_A
     with pytest.raises(DomainError):
-        ln_T_bessel_gamma1(0.0, 0.01)
+        BarrierQuery(0.0, 0.01, 1.0, "bessel_gamma1")
     with pytest.raises(DomainError):
-        ln_T_bessel_gamma1(100.0, -1.0)
+        BarrierQuery(100.0, -1.0, 1.0, "bessel_gamma1")
 
 
 def test_bessel_gamma1_suppresses_subunit_stationary_point():
-    r = ln_T_bessel_gamma1(700.0, 2e-6)    # G < 1: peak sits at the y=1 cusp
+    # G < 1: the peak sits at the y = 1 cusp
+    r = evaluate(BarrierQuery(700.0, 2e-6, 1.0, "bessel_gamma1"))
     assert r.G < 1.0
     assert r.y_star_numeric is None
     assert r.y_star_approx == pytest.approx(math.sqrt(r.G), rel=1e-15)
@@ -927,7 +941,7 @@ def test_from_table_truncated_support_bias():
     t = DensityTable(y=y, density=np.exp(log_density(y, shape)))
     res = ln_T_from_table(t, 50.0)
     assert res.ln_T == pytest.approx(-43.15941059391343, rel=1e-10)
-    lq = ln_T_quadrature(BarrierQuery(50.0, 0.01, 2.0)).ln_T
+    lq = evaluate(BarrierQuery(50.0, 0.01, 2.0, "quadrature")).ln_T
     assert abs(res.ln_T - lq) < 1e-2
 
 
@@ -936,7 +950,7 @@ def test_from_table_wide_support_matches_quadrature():
     y = np.linspace(0.5, 2.0, 10001)
     t = DensityTable(y=y, density=np.exp(log_density(y, shape)))
     res = ln_T_from_table(t, 50.0)
-    lq = ln_T_quadrature(BarrierQuery(50.0, 0.01, 2.0)).ln_T
+    lq = evaluate(BarrierQuery(50.0, 0.01, 2.0, "quadrature")).ln_T
     assert res.ln_T == pytest.approx(lq, abs=1e-6)
 
 
@@ -1003,8 +1017,8 @@ def test_barrier_query_validation():
 
 
 def test_bessel_query_needs_min_A():
-    # the closed form raises RegimeError below A = 10, so the query itself
-    # is refused there, as for gamma != 1
+    # the gamma = 1 closed form needs A >= 10, so the query itself is
+    # refused below it, as for gamma != 1
     with pytest.raises(DomainError, match="A >= 10"):
         BarrierQuery(5.0, 1e-3, 1.0, method="bessel_gamma1")
     assert BarrierQuery(10.0, 1e-3, 1.0, method="bessel_gamma1").A == 10.0
