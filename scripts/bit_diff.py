@@ -18,7 +18,7 @@ that every route's blocks hold many queries:
           steepest descent;
 - steepest/edges: steepest-descent points where G underflows to 0 or
           overflows, gamma < 1 has no saddle, the saddle rounds to y = 1,
-          gamma = 1, or ln T > 0;
+          gamma = 1, ln T > 0, or ln T overflows;
 - single: the oracle points, the steepest-descent edges, and 100 points
           log-uniform over the pool's box (every fourth at gamma = 1) by
           quadrature and by steepest descent, with those of A >= 10 at
@@ -81,6 +81,7 @@ STEEPEST_EDGES = (
     (1.0, 5e-324, 0.11), (0.3, 1e-12, 2.0),        # ln T > 0
     (1.7e308, 1.0, 2.0), (1.0, 1.7e308, 0.11),     # extreme saddles
     (1e5, 1e-13, 10.0), (0.1, 1e4, 0.11),
+    (1.7e308, 1e-300, 10.0),                       # ln T overflows to +inf
 )
 # a grid that --method auto splits between the Bessel route (gamma = 1,
 # A >= 10, A^2 B >= 8) and quadrature, with points on both sides of each

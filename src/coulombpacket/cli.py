@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -32,6 +33,7 @@ from .specfun import LogMagnitude
 from .transmission import (
     _LN10,
     CHUNK,
+    METHODS,
     BarrierQuery,
     _evaluate_columns,
     evaluate_many,
@@ -107,7 +109,8 @@ def _b_values(b_min, b_max, count, spacing="log"):
 def _grid(A_vals, gammas, b_vals, methods):
     """The grid's rows as columns (A, B, gamma, method), CHUNK rows at a
     time, ordered by A, then gamma, then B, then method, built lazily once
-    the whole grid is known to be valid.
+    the whole grid is known to be valid; each method, a METHODS name, comes
+    as its index into METHODS.
 
     The check builds one query per (A, gamma, method) at the first B, plus
     one per B in the first (A, gamma) block.  It raises the error of the
@@ -122,7 +125,8 @@ def _grid(A_vals, gammas, b_vals, methods):
             for B in b_vals[1:]:
                 BarrierQuery(A, float(B), g, methods[0])
     return _grid_chunks(*(np.array(v, dtype=dtype) for v, dtype in (
-        (A_vals, float), (gammas, float), (b_vals, float), (methods, str))))
+        (A_vals, float), (gammas, float), (b_vals, float),
+        ([METHODS.index(m) for m in methods], np.intp))))
 
 
 def _grid_chunks(A_vals, gammas, b_vals, methods):
@@ -353,7 +357,10 @@ def cmd_validate(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="coulombpacket",
         description=("Tunneling probability of momentum wave packets "
@@ -413,9 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize and re-raise as code
         return int(exc.code or 0)

@@ -37,8 +37,6 @@ from .packet import (
     GAMMA_MAX,
     GAMMA_MIN,
     DensityTable,
-    PacketShape,
-    density_exponent,
     shape_constants,
 )
 from .specfun import (
@@ -53,7 +51,6 @@ __all__ = [
     "planewave_validity",
     "saddle_point_numeric",
     "saddle_point_approx",
-    "log_integrand",
     "ln_T_from_table",
     "evaluate",
     "evaluate_many",
@@ -78,10 +75,9 @@ BESSEL_MIN_A = 10.0
 _DE_FINE = 128
 _DE_HALF = int(4.5 * _DE_FINE)
 _DE_STRIDE = 16
-_DE_LEVELS = 4
 _DE_COARSE = np.arange(0, 2 * _DE_HALF + 1, _DE_STRIDE)
-# node rules; a row of the flat tables per rule
-_TANH_SINH, _EXP_SINH = 0, 1
+# node rules, as the offset of each one's row in the flat tables
+_TANH_SINH, _EXP_SINH = 0, 2 * _DE_HALF + 1
 # terms below e^-40 of their query's largest are dropped
 _DE_KEEP = 40.0
 # the move of ln T between levels at which a query stops, unless its
@@ -94,21 +90,18 @@ _ROUNDING = 4.0 * 2.0 ** -52
 # queries that evaluate_many and the CLI's sweep and ratio evaluate at a
 # time, as one block per route; bounds the memory of every route
 CHUNK = 1024
-# queries per quadrature engine call; bounds the engine's memory.  On the
-# 200-point sweeps of one gamma, blocks of 64 ran as fast with 1.8x the
-# peak memory, and blocks of 200 20% slower with 5x
-_BLOCK = 32
+# queries per quadrature engine call; bounds the engine's memory, which
+# holds every column of a pass spread over its nodes.  On the 1600-point
+# grid 16 peak at 1.43 MB, as 32 did with one column at a time; 32 now
+# run the 200-point sweeps of one gamma 6% faster with 1.8x the peak
+_BLOCK = 16
 # ln(y* - 1) of the farthest saddle that _saddle_bracket searches for
 _SADDLE_FAR = math.log(1e6)
 # (xtol, rtol, maxiter) of the saddle root in t = ln(y-1)
 _SADDLE_TOL = (1e-14, 8.9e-16, 200)
-# the routes, as method_used names them, in METHODS order; and METHODS in
-# sorted order with each one's index into METHODS, to look names up by
-# np.searchsorted
+# the routes, as method_used names them, in METHODS order
 _ROUTES = np.array(METHODS[:3])
 _QUADRATURE, _STEEPEST, _BESSEL, _AUTO = range(len(METHODS))
-_SORTED_METHODS = np.array(sorted(METHODS))
-_METHOD_INDEX = np.array([METHODS.index(m) for m in sorted(METHODS)])
 
 
 @dataclass(frozen=True)
@@ -342,18 +335,6 @@ def _head(method_used: str, gamma: float, G: float, y_num, planewave_ok):
                 y_star_numeric=y_num if y_num and y_num > 1.0 else None)
 
 
-def log_integrand(y, A: float, shape: PacketShape):
-    """The exponent h(y) = -A/y - beta (|y-1|^2/B)^(gamma/2); -inf for y <= 0."""
-    y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore"):
-        dens = density_exponent(y - 1.0, shape.beta, shape.gamma,
-                                0.5 * math.log(shape.B))
-        out = np.where(y > 0.0, -A / y - dens, -np.inf)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _de_nodes():
     """x and ln dx/dt at every fine node t of the two rules, one row of
     2 _DE_HALF + 1 nodes per rule in one flat table: tanh-sinh on (0, 1),
@@ -374,10 +355,16 @@ def _de_nodes():
 _DE_X, _DE_LN_DX = _de_nodes()
 
 
-def _coordinates(A: float, shape: PacketShape, far: bool):
-    """The three coordinates of a query's integral, each as the columns
-    (a, s, e, ln c, p, gamma p, k, ln d_max) that _log_terms takes plus
-    ln(c p), the log of its Jacobian's constant.
+# the levels of each refinement pass: 1 and 2 together, as most need both
+_DE_PASSES = [(levels, np.array(levels) - 1, _DE_STRIDE >> np.array(levels))
+              for levels in ((1, 2), (3,), (4,))]
+
+
+def _coordinates(A: float, gamma: float, B: float, beta: float, far: bool):
+    """The three coordinates of the integral of a query of packet shape
+    (gamma, B, beta), each as the columns (a, s, e, ln c, p, gamma p, k,
+    ln d_max, p - 1) that _log_terms takes plus ln(c p), the log of its
+    Jacobian's constant.
 
     Right and left of y = 1 the coordinate is q, with y = 1 +- c q^p,
     c = sqrt(B) beta^(-1/gamma) and p = max(1, 1/gamma); the left one
@@ -385,63 +372,65 @@ def _coordinates(A: float, shape: PacketShape, far: bool):
     The kernel is -A/y + A, or -A/y itself where the saddle is far
     (y* >= 2) and the mass sits where -A/y is far from -A.
     """
-    g = shape.gamma
+    g = gamma
     p = max(1.0, 1.0 / g)
-    ln_beta = math.log(shape.beta)
-    half_lnB = 0.5 * math.log(shape.B)
+    ln_beta = math.log(beta)
+    half_lnB = 0.5 * math.log(B)
     ln_c = half_lnB - ln_beta / g
     q = (ln_c, p, g if g >= 1.0 else 1.0, 0.0)
     kernel = ((-A, 1.0, 1.0), (A, -1.0, 1.0)) if far else (
         (A, 1.0, -1.0), (-A, -1.0, -1.0))
-    return ((kernel[0] + q + (math.inf,), ln_c + math.log(p)),
-            (kernel[1] + q + (-_LN2,), ln_c + math.log(p)),
-            (kernel[1] + (0.0, 1.0, g, ln_beta - g * half_lnB, 0.0), 0.0))
+    return ((kernel[0] + q + (math.inf, p - 1.0), ln_c + math.log(p)),
+            (kernel[1] + q + (-_LN2, p - 1.0), ln_c + math.log(p)),
+            (kernel[1] + (0.0, 1.0, g, ln_beta - g * half_lnB, 0.0, 0.0), 0.0))
 
 
-def _log_terms(x, c, count):
+def _log_terms(x, c):
     """ln of exp(h(y) + A) dy/dx, or of exp(h(y)) dy/dx for a far saddle,
-    at the points x, the first count[0] of them in the coordinate whose
-    columns (see _coordinates) are c[:, 0], the next count[1] in c[:, 1],
-    and so on; without the Jacobian's constant, and -inf at and beyond
-    the coordinate's end d_max.
+    at the points x, each in the coordinate whose columns (see
+    _coordinates) c holds spread over the points, one row per column;
+    without the Jacobian's constant, and -inf at and beyond the
+    coordinate's end d_max.
 
     The offset from y = 1 is d = c x^p, and the density exponent is
     exactly x^gamma (gamma >= 1) or x (gamma < 1) in q: the gamma < 1
     cusp at y = 1 becomes linear and dy/dq = c p q^(p-1) has no singular
     power.  The kernel is a/(s + d^e): -A/y + A = A d/(1 + d) right of
     y = 1 and -A d/(1 - d) left of it, which keep their relative precision
-    next to y = 1, or -A/(1 +- d).  A column is spread over its points
-    only where it is used, and the steps run in place, which keeps a
-    block's largest level to a few arrays of its size.
+    next to y = 1, or -A/(1 +- d).  The steps run in place, overwriting x
+    and c, so a level allocates no array of its size beyond those: fresh
+    pages cost more than the arithmetic.
     """
-    a, s, e, ln_c, p, gp, k, ln_end = c
+    a, s, e, ln_c, p, gp, k, ln_end, p1 = c
+    ln_x = np.log(x, out=x)
+    # the density exponent exp(gamma p ln x + k), in gp's row
+    gp *= ln_x
+    gp += k
+    np.exp(gp, out=gp)
+    ln_d = np.multiply(p, ln_x, out=k)
+    ln_d += ln_c
+    cut = ln_d >= ln_end
+    # the kernel, in e's row
+    e *= ln_d
+    np.exp(e, out=e)
+    e += s
+    np.divide(a, e, out=e)
+    e -= gp
+    # the Jacobian's power, (p - 1) ln x
+    p1 *= ln_x
+    e += p1
+    e[cut] = -np.inf
+    return e
 
-    def spread(column):
-        return column.repeat(count)
 
-    ln_x = np.log(x)
-    ln_d = spread(p) * ln_x
-    ln_d += spread(ln_c)
-    out = spread(e) * ln_d
-    np.exp(out, out=out)
-    out += spread(s)
-    np.divide(spread(a), out, out=out)
-    tmp = spread(gp) * ln_x
-    tmp += spread(k)
-    out -= np.exp(tmp, out=tmp)
-    tmp = spread(p)
-    tmp -= 1.0
-    tmp *= ln_x
-    out += tmp
-    out[~(ln_d < spread(ln_end))] = -np.inf
-    return out
-
-
-def _pieces(A: float, shape: PacketShape, ln_d):
+def _pieces(A: float, gamma: float, B: float, beta: float, y_star: float):
     """The offset of the kernel (A, or 0 for a far saddle; see
-    _coordinates) and the _PIECES rows (rule, coordinate columns, ln
-    weight, start, length) of one query's integral; ln_d is ln(y* - 1) of
-    its saddle y*, or None where it has none above y = 1.
+    _coordinates) and the _PIECES rows (coordinate columns, ln weight,
+    start, length, rule), in one flat list, of the integral of a query of
+    packet shape (gamma, B, beta) around its stationary point y_star from
+    _saddles (nan where none).  Where Brent's method found none beyond
+    y = 1 + 1e6, or G overflows, the saddle is at the large-G asymptote
+    ln(y* - 1) = ln G/(gamma + 1), taken from logs.
 
     A piece maps the nodes x of its rule to start + length x.  In q right
     of y = 1: tanh-sinh on (0, q*); for gamma >= 1 with q* < 1, tanh-sinh
@@ -455,9 +444,17 @@ def _pieces(A: float, shape: PacketShape, ln_d):
     where exp(-A/y) switches on, its nodes taken as d = 1 - y from 1 down.
     An empty piece has length 0 and start 1.
     """
+    # ln(y* - 1), or None where there is no saddle above y = 1
+    ln_d = None
+    if y_star > 1.0:
+        ln_d = math.log(y_star - 1.0)
+    else:
+        ln_G = math.log(A) + 0.5 * gamma * math.log(B) - math.log(gamma * beta)
+        if ln_G > (gamma + 1.0) * _SADDLE_FAR:
+            ln_d = ln_G / (gamma + 1.0)
     far = ln_d is not None and ln_d >= 0.0
-    (right, ln_cp), (left, _), (low, _) = _coordinates(A, shape, far)
-    g, ln_c, p = shape.gamma, right[3], right[4]
+    (right, ln_cp), (left, _), (low, _) = _coordinates(A, gamma, B, beta, far)
+    g, ln_c, p = gamma, right[3], right[4]
     q_star = 0.0
     tail = (0.0, 1.0)
     if ln_d is not None:
@@ -488,120 +485,120 @@ def _pieces(A: float, shape: PacketShape, ln_d):
              (_EXP_SINH, right) + tail,
              (near[0], left, 0.0, near[1]),
              (_TANH_SINH, low, 1.0, -0.5)]
-    return 0.0 if far else A, [
-        (rule, *cols, math.log(abs(length)) + (0.0 if cols is low else ln_cp),
-         start, length) if length else (rule, *cols, -math.inf, 1.0, 0.0)
-        for rule, cols, start, length in spans]
+    rows = []
+    for rule, cols, start, length in spans:
+        rows += cols
+        rows += (math.log(abs(length)) + (0.0 if cols is low else ln_cp),
+                 start, length, rule) if length else (
+                     -math.inf, 1.0, 0.0, rule)
+    return 0.0 if far else A, rows
 
 
 def _node_terms(cols, pieces, count, node):
     """ln of the terms, without the step, of count[i] nodes of each piece
-    pieces[i] (see _de_quadrature), in that order; node is each term's
-    index into the flat node tables."""
-    c = cols[:, pieces]
-    x = c[10].repeat(count)
+    pieces[i] (see _de_quadrature), in that order (count nodes each where
+    count is a number); node is each one's index into the node tables."""
+    # every column but the rule spread over the nodes, a row each
+    c = cols[:-1, pieces].repeat(count, axis=1)
+    x = c[11]
     x *= _DE_X[node]
-    x += c[9].repeat(count)
-    out = c[8].repeat(count)
-    out += _DE_LN_DX[node]
-    out += _log_terms(x, c[:8], count)
-    return out
+    x += c[10]
+    # the log term, then ln w + ln dx/dt, in a new array: c is freed on return
+    out = _log_terms(x, c[:9])
+    return np.add(out, np.add(c[9], _DE_LN_DX[node], out=c[9]))
 
 
-def _de_quadrature(rows, ln_scale, offset):
+def _de_quadrature(cols, ln_scale, offset):
     """ln of the integrals of a block of queries by one nested
-    double-exponential rule; _PIECES rows per query, as _pieces makes them,
-    and per query the ln_scale and offset that turn its ln integral into
-    ln T (see _rounding_floor).
+    double-exponential rule; cols holds the _PIECES rows per query that
+    _pieces makes, as columns, and ln_scale and offset list per query what
+    turns its ln integral into ln T (see _rounding_floor).
 
     Level 0 evaluates every piece at its nodes of step 1/8 and keeps, per
     piece, the nodes from the first to the last whose term exceeds
     e^-_DE_KEEP of its query's largest, and one more on each side.  Each
-    later level halves the step: it evaluates only the new midpoints inside
-    those spans, for the queries still running, in one array pass.  A
-    query stops at the first level whose ln integral moves by at most
-    _DE_TARGET from the last, or by at most its rounding floor where that
-    is larger (taken at level 0), and after _DE_LEVELS levels at the
-    latest.
-    Its sums are bincounts over its own nodes in order, so its bits do not
-    depend on what else is in the block.  The caller holds the np.errstate
+    later level halves the step: it adds the midpoints inside those spans,
+    for the queries still running; levels 1 and 2 take one array pass,
+    then 3 and 4 one each (_DE_PASSES).  A query stops at the first level
+    whose ln integral moves by at most _DE_TARGET from the last, or by at
+    most its rounding floor where that is larger (taken at level 0), and
+    after level 4 at the latest; one that stops at level 1 drops the level
+    2 terms of its pass.  Each level's sum is a bincount over the query's
+    own nodes of that level in order, so its bits depend neither on what
+    else is in the block nor on the pass.  The caller holds the np.errstate
     that silences the -inf and overflow of nodes far out on a tail.
 
     Returns per query the ln integral, its last move and whether that
     reached the query's stop.
     """
-    # each piece's row of the node tables
-    base = rows[:, 0].astype(np.intp) * (2 * _DE_HALF + 1)
-    cols = np.ascontiguousarray(rows[:, 1:].T)
-    n_piece = len(rows)
+    n_piece = cols.shape[1]
     nq = n_piece // _PIECES
     width = _DE_COARSE.size
-    terms = np.full((n_piece, width), -np.inf)
-    live = cols[10].nonzero()[0]
+    base = cols[12].astype(np.intp)
+    live = cols[11].nonzero()[0]
+    terms = np.empty((n_piece, width))
+    terms.fill(-np.inf)
     terms[live] = _node_terms(
         cols, live, width,
         (base[live, None] + _DE_COARSE).ravel()).reshape(live.size, width)
-    peak = terms.reshape(nq, -1).max(axis=1)
+    by_query = terms.reshape(nq, -1)
+    peak = by_query.max(axis=1)
     keep = terms > (peak - _DE_KEEP).repeat(_PIECES)[:, None]
-    used = keep.any(axis=1)
-    first = np.maximum(keep.argmax(axis=1) - 1, 0)
-    last = np.minimum(width - keep[:, ::-1].argmax(axis=1), width - 1)
-    span = np.where(used, last - first, 0)
-    node = np.arange(width)
-    inside = (node >= first[:, None]) & (node <= last[:, None]) & used[:, None]
-    scaled = np.where(
-        inside, np.exp(terms - peak.repeat(_PIECES)[:, None]), 0.0)
-    owner = np.arange(n_piece) // _PIECES
-    total = np.bincount(owner.repeat(width), scaled.ravel(), nq)
+    # each piece's span, the coarse steps from the node before its first
+    # kept node to the one after its last: a kept node at or after each
+    # step's right end, and one at or before its left end
+    steps = np.logical_or.accumulate(keep, axis=1)[:, 1:]
+    steps &= np.logical_or.accumulate(keep[:, ::-1], axis=1)[:, :0:-1]
+    span = steps.sum(axis=1)
+    base += _DE_STRIDE * steps.argmax(axis=1)
+    # level 0's sum over the nodes at the ends of those steps
+    inside = np.zeros(keep.shape, dtype=bool)
+    inside[:, :-1] = steps
+    inside[:, 1:] |= steps
+    scaled = by_query - peak[:, None]
+    np.exp(scaled, out=scaled)
+    total = np.where(inside.reshape(nq, -1), scaled, 0.0).cumsum(axis=1)[:, -1]
     # free level 0's arrays before the larger ones of the later levels
-    del terms, keep, inside, scaled
+    del terms, by_query, keep, steps, inside, scaled
     # each query's stop: _DE_TARGET, or the rounding floor at level 0's ln
     # integral where that is larger
     stop = np.array([max(_DE_TARGET, _rounding_floor(*v)) for v in zip(
         (peak + np.log(np.ldexp(total, -3))).tolist(), ln_scale, offset)])
 
-    base += first * _DE_STRIDE
-    move = np.full(nq, np.inf)
-    level = np.zeros(nq, dtype=np.intp)
+    move, level = np.empty(nq), np.empty(nq, dtype=np.intp)  # set by level 1
     run = np.arange(nq)
-    for lev in range(1, _DE_LEVELS + 1):
-        pieces = (run[:, None] * _PIECES + np.arange(_PIECES)).ravel()
-        count = span[pieces] << (lev - 1)
-        # the k-th new node of a piece sits at base + stride (2k + 1)
-        stride = _DE_STRIDE >> lev
-        before = count.cumsum() - count
-        node = (2 * stride * np.arange(before[-1] + count[-1])
-                + (base[pieces] + stride * (1 - 2 * before)).repeat(count))
-        q = owner[pieces].repeat(count)
-        new = np.bincount(
-            q, np.exp(_node_terms(cols, pieces, count, node) - peak[q]),
-            nq)[run]
-        prev = total[run]
-        move[run] = np.abs(np.log1p((new - prev) / (2.0 * prev)))
-        total[run] = prev + new
-        level[run] = lev
-        run = run[move[run] > stop[run]]
+    piece_of = np.arange(n_piece).reshape(nq, _PIECES)
+    for levels, shifts, strides in _DE_PASSES:
         if not run.size:
             break
+        # the running pieces once per level of the pass, and each level's
+        # new nodes after the last one's; the k-th new node of a piece sits
+        # at base + stride (2k + 1)
+        pieces = piece_of[run].ravel()
+        n_run = pieces.size
+        pieces = np.concatenate([pieces] * len(levels))
+        count = span[pieces] << shifts.repeat(n_run)
+        stride = strides.repeat(n_run)
+        before = count.cumsum()
+        ends = before[n_run - 1::n_run].tolist()
+        before -= count
+        node = np.arange(ends[-1]) * (2 * stride).repeat(count)
+        node += (base[pieces] + stride - 2 * stride * before).repeat(count)
+        terms = _node_terms(cols, pieces, count, node)
+        q = (pieces // _PIECES).repeat(count)
+        terms -= peak[q]
+        np.exp(terms, out=terms)
+        for lev, lo, hi in zip(levels, [0] + ends, ends):
+            new = np.bincount(q[lo:hi], terms[lo:hi], nq)[run]
+            prev = total[run]
+            moved = np.abs(np.log1p((new - prev) / (2.0 * prev)))
+            move[run] = moved
+            total[run] = prev + new
+            level[run] = lev
+            run = run[moved > stop[run]]
     # the step of the last level is 2^-(3 + level)
     ln_I = peak + np.log(np.ldexp(total, -3 - level))
     return ln_I, move, move <= stop
-
-
-def _saddle_offset(A: float, shape: PacketShape, y_star: float):
-    """ln(y* - 1) of a query's saddle for _pieces, or None where it has
-    none above y = 1; y_star is its stationary point as _saddles finds it,
-    nan where there is none.  Where Brent's method gave none because the
-    saddle lies beyond y = 1 + 1e6, or G overflows, it is the large-G
-    asymptote ln G/(gamma + 1), taken from logs."""
-    if y_star > 1.0:
-        return math.log(y_star - 1.0)
-    g = shape.gamma
-    ln_G = (math.log(A) + 0.5 * g * math.log(shape.B)
-            - math.log(g * shape.beta))
-    if ln_G > (g + 1.0) * _SADDLE_FAR:
-        return ln_G / (g + 1.0)
-    return None
 
 
 def _rounding_floor(ln_I, ln_scale, offset):
@@ -624,22 +621,21 @@ def _quadrature_block(A, B, gamma, consts, y_star):
     n = len(A)
     coords = A.tolist(), B.tolist(), gamma.tolist()
     offset, ln_scale, rows = [], [], []
-    ln_I, move, ok = [None] * n, [None] * n, [None] * n
+    for a, b, g, y in zip(*coords, y_star):
+        beta, ln_N = consts[g]
+        off, pieces = _pieces(a, g, b, beta, y)
+        offset.append(off)
+        ln_scale.append(ln_N - 0.5 * math.log(b))
+        rows += pieces
+    cols = np.fromiter(rows, float, len(rows)).reshape(n * _PIECES, -1).T
+    ln_I, move, ok = [], [], []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for a, b, g, y in zip(*coords, y_star):
-            be, ln_N = consts[g]
-            shape = PacketShape(gamma=g, B=b, beta=be, log_N=ln_N)
-            off, pieces = _pieces(a, shape, _saddle_offset(a, shape, y))
-            offset.append(off)
-            ln_scale.append(ln_N - 0.5 * math.log(b))
-            rows.extend(pieces)
-        rows = np.array(rows)
         for lo in range(0, n, _BLOCK):
             hi = lo + _BLOCK
-            ln_I[lo:hi], move[lo:hi], ok[lo:hi] = (
-                v.tolist() for v in _de_quadrature(
-                    rows[lo * _PIECES:hi * _PIECES], ln_scale[lo:hi],
-                    offset[lo:hi]))
+            for column, v in zip((ln_I, move, ok), _de_quadrature(
+                    cols[:, lo * _PIECES:hi * _PIECES], ln_scale[lo:hi],
+                    offset[lo:hi])):
+                column += v.tolist()
     ln_T, err, failures = [], [], {}
     for i, (a, b, g, ln_Ii, move_i, ok_i, ln_s, off) in enumerate(zip(
             *coords, ln_I, move, ok, ln_scale, offset)):
@@ -669,9 +665,11 @@ def _steepest_block(A, B, gamma, consts):
             - (gamma beta)^(1/(gamma+1)) (A^2/B)^(gamma/(2(gamma+1)))
               ((gamma+1)/gamma - G^(-1/(gamma+1)))
 
-    Always evaluable; rows with G^(1/(gamma+1)) < 5 are flagged
-    low-confidence since the expansion assumes that quantity is large, and
-    so is any ln T > 0, which no probability can reach (huge B).
+    Rows with G^(1/(gamma+1)) < 5 are flagged low-confidence since the
+    expansion assumes that quantity is large, and so is any ln T > 0, which
+    no probability can reach (huge B).  A row whose ln T leaves the double
+    range (G underflows to 0, or A^2/B overflows) is a failure that carries
+    its value: the third column, {row: message}.
 
     What numpy's array functions may round differently from math stays
     in math: the logarithms of A and B, per row, and of each gamma's
@@ -695,7 +693,11 @@ def _steepest_block(A, B, gamma, consts):
         correction = gp1 / g - np.exp(-lnG / gp1)
         ln_T = ln_pref - big * correction
         low = (np.exp(lnG / gp1) < LOW_CONFIDENCE_THRESHOLD) | (ln_T > 0.0)
-    return ln_T, low
+    failures = {i: f"steepest_descent gave ln T = {float(ln_T[i])!r} for A="
+                f"{float(A[i])}, B={float(B[i])}, gamma={float(gamma[i])}: its"
+                f" closed form leaves the double range"
+                for i in np.flatnonzero(~np.isfinite(ln_T)).tolist()}
+    return ln_T, low, failures
 
 
 def _bessel_terms(A, B, log_N):
@@ -775,7 +777,7 @@ def _routes(A, B, gamma, method):
     small, so the y < 1 misweighting stays suppressed) and takes quadrature
     everywhere else; only a column with an auto row pays for that test.
     """
-    route = _METHOD_INDEX[np.searchsorted(_SORTED_METHODS, method)]
+    route = np.asarray(method)
     if _AUTO in route.tolist():
         with np.errstate(over="ignore"):
             bessel = (gamma == 1.0) & (A >= BESSEL_MIN_A) & (A * A * B >= 8.0)
@@ -788,7 +790,7 @@ def route(query: BarrierQuery) -> str:
     """The route that evaluate, evaluate_many and the CLI send a query to
     (see _routes)."""
     code, = _routes(*np.array([[query.A], [query.B], [query.gamma]],
-                              dtype=float), [query.method])
+                              dtype=float), [METHODS.index(query.method)])
     return str(_ROUTES[code])
 
 
@@ -796,9 +798,9 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
     """Evaluate queries given as columns; the one way that any query is
     evaluated.
 
-    A, B and gamma are float arrays and method the METHODS name of each
-    row's method, each row valid as BarrierQuery checks it.  Each route
-    that _routes picks evaluates all its rows in one block: the
+    A, B and gamma are float arrays and method each row's method as its
+    index into METHODS, each row valid as BarrierQuery checks it.  Each
+    route that _routes picks evaluates all its rows in one block: the
     steepest-descent closed form in arrays, the Bessel form with one
     log_bessel_k1 call, quadrature with its per-row saddle (_saddles) and
     set-up and one engine call per _BLOCK rows.  shape_constants runs once
@@ -818,9 +820,10 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
     route = _routes(A, B, gamma, method)
     routes = set(route.tolist())
     consts = {g: shape_constants(g) for g in set(gamma.tolist())}
-    ln_T, low = np.empty(n), np.zeros(n, dtype=bool)
-    err, G, y_star = np.empty((3, n))
-    err.fill(math.nan)
+    columns = np.empty((5, n))
+    columns.fill(math.nan)
+    ln_T, err, G, y_star, asymptotic = columns
+    low = np.zeros(n, dtype=bool)
     failures = {}
 
     def rows(*codes):
@@ -831,14 +834,14 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
 
     for code in routes:
         i = rows(code)
-        failed = {}
         if code == _QUADRATURE:
             Gq, yq = _saddles(A[i], B[i], gamma[i], consts)
             G[i], y_star[i] = Gq, yq
             ln_T[i], err[i], failed = _quadrature_block(
                 A[i], B[i], gamma[i], consts, yq)
         elif code == _STEEPEST:
-            ln_T[i], low[i] = _steepest_block(A[i], B[i], gamma[i], consts)
+            ln_T[i], low[i], failed = _steepest_block(
+                A[i], B[i], gamma[i], consts)
         else:
             ln_T[i], failed = _bessel_block(A[i], B[i], consts[1.0][1])
         if failed:
@@ -849,7 +852,6 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
                              for a, b in zip(A.tolist(), B.tolist())],
             "method_used": _ROUTES[route], "failures": failures}
     if diagnostics:
-        asymptotic = np.full(n, math.nan)
         if routes - {_QUADRATURE}:
             i = rows(_STEEPEST, _BESSEL)
             G[i], y_star[i] = _saddles(A[i], B[i], gamma[i], consts)
@@ -870,10 +872,10 @@ def evaluate_many(queries) -> list:
     A query that fails gets its ConvergenceError in place of a result, so
     one failure costs the batch nothing else.  The results are a view of
     _evaluate_columns, run on CHUNK queries at a time, which bounds memory
-    on every route.  Only here are the saddle diagnostics of the
-    closed-form queries solved, one row at a time by _saddles, as the
-    quadrature queries' saddles are.  So each value is bit-identical
-    however the queries are batched or ordered.
+    on every route; evaluate's query is a chunk of one.  Only here are the
+    saddle diagnostics of the closed-form queries solved, one row at a time
+    by _saddles, as the quadrature queries' saddles are.  So each value is
+    bit-identical however the queries are batched or ordered.
     """
     queries = list(queries)
     results = []
@@ -881,8 +883,9 @@ def evaluate_many(queries) -> list:
         chunk = queries[lo:lo + CHUNK]
         A, B, gamma = np.array([(q.A, q.B, q.gamma) for q in chunk],
                                dtype=float).T
-        cols = _evaluate_columns(A, B, gamma, [q.method for q in chunk],
-                                 diagnostics=True)
+        cols = _evaluate_columns(
+            A, B, gamma, [METHODS.index(q.method) for q in chunk],
+            diagnostics=True)
         failures = cols["failures"]
         for i, (m, g, ok, ln_T, err, G, y, low, asym) in enumerate(zip(
                 cols["method_used"].tolist(), gamma.tolist(),

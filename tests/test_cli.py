@@ -126,6 +126,31 @@ def test_transmit_usage_errors_exit_2(run_cli, argv):
     assert out == ""
 
 
+def test_repeated_main_calls_give_the_first_calls_bytes(run_cli, tmp_path):
+    # main builds its parser once per process; every later call parses
+    # and prints what the first one did, usage errors and files included
+    import coulombpacket.cli as cli_mod
+
+    cli_mod.build_parser.cache_clear()
+    out = tmp_path / "s.csv"
+    argvs = [("transmit", "--A", 700, "--B", 1e-3, "--gamma", 2),
+             ("transmit", "--A", -5, "--B", 1e-4, "--gamma", 2),
+             ("transmit", "--A", 10, "--B", 1e-4, "--gamma", 2,
+              "--method", "simpson"),
+             ("sweep", "--A", 5, 700, "--gammas", 0.5, 2, "--B-min", 1e-4,
+              "--B-max", 1, "--B-count", 3, "--method", "saddle", "quad",
+              "--format", "json", "--out", out),
+             ("physical", "--Z", 1, "--mass-amu", 2, "--energy-eV", 1e4)]
+
+    def run_all():
+        runs = [run_cli(*argv) for argv in argvs]
+        return runs, out.read_bytes()
+
+    first = run_all()
+    assert run_all() == first == run_all()
+    assert cli_mod.build_parser.cache_info().misses == 1
+
+
 def test_bessel_below_min_A_is_refused_with_exit_2(run_cli, tmp_path):
     # the gamma = 1 closed form needs A >= 10; the query is refused up front
     # instead of raising out of the evaluation
@@ -784,6 +809,19 @@ def test_every_json_output_is_strict(run_cli, tmp_path, monkeypatch,
                            "--gamma", 1, "--method", "quad")
     assert code == 3
     texts.append(err.splitlines()[0])
+    # steepest descent where G underflows to 0 and ln T overflows to +inf:
+    # failure rows and a null partial result, never a bare inf
+    overflow = ("--A", 1.7e308, "--gammas", 10, "--B-min", 1e-300,
+                "--B-max", 1e-299, "--B-count", 2, "--method", "saddle")
+    sweep = tmp_path / "inf.json"
+    code, _, _ = run_cli("sweep", *overflow, "--format", "json",
+                         "--out", sweep)
+    assert code == 0
+    texts.append(sweep.read_text(encoding="utf-8"))
+    code, _, err = run_cli("transmit", "--A", 1.7e308, "--B", 1e-300,
+                           "--gamma", 10, "--method", "saddle")
+    assert code == 3
+    texts.append(err.splitlines()[0])
     _fail_above(monkeypatch, 1e-5)
     sweep = tmp_path / "s.json"
     assert _sweep(run_cli, sweep, "--format", "json")[0] == 0
@@ -792,7 +830,9 @@ def test_every_json_output_is_strict(run_cli, tmp_path, monkeypatch,
     assert code == 3
     texts.append(err.splitlines()[0])
     docs = [_strict_json(t) for t in texts]
-    assert docs[-3] == {"ln_T": None, "quad_error_ln": None}
+    assert docs[-5] == docs[-3] == {"ln_T": None, "quad_error_ln": None}
+    assert [(d["ln_T"], d["note"]) for d in docs[-4]] == [
+        (None, "no convergence; best ln_T=inf")] * 2
     assert any(d.get("note") for d in docs[-2])     # the failure rows
     assert docs[-1] == {"ln_T": -1.0, "quad_error_ln": 0.5}
 

@@ -32,7 +32,6 @@ from coulombpacket.transmission import (
     evaluate,
     evaluate_many,
     ln_T_from_table,
-    log_integrand,
     planewave_validity,
     saddle_point_approx,
     saddle_point_numeric,
@@ -254,24 +253,13 @@ def test_saddle_domain(func):
 
 # --- integrand ----------------------------------------------------------
 
-def test_log_integrand_closed_form():
-    shape = PacketShape.from_gamma(2.0, 0.1)
-    # -A/y - beta (y-1)^2/B with beta = 1/2
-    assert log_integrand(1.5, 3.0, shape) == pytest.approx(
-        -2.0 - 0.5 * 0.25 / 0.1, rel=1e-13)
-    assert log_integrand(1.0, 5.0, shape) == -5.0
-    assert log_integrand(0.0, 3.0, shape) == -math.inf
-    assert log_integrand(-2.0, 3.0, shape) == -math.inf
-    arr = log_integrand(np.array([0.5, 1.0, 2.0]), 3.0, shape)
-    assert arr.shape == (3,) and arr[1] == -3.0
-
-
 def _coordinate_exponents(A, shape, y):
     """h(y) from each engine coordinate that reaches y, in both kernel
     forms, with the coordinate's Jacobian and kernel offset taken off."""
     out = []
     for far in (False, True):
-        (right, _), (left, _), (low, _) = tr._coordinates(A, shape, far)
+        (right, _), (left, _), (low, _) = tr._coordinates(
+            A, shape.gamma, shape.B, shape.beta, far)
         offset = 0.0 if far else A
         ln_c, p = right[3], right[4]
         reach = [(low, 1.0 - y, 1.0)] if y < 1.0 else []
@@ -281,7 +269,7 @@ def _coordinate_exponents(A, shape, y):
             reach.append((cols, q, p))
         for cols, x, power in reach:
             out.append(float(tr._log_terms(np.array([x]),
-                                           np.array(cols)[:, None], [1])[0])
+                                           np.array(cols)[:, None])[0])
                        - (power - 1.0) * math.log(x) - offset)
     return out
 
@@ -293,9 +281,12 @@ def _coordinate_exponents(A, shape, y):
 def test_engine_coordinates_agree_with_log_integrand(A, B, gamma, y):
     # q right and left of y = 1 and d = 1 - y below it, in the kernel
     # forms -A/y + A and -A/y, stripped of their Jacobians and offsets,
-    # must give the exponent h(y) of the same point
+    # must give the exponent h(y) of the same point, as the independent
+    # oracle writes it
+    from brute_oracle import _h_float
+
     shape = PacketShape.from_gamma(gamma, B)
-    h = log_integrand(y, A, shape)
+    h = float(_h_float(np.array([y]), A, B, shape.beta, gamma)[0])
     exponents = _coordinate_exponents(A, shape, y)
     assert len(exponents) == (4 if 0.5 < y < 1.0 else 2)
     assert exponents == pytest.approx([h] * len(exponents), rel=1e-12)
@@ -360,6 +351,26 @@ def test_tiny_B_is_integrated():
     assert res.ln_T > -100.0
     assert res.planewave_ok is True
     assert res.method_used == "quadrature"
+
+
+@pytest.mark.parametrize("A, B, gamma, passes", [
+    (700.0, 1e-3, 2.0, 2),      # a QUAD_ORACLE point that stops at level 2
+    (20.0, 0.5, 1.2, 2),        # one that stops at level 1
+    (1e5, 1e-6, 1.5, 3),        # a QUAD_MP point that needs level 3
+])
+def test_levels_1_and_2_take_one_pass(monkeypatch, A, B, gamma, passes):
+    # the engine evaluates its node terms once for level 0, once for
+    # levels 1 and 2 together, and once for each later level
+    calls = []
+    real = tr._node_terms
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tr, "_node_terms", counting)
+    evaluate(BarrierQuery(A, B, gamma, "quadrature"))
+    assert len(calls) == passes
 
 
 def test_quadrature_failure_carries_partial_estimate(monkeypatch):
@@ -756,12 +767,11 @@ def test_failed_query_leaves_its_block_unchanged(monkeypatch):
     doomed = BarrierQuery(7.77, 1e-3, 2.0, method="quadrature")
     real = tr._log_terms
 
-    def jitter(x, c, count):
+    def jitter(x, c):
         # the doomed query's terms (its kernel's a is +-A) jitter with x,
         # so its levels never agree and it fails after the last one
-        doomed_a = np.repeat(np.abs(c[0]) == doomed.A, count)
-        return real(x, c, count) + np.where(doomed_a, 1e-3 * np.sin(1e4 * x),
-                                            0.0)
+        doomed_a = np.abs(c[0]) == doomed.A
+        return real(x, c) + np.where(doomed_a, 1e-3 * np.sin(1e4 * x), 0.0)
 
     monkeypatch.setattr(tr, "_log_terms", jitter)
     without = evaluate_many(queries)
@@ -889,7 +899,7 @@ def test_column_routes_match_route():
                if not (m == "bessel_gamma1" and (g != 1.0 or a < 10.0))]
     cols = tr._evaluate_columns(
         *np.array([(q.A, q.B, q.gamma) for q in queries]).T,
-        [q.method for q in queries])
+        [tr.METHODS.index(q.method) for q in queries])
     assert cols["method_used"].tolist() == [tr.route(q) for q in queries]
     assert {tr.route(q) for q in queries if q.method == "auto"} == {
         "quadrature", "bessel_gamma1"}
