@@ -23,10 +23,14 @@ The tasks, each split into chunks:
                column path around it is timed;
 - engine/pool: _de_quadrature alone on the arguments that each of those
                calls passes it; 100 calls per chunk;
-- engine/grid: _de_quadrature alone on the 32-query blocks of the eight
-               quadrature sweeps; the blocks of one sweep per chunk;
+- engine/grid: _de_quadrature alone on the 16-query blocks
+               (transmission._BLOCK) of the eight quadrature sweeps; the
+               blocks of one sweep per chunk;
 - sweeps:      the eight quadrature sweeps through cli.main, writing CSV
-               to a temporary file; one sweep per chunk.
+               to a temporary file; one sweep per chunk;
+- fast:        the two fast-route sweeps of the benchmark's fast_sweep
+               workload at seed FAST_SEED, each as CSV and as JSON,
+               through cli.main into a temporary file; one file per chunk.
 
 The engine's arguments are recorded by wrapping it while each tree
 evaluates the points once, so each side replays its own.  For each task
@@ -47,8 +51,10 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TASKS = ("evaluate", "columns", "engine/pool", "engine/grid", "sweeps")
+TASKS = ("evaluate", "columns", "engine/pool", "engine/grid", "sweeps",
+         "fast")
 POOL_CHUNK = 100
+FAST_SEED = 501
 
 
 def _worker(src):
@@ -85,6 +91,9 @@ def _serve(src, sweep_csv):
                for p in inputs.pool_points()]
     sweeps = [inputs.quad_sweep_argv(g, sweep_csv)
               for g in inputs.QUAD_SWEEP_GAMMAS]
+    fast = [argv + ["--format", fmt, "--out", sweep_csv]
+            for argv, _ in inputs.fast_sweep_specs(FAST_SEED)
+            for fmt in ("csv", "json")]
     tr._de_quadrature = recording
     for q in queries:
         tr.evaluate(q)
@@ -126,6 +135,7 @@ def _serve(src, sweep_csv):
                         for c in chunks(pool_calls, POOL_CHUNK)],
         "engine/grid": [(run_engine, c) for c in grid_calls],
         "sweeps": [(cli.main, argv) for argv in sweeps],
+        "fast": [(cli.main, argv) for argv in fast],
     }
     for fn, arg in (w[0] for w in work.values()):
         fn(arg)

@@ -33,9 +33,10 @@ and compares the files it writes byte for byte:
 - cli:    every fast sweep of seeds 501, 502 and 611, as CSV and as JSON;
           the eight quadrature sweeps, one per gamma; the `sweep` and
           `ratio` examples of README.md; a `--method auto` grid whose
-          rows go to both routes that auto picks, as CSV and as JSON; and
-          the standard output of `validate` and of the `transmit` example
-          of README.md (the files named *.out).
+          rows go to both routes that auto picks, as CSV and as JSON;
+          three sweeps with failure rows (FAILURE_RUNS), as CSV and as
+          JSON; and the standard output of `validate` and of the
+          `transmit` example of README.md (the files named *.out).
 
 The points come from perfbench/inputs.py, which is only read.  For each
 set the script prints how many ln_T and quad_error_ln values are
@@ -88,6 +89,22 @@ STEEPEST_EDGES = (
 AUTO_GRID = ["sweep", "--A", "5", "10", "700", "--gammas", "0.5", "1", "2",
              "--B-min", "1e-12", "--B-max", "10", "--B-count", "12",
              "--method", "auto"]
+# sweeps with failure rows: steepest descent where ln T overflows to +inf;
+# gamma = 1 where the Bessel form's K1 argument 2 sqrt(A sqrt(2/B)) would
+# overflow; and three chunks of Bessel and steepest-descent rows, 1022 to
+# an A, whose Bessel rows fail at small A^2 B, the first row of each chunk
+# among them
+FAILURE_RUNS = {
+    "saddle-inf": ["sweep", "--A", "1.7e308", "--gammas", "10", "--B-min",
+                   "1e-300", "--B-max", "1e-299", "--B-count", "2",
+                   "--method", "saddle"],
+    "bessel-overflow": ["sweep", "--A", "10", "1e300", "--gammas", "1",
+                        "--B-min", "1e-20", "--B-max", "1e-19",
+                        "--B-count", "2"],
+    "chunk-edges": ["sweep", "--A", "10", "30", "100", "--gammas", "1",
+                    "--B-min", "1e-13", "--B-max", "10", "--B-count", "511",
+                    "--method", "bessel", "saddle"],
+}
 FLOAT_FIELDS = ("ln_T", "quad_error_ln", "G", "y_star_numeric",
                 "y_star_approx", "ln_T_asymptotic")
 OTHER_FIELDS = ("planewave_ok", "low_confidence", "method_used")
@@ -155,6 +172,8 @@ def _cli_runs():
         runs[f"readme-{command}.csv"] = argv[:i] + argv[i + 2:]
     for fmt in ("csv", "json"):
         runs[f"auto.{fmt}"] = AUTO_GRID + ["--format", fmt]
+        for name, argv in FAILURE_RUNS.items():
+            runs[f"{name}.{fmt}"] = argv + ["--format", fmt]
     runs["validate.out"] = ["validate"]
     return runs
 

@@ -107,23 +107,27 @@ def _b_values(b_min, b_max, count, spacing="log"):
 
 
 def _grid(A_vals, gammas, b_vals, methods):
-    """The grid's rows as columns (A, B, gamma, method), CHUNK rows at a
-    time, ordered by A, then gamma, then B, then method, built lazily once
-    the whole grid is known to be valid; each method, a METHODS name, comes
-    as its index into METHODS.
+    """The grid's rows, CHUNK at a time, ordered by A, then gamma, then B,
+    then method, built lazily once the whole grid is known to be valid.
+    Each chunk comes as its rows' indices into the axes (A_vals, b_vals,
+    gammas), then as its columns (A, B, gamma, method), each method, a
+    METHODS name, as its index into METHODS.
 
-    The check builds one query per (A, gamma, method) at the first B, plus
-    one per B in the first (A, gamma) block.  It raises the error of the
-    grid's first invalid query, as building every query in order would,
-    because BarrierQuery checks B apart from A, gamma and method (pinned by
+    The check builds one query per (A, gamma, method) at the first B, and
+    one more only if some B fails the array test that BarrierQuery makes of
+    B (finite and positive): at the first such B in the first (A, gamma)
+    block.  It raises the error of the grid's first invalid query, as
+    building every query in order would, because BarrierQuery checks B
+    apart from A, gamma and method (pinned by
     test_query_validity_splits_into_B_and_the_rest).
     """
     for i, (A, g) in enumerate(itertools.product(A_vals, gammas)):
         for m in methods:
             BarrierQuery(A, float(b_vals[0]), g, m)
         if i == 0:
-            for B in b_vals[1:]:
-                BarrierQuery(A, float(B), g, methods[0])
+            bad = np.flatnonzero(~(np.isfinite(b_vals) & (b_vals > 0.0)))
+            if bad.size:
+                BarrierQuery(A, float(b_vals[bad[0]]), g, methods[0])
     return _grid_chunks(*(np.array(v, dtype=dtype) for v, dtype in (
         (A_vals, float), (gammas, float), (b_vals, float),
         ([METHODS.index(m) for m in methods], np.intp))))
@@ -136,19 +140,20 @@ def _grid_chunks(A_vals, gammas, b_vals, methods):
     for lo in range(0, total, CHUNK):
         a, g, b, m = np.unravel_index(np.arange(lo, min(lo + CHUNK, total)),
                                       shape)
-        yield A_vals[a], b_vals[b], gammas[g], methods[m]
+        yield (a, b, g), (A_vals[a], b_vals[b], gammas[g], methods[m])
 
 
 def _write_lines(path, lines) -> int:
-    """Write lines, strings that end in a newline, to path, all or nothing
-    when path is a regular file.
+    """Write the strings of lines, in order, to path, all or nothing when
+    path is a regular file; sweep and ratio hand it one string per chunk
+    of their grid.
 
     A path that is a regular file, or absent, gets a new file beside it
     (beside its target, if path is a symlink), which replaces it once the
-    last line is written and is removed on any failure, so it never holds a
-    partial table.  Any other path, such as a pipe or /dev/stdout, is
-    written in place.  The file is opened before the first line is asked
-    for, so an unwritable path exits 4 before any evaluation.
+    last string is written and is removed on any failure, so it never
+    holds a partial table.  Any other path, such as a pipe or /dev/stdout,
+    is written in place.  The file is opened before the first string is
+    asked for, so an unwritable path exits 4 before any evaluation.
     """
     try:
         in_place = not stat.S_ISREG(os.stat(path).st_mode)
@@ -179,60 +184,66 @@ def _write_lines(path, lines) -> int:
 
 
 def _sweep_format(json):
-    """The %-format of a sweep row that holds a result: numbers in _token's
-    format, the method as a string, and the quad_error_ln and planewave_ok
-    cells as tokens that _token made."""
+    """The %-format of a sweep row that holds a result: the A, B and gamma
+    cells as text already in _token's format, the method as a string, the
+    other numbers in _token's format, and the quad_error_ln and
+    planewave_ok cells as tokens that _token made."""
     text = '"%s"' if json else "%s"
-    cells = [_NUMBER] * 3 + [text] + [_NUMBER] * 2 + ["%s"] * 2
+    cells = ["%s"] * 3 + [text] + [_NUMBER] * 2 + ["%s"] * 2
     if json:
         return "  {" + ", ".join(
             f'"{k}": {c}' for k, c in zip(SWEEP_KEYS, cells)) + "}"
     return ",".join(cells)
 
 
-_SWEEP_FORMATS = {json: _sweep_format(json) for json in (False, True)}
+# per format: the row format, and the head, separator and tail of a table;
+# every row is a result row or a failure row, so no table is empty
+_SWEEP_TABLES = {False: (_sweep_format(False), SWEEP_HEADER + "\n", "\n",
+                         "\n"),
+                 True: (_sweep_format(True), "[\n", ",\n", "\n]\n")}
+_CELLS = 8                              # cells of a result row
+_BOOLEANS = ("false", "true")            # _token of False and True
 _RATIO_FORMAT = ",".join([_NUMBER] * 5 + ["%s"])
 
 
-def _sweep_rows(A, B, gamma, cols, json):
-    """The rendered rows, one at a time, of a chunk of grid columns and
-    their results (see _evaluate_columns).  A failed row keeps its
-    coordinates, the route and the plane-wave verdict, and notes its
-    partial ln_T."""
+def _sweep_chunk(text, idx, grid_cols, cols, json, first):
+    """The rows of a chunk of the grid as one string, each after the
+    format's separator but the table's first, from its columns grid_cols
+    (A, B, gamma, method) and their results cols (see _evaluate_columns).
+
+    text holds the A, B and gamma axes, each value formatted once per
+    sweep, and idx each row's indices into them.  Every row's cells go
+    into one flat list, a column at a time, and each run of rows that hold
+    a result is rendered by one %.  A failed row keeps its coordinates,
+    the route and the plane-wave verdict, and notes its partial ln_T.
+    """
+    fmt, _, sep, _ = _SWEEP_TABLES[json]
+    n = len(idx[0])
     ln_T, err, ok = cols["ln_T"], cols["quad_error_ln"], cols["planewave_ok"]
+    method = cols["method_used"].tolist()
+    cells = [None] * (_CELLS * n)
+    for k, (axis, i) in enumerate(zip(text, idx)):
+        cells[k::_CELLS] = axis[i].tolist()
+    cells[3::_CELLS] = method
+    cells[4::_CELLS] = ln_T.tolist()
+    cells[5::_CELLS] = (ln_T / _LN10).tolist()
     none = _token(None, json)
     # nan: the route gives no estimate
-    errs = [none if e != e else _NUMBER % e for e in err.tolist()]
-    fmt, failures = _SWEEP_FORMATS[json], cols["failures"]
-    for i, row in enumerate(zip(
-            A.tolist(), B.tolist(), gamma.tolist(),
-            cols["method_used"].tolist(), ln_T.tolist(),
-            (ln_T / _LN10).tolist(), errs, map(_token, ok))):
-        if i not in failures:
-            yield fmt % row
-            continue
-        row = (*row[:4], None, None, None, ok[i],
-               f"no convergence; best ln_T={_token(row[4])}")
-        yield ("  " + _render_json(zip(SWEEP_KEYS, row)) if json
-               else ",".join(map(_token, row)))
-
-
-def _csv_lines(header, chunks):
-    """A CSV table from chunks of rendered rows, line by line."""
-    yield header + "\n"
-    for rows in chunks:
-        for row in rows:
-            yield row + "\n"
-
-
-def _json_lines(chunks):
-    """A JSON array from chunks of rendered rows, one row object per line."""
-    sep = "[\n"
-    for rows in chunks:
-        for row in rows:
-            yield sep + row
-            sep = ",\n"
-    yield "[\n]\n" if sep == "[\n" else "\n]\n"
+    cells[6::_CELLS] = [none if e != e else _NUMBER % e for e in err.tolist()]
+    cells[7::_CELLS] = map(_BOOLEANS.__getitem__, ok)
+    rows, lo = [] if first else [""], 0
+    for i in sorted(cols["failures"]) + [n]:
+        if lo < i:
+            rows.append(sep.join([fmt] * (i - lo))
+                        % tuple(cells[_CELLS * lo:_CELLS * i]))
+        if i < n:
+            row = (*(float(c[i]) for c in grid_cols[:3]), method[i], None,
+                   None, None, ok[i],
+                   f"no convergence; best ln_T={_token(float(ln_T[i]))}")
+            rows.append("  " + _render_json(zip(SWEEP_KEYS, row)) if json
+                        else ",".join(map(_token, row)))
+        lo = i + 1
+    return sep.join(rows)
 
 
 def cmd_transmit(args) -> int:
@@ -254,8 +265,9 @@ def cmd_transmit(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Write the grid as CSV or JSON: each chunk of CHUNK rows is evaluated
-    as columns, and its rows rendered and written, before the next chunk is
-    built, and --out appears only once complete (see _write_lines)."""
+    as columns, rendered as one string (_sweep_chunk) and written before
+    the next chunk is built, and --out appears only once complete (see
+    _write_lines)."""
     try:
         b_vals = _b_values(args.B_min, args.B_max, args.B_count,
                            args.B_spacing)
@@ -265,16 +277,25 @@ def cmd_sweep(args) -> int:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return 2
     json = args.format == "json"
-    chunks = (_sweep_rows(A, B, g, _evaluate_columns(A, B, g, m), json)
-              for A, B, g, m in grid)
-    return _write_lines(args.out, _json_lines(chunks) if json
-                        else _csv_lines(SWEEP_HEADER, chunks))
+    _, head, _, tail = _SWEEP_TABLES[json]
+    text = [np.array([_NUMBER % v for v in axis], dtype=object)
+            for axis in (args.A, b_vals.tolist(), args.gammas)]
+
+    def lines():
+        yield head
+        for k, (idx, grid_cols) in enumerate(grid):
+            cols = _evaluate_columns(*grid_cols)
+            yield _sweep_chunk(text, idx, grid_cols, cols, json, k == 0)
+        yield tail
+
+    return _write_lines(args.out, lines())
 
 
 def cmd_ratio(args) -> int:
-    """Write the ratio table, streamed as cmd_sweep streams its grid: each
-    point's quadrature and steepest-descent rows are neighbours in the
-    grid, which may split them over two chunks."""
+    """Write the ratio table, streamed as cmd_sweep streams its grid, one
+    string per chunk: each point's quadrature and steepest-descent rows are
+    neighbours in the grid, and a point that a chunk boundary splits is
+    written with the later chunk."""
     try:
         b_vals = _b_values(args.B_min, args.B_max, args.B_count)
         grid = _grid([args.A], args.gammas, b_vals,
@@ -283,29 +304,31 @@ def cmd_ratio(args) -> int:
         print(f"invalid ratio study: {exc}", file=sys.stderr)
         return 2
 
-    def results():
-        # (A, B, gamma, ln_T, failed) of each row in grid order
-        for A, B, g, m in grid:
+    def row(A, B, g, ln_q, fail_q, ln_s, fail_s):
+        if fail_q or fail_s:
+            return ",".join(map(_token, (A, B, g, None, None, None,
+                                         "no convergence")))
+        # R can under/overflow a float; render via its log instead.
+        # 11 decimals = 12 significant digits, same as _token.
+        return _RATIO_FORMAT % (A, B, g, ln_q, ln_s, LogMagnitude(
+            ln_s - ln_q).scientific(11))
+
+    def lines():
+        yield RATIO_HEADER + "\n"
+        # (A, B, gamma, ln_T, failed) of each row not yet written
+        rows = []
+        for _, (A, B, g, m) in grid:
             cols = _evaluate_columns(A, B, g, m)
             failed = np.zeros(len(A), dtype=bool)
             failed[list(cols["failures"])] = True
-            yield from zip(A.tolist(), B.tolist(), g.tolist(),
-                           cols["ln_T"].tolist(), failed.tolist())
+            rows += zip(A.tolist(), B.tolist(), g.tolist(),
+                        cols["ln_T"].tolist(), failed.tolist())
+            done = len(rows) // 2 * 2
+            yield "".join(row(*q, *s[3:]) + "\n" for q, s in zip(
+                rows[0:done:2], rows[1:done:2]))
+            del rows[:done]
 
-    def rows():
-        rows = results()
-        for (A, B, g, ln_q, fail_q), (_, _, _, ln_s, fail_s) in zip(rows,
-                                                                      rows):
-            if fail_q or fail_s:
-                yield ",".join(map(_token, (A, B, g, None, None, None,
-                                            "no convergence")))
-            else:
-                # R can under/overflow a float; render via its log instead.
-                # 11 decimals = 12 significant digits, same as _token.
-                yield _RATIO_FORMAT % (A, B, g, ln_q, ln_s, LogMagnitude(
-                    ln_s - ln_q).scientific(11))
-
-    return _write_lines(args.out, _csv_lines(RATIO_HEADER, [rows()]))
+    return _write_lines(args.out, lines())
 
 
 def cmd_from_table(args) -> int:

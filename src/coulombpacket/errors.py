@@ -24,8 +24,8 @@ class RegimeError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An evaluation gave no valid result: quadrature did not reach its
-    tolerance, a route gave ln T above 0, which no probability reaches, or
-    the Bessel form's K1 argument overflowed.
+    tolerance, or a route gave ln T above 0, which no probability reaches,
+    or outside the double range.
 
     Attributes
     ----------

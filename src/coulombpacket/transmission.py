@@ -702,7 +702,7 @@ def _steepest_block(A, B, gamma, consts):
 
 def _bessel_terms(A, B, log_N):
     """(ln of the prefactor, argument z of K1) of the exact gamma = 1
-    closed form at each row, in math; log_N is ln N at gamma = 1.
+    closed form at each row, as arrays; log_N is ln N at gamma = 1.
 
     With the two-sided exponential density and |y-1| -> y-1 (the mass this
     misweights at y < 1 is killed by exp(-A/y) when A^2 B is not small),
@@ -711,34 +711,39 @@ def _bessel_terms(A, B, log_N):
         xi = A,  eta = sqrt(2/B).
 
     The large-argument form of K1 gives the diagnostic ln_T_asymptotic.
-    z is inf where xi eta overflows."""
-    ln_common, z = [], []
-    for a, b in zip(A.tolist(), B.tolist()):
-        eta = math.sqrt(2.0 / b)
-        z.append(2.0 * math.sqrt(a * eta))
-        ln_common.append(log_N - 0.5 * math.log(b) + eta + math.log(2.0)
-                         + 0.5 * (math.log(a) - math.log(eta)))
-    return ln_common, z
+    Square roots and arithmetic run in arrays, which round them as math
+    does; the logarithms, which numpy may round differently, stay in math.
+    Where 2/B overflows, eta is sqrt(2)/sqrt(B), and where xi eta does, z is
+    2 sqrt(xi) sqrt(eta), so both are finite on every valid row."""
+    # as A >= 10, max(A) 2/min(B) bounds every 2/B and every A eta; only
+    # a block where that overflows pays for the errstate and split forms
+    if float(A.max()) * (2.0 / float(B.min())) < math.inf:
+        eta = np.sqrt(2.0 / B)
+        z = 2.0 * np.sqrt(A * eta)
+    else:
+        with np.errstate(over="ignore"):
+            eta = np.sqrt(2.0 / B)
+            wide = eta == math.inf
+            eta[wide] = math.sqrt(2.0) / np.sqrt(B[wide])
+            z = 2.0 * np.sqrt(A * eta)
+        wide = z == math.inf
+        z[wide] = 2.0 * np.sqrt(A[wide]) * np.sqrt(eta[wide])
+    ln_A, ln_B, ln_eta = (np.array([math.log(v) for v in col.tolist()])
+                          for col in (A, B, eta))
+    return log_N - 0.5 * ln_B + eta + _LN2 + 0.5 * (ln_A - ln_eta), z
 
 
 def _bessel_block(A, B, log_N):
     """The gamma = 1 closed form (_bessel_terms) of each row, with one
     log_bessel_k1 call for all of them, and the failures {row: message}:
     a value above 0, which no probability reaches (the replacement
-    overestimates at A^2 B << 1), is a failure that carries it, and a row
-    whose K1 argument overflows is a failure with ln T nan."""
+    overestimates at A^2 B << 1), is a failure that carries it."""
     ln_common, z = _bessel_terms(A, B, log_N)
-    ln_T, z = np.array(ln_common), np.array(z)
-    fits = z < math.inf
-    ln_T[~fits] = math.nan
-    if fits.any():
-        ln_T[fits] += log_bessel_k1(z[fits])
+    ln_T = ln_common + log_bessel_k1(z)
     failures = {
         i: (f"bessel_gamma1 gave ln T = {float(ln_T[i])!r} > 0 for "
             f"A={float(A[i])}, B={float(B[i])}: its |y-1| -> y-1 "
-            f"replacement fails at small A^2 B" if fits[i] else
-            f"bessel_gamma1 cannot evaluate A={float(A[i])}, "
-            f"B={float(B[i])}: its K1 argument overflows")
+            f"replacement fails at small A^2 B")
         for i in np.flatnonzero(~(ln_T <= 0.0)).tolist()}
     return ln_T, failures
 
@@ -859,8 +864,7 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
             i = rows(_BESSEL)
             ln_common, z = _bessel_terms(A[i], B[i], consts[1.0][1])
             asymptotic[i] = [c + log_bessel_k1_asymptotic(zi)
-                             if zi < math.inf else math.nan
-                             for c, zi in zip(ln_common, z)]
+                             for c, zi in zip(ln_common.tolist(), z.tolist())]
         cols.update(G=G, y_star=y_star, low_confidence=low,
                     ln_T_asymptotic=asymptotic)
     return cols

@@ -215,36 +215,51 @@ def test_bessel_above_zero_exits_3_with_its_value(run_cli, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--A", 1e300, "--B", 1e-20, "--gamma", 1),
-    ("--A", 10, "--B", 5e-324, "--gamma", 1, "--method", "bessel")])
+    ("--A", 10, "--B", 5e-324, "--gamma", 1, "--method", "bessel"),
+    ("--A", 1e150, "--B", 5e-324, "--gamma", 1, "--method", "bessel")])
 def test_bessel_overflow_exits_3(run_cli, argv):
-    # 2 sqrt(A sqrt(2/B)) overflows: a failure of this query, where a
-    # traceback ended the command
+    # 2/B overflows, and A sqrt(2/B) too at A = 1e150, so the K1 argument
+    # 2 sqrt(A sqrt(2/B)) is taken from split square roots; these queries
+    # fail only as ln T > 0, carrying brute_oracle's value
+    from brute_oracle import mp_ln_T_bessel
+
     code, out, err = run_cli("transmit", *argv)
     assert (code, out) == (3, "")
     first, second = err.splitlines()
-    assert _strict_json(first) == {"ln_T": None, "quad_error_ln": None}
-    assert second.startswith("no convergence: bessel_gamma1")
-    assert "overflows" in second
+    partial = _strict_json(first)
+    assert partial["quad_error_ln"] is None
+    assert partial["ln_T"] == pytest.approx(mp_ln_T_bessel(argv[1], 5e-324),
+                                            rel=1e-11)
+    assert second.startswith("no convergence: bessel_gamma1 gave ln T = ")
+    assert "> 0" in second
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_bessel_overflow_is_a_sweep_failure_row(run_cli, tmp_path, fmt):
+    # where 2/B or A sqrt(2/B) overflows, a Bessel row has its value: a
+    # failure row that notes it where it exceeds 0 (A = 10), a result row
+    # where it does not (A = 1e300); every row matches brute_oracle
+    from brute_oracle import mp_ln_T_bessel
+
     out = tmp_path / f"s.{fmt}"
     assert run_cli("sweep", "--A", 10, 1e300, "--gammas", 1, "--B-min",
-                   1e-20, "--B-max", 1e-19, "--B-count", 2, "--format", fmt,
+                   5e-324, "--B-max", 1e-20, "--B-count", 2, "--B-spacing",
+                   "linear", "--method", "bessel", "--format", fmt,
                    "--out", out) == (0, "", "")
     if fmt == "json":
         rows = [[d[k] for k in SWEEP_KEYS if k in d]
                 for d in _strict_json(out.read_text(encoding="utf-8"))]
     else:
         rows = _csv_rows(out)[1:]
-    assert [row[3] for row in rows] == ["quadrature"] * 2 + [
-        "bessel_gamma1"] * 2
-    for row in rows[:2]:
-        assert len(row) == 8 and float(row[4]) == pytest.approx(-10.0)
-    for row in rows[2:]:
-        assert row[-1] == "no convergence; best ln_T=nan"
+    assert [float(row[1]) for row in rows] == [5e-324, 1e-20] * 2
+    assert [row[3] for row in rows] == ["bessel_gamma1"] * 4
+    for A, row in zip((10, 10, 1e300, 1e300), rows):
+        mp = mp_ln_T_bessel(A, float(row[1]))
+        if A == 10:
+            assert row[-1] == f"no convergence; best ln_T={mp:.11e}"
+        else:
+            assert len(row) == 8 and float(row[4]) == pytest.approx(
+                mp, rel=1e-11)
 
 
 # --- sweep ----------------------------------------------------------------
@@ -547,7 +562,7 @@ def _sweep_through_results(A_vals, gammas, b_vals, methods, json):
 @pytest.mark.parametrize("forced", [False, True])
 def test_columns_render_as_evaluate_many_results(run_cli, tmp_path,
                                                  monkeypatch, forced):
-    # the chunk's columns, rendered one format per row, give the bytes of
+    # the chunk's columns, rendered one % per run of rows, give the bytes of
     # rendering each result through _token, at any chunk size
     import coulombpacket.cli as cli_mod
     if forced:
@@ -570,26 +585,82 @@ def test_columns_render_as_evaluate_many_results(run_cli, tmp_path,
                     methods, fmt, chunk)
 
 
-def test_sweep_memory_does_not_grow_with_the_grid(run_cli, tmp_path):
+def test_sweep_memory_does_not_grow_with_the_grid(run_cli, tmp_path,
+                                                  monkeypatch):
     # rows are evaluated, rendered and written a chunk at a time, so a
-    # grid 4x larger needs about the same memory
-    def peak(A_vals, count):
+    # grid 4x (8x for ratio) larger needs about the same memory.  For
+    # ratio, whose quadrature rows are slow under tracemalloc, every row
+    # is evaluated by steepest descent: the table is what is measured
+    import coulombpacket.cli as cli_mod
+
+    def peak(*argv):
         out = tmp_path / "m.csv"
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        assert run_cli("sweep", "--A", *A_vals, "--gammas", 2,
-                       "--B-min", 1e-3, "--B-max", 10, "--B-count", count,
-                       "--method", "saddle", "--out", out)[0] == 0
+        assert run_cli(*argv, "--B-min", 1e-3, "--B-max", 10,
+                       "--out", out)[0] == 0
         return tracemalloc.get_traced_memory()[1] - start
 
-    peak((10,), 50)                             # warm caches, untraced
+    def sweep(A_vals, count):
+        return peak("sweep", "--A", *A_vals, "--gammas", 2, "--B-count",
+                    count, "--method", "saddle")
+
+    def ratio(gammas, count):
+        return peak("ratio", "--gammas", *gammas, "--B-count", count)
+
+    real = cli_mod._evaluate_columns
+    monkeypatch.setattr(cli_mod, "_evaluate_columns", lambda A, B, g, m: real(
+        A, B, g, np.full_like(m, tr.METHODS.index("steepest_descent"))))
+    sweep((10,), 50)                            # warm caches, untraced
+    ratio((2,), 10)
     tracemalloc.start()
     try:
-        small = peak((10, 100), 1000)               # 2000 rows
-        large = peak((10, 100, 300, 700), 2000)     # 8000 rows
+        small = sweep((10, 100), 1000)              # 2000 rows
+        large = sweep((10, 100, 300, 700), 2000)    # 8000 rows
+        ratio_small = ratio((2,), 1000)             # 2000 rows
+        ratio_large = ratio((1.5, 2, 3, 4), 2000)   # 16000 rows
     finally:
         tracemalloc.stop()
     assert large < 1.5 * small, (small, large)
+    assert ratio_large < 1.5 * ratio_small, (ratio_small, ratio_large)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_writes_one_string_per_chunk(run_cli, tmp_path, monkeypatch,
+                                           fmt):
+    # each chunk's rows reach _write_lines as one string, after the
+    # table's head and before its tail; ratio writes one per chunk too,
+    # each with the points that its chunk completes
+    import coulombpacket.cli as cli_mod
+    real, handed = cli_mod._write_lines, []
+
+    def recording(path, lines):
+        def record():
+            for line in lines:
+                handed.append(line)
+                yield line
+        return real(path, record())
+
+    monkeypatch.setattr(cli_mod, "_write_lines", recording)
+    out = tmp_path / f"s.{fmt}"
+    rows = 2 * cli_mod.CHUNK + 1
+    assert run_cli("sweep", "--A", 10, "--gammas", 2, "--B-min", 1e-3,
+                   "--B-max", 10, "--B-count", rows, "--method", "saddle",
+                   "--format", fmt, "--out", out) == (0, "", "")
+    assert "".join(handed) == out.read_text(encoding="utf-8")
+    head, *chunks, tail = handed
+    assert (head, tail) == (("[\n", "\n]\n") if fmt == "json"
+                            else (SWEEP_HEADER + "\n", "\n"))
+    assert [c.count("steepest_descent") for c in chunks] == [
+        cli_mod.CHUNK, cli_mod.CHUNK, 1]
+    if fmt == "csv":
+        handed.clear()
+        monkeypatch.setattr(cli_mod, "CHUNK", 5)
+        assert run_cli("ratio", "--gammas", 2, "--B-count", 5,
+                       "--out", out) == (0, "", "")
+        assert "".join(handed) == out.read_text(encoding="utf-8")
+        assert handed[0] == RATIO_HEADER + "\n"
+        assert [c.count("\n") for c in handed[1:]] == [2, 3]
 
 
 @pytest.mark.parametrize("argv, extra", [

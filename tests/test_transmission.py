@@ -864,22 +864,30 @@ def test_bessel_above_zero_is_a_failure():
 
 
 def test_bessel_overflow_fails_only_its_row():
-    # the K1 argument 2 sqrt(A sqrt(2/B)) overflows at huge A or tiny B;
-    # such a row fails on its own, and the batch's other rows keep the bits
-    # they have alone
+    # the K1 argument 2 sqrt(A sqrt(2/B)) is taken from split square roots
+    # where 2/B or A sqrt(2/B) overflows: auto at (1e300, 1e-20) gets its
+    # value, and (10, 5e-324) fails only as ln T > 0, carrying its value;
+    # both match brute_oracle.  Each row keeps the bits it has alone
+    from brute_oracle import mp_ln_T_bessel
+
     good = [BarrierQuery(700.0, 1e-3, 1.0, "bessel_gamma1"),
             BarrierQuery(100.0, 0.01, 1.0, "bessel_gamma1")]
-    bad = [BarrierQuery(1e300, 1e-20, 1.0),           # auto picks bessel
-           BarrierQuery(10.0, 5e-324, 1.0, "bessel_gamma1")]
-    results = evaluate_many([good[0], bad[0], good[1], bad[1]])
+    edge = [BarrierQuery(1e300, 1e-20, 1.0),          # auto picks bessel
+            BarrierQuery(10.0, 5e-324, 1.0, "bessel_gamma1")]
+    results = evaluate_many([good[0], edge[0], good[1], edge[1]])
     for q, r in zip(good, results[::2]):
         assert r == evaluate(q)
-    for q, r in zip(bad, results[1::2]):
-        assert isinstance(r, ConvergenceError)
-        assert "K1 argument overflows" in str(r)
-        assert math.isnan(r.ln_T) and r.quad_error_ln is None
-        with pytest.raises(ConvergenceError, match="overflows"):
-            evaluate(q)
+    huge, tiny = results[1::2]
+    assert huge == evaluate(edge[0])
+    assert huge.method_used == "bessel_gamma1"
+    assert huge.ln_T == pytest.approx(mp_ln_T_bessel(1e300, 1e-20), rel=1e-12)
+    assert huge.ln_T_asymptotic == pytest.approx(huge.ln_T, rel=1e-12)
+    assert isinstance(tiny, ConvergenceError) and "> 0" in str(tiny)
+    assert tiny.ln_T == pytest.approx(mp_ln_T_bessel(10.0, 5e-324), rel=1e-12)
+    assert tiny.quad_error_ln is None
+    with pytest.raises(ConvergenceError) as alone:
+        evaluate(edge[1])
+    assert alone.value.ln_T == tiny.ln_T
 
 
 def test_column_routes_match_route():
