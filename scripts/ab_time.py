@@ -30,7 +30,11 @@ The tasks, each split into chunks:
                to a temporary file; one sweep per chunk;
 - fast:        the two fast-route sweeps of the benchmark's fast_sweep
                workload at seed FAST_SEED, each as CSV and as JSON,
-               through cli.main into a temporary file; one file per chunk.
+               through cli.main into a temporary file; one file per chunk;
+- many/steepest: evaluate_many on 3000 steepest-descent queries
+               log-uniform over the pool's box (gamma != 1), whose
+               results carry each row's saddle y*; 1000 queries per call
+               and chunk.
 
 The engine's arguments are recorded by wrapping it while each tree
 evaluates the points once, so each side replays its own.  For each task
@@ -52,9 +56,12 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TASKS = ("evaluate", "columns", "engine/pool", "engine/grid", "sweeps",
-         "fast")
+         "fast", "many/steepest")
 POOL_CHUNK = 100
 FAST_SEED = 501
+STEEPEST_SEED = 20261021
+STEEPEST_SIZE = 3000
+STEEPEST_CHUNK = 1000
 
 
 def _worker(src):
@@ -94,6 +101,12 @@ def _serve(src, sweep_csv):
     fast = [argv + ["--format", fmt, "--out", sweep_csv]
             for argv, _ in inputs.fast_sweep_specs(FAST_SEED)
             for fmt in ("csv", "json")]
+    rng = np.random.default_rng(STEEPEST_SEED)
+    box = [np.exp(rng.uniform(np.log(lo), np.log(hi), STEEPEST_SIZE))
+           for lo, hi in (inputs.POOL_BOX[k] for k in ("A", "B", "gamma"))]
+    steepest = [tr.BarrierQuery(float(A), float(B), float(g),
+                                "steepest_descent")
+                for A, B, g in zip(*box) if g != 1.0]
     tr._de_quadrature = recording
     for q in queries:
         tr.evaluate(q)
@@ -136,6 +149,8 @@ def _serve(src, sweep_csv):
         "engine/grid": [(run_engine, c) for c in grid_calls],
         "sweeps": [(cli.main, argv) for argv in sweeps],
         "fast": [(cli.main, argv) for argv in fast],
+        "many/steepest": [(tr.evaluate_many, c)
+                          for c in chunks(steepest, STEEPEST_CHUNK)],
     }
     for fn, arg in (w[0] for w in work.values()):
         fn(arg)
@@ -198,11 +213,11 @@ def main(argv=None):
         for p in procs:
             p.stdin.close()
             p.wait()
-    print(f"{'task':12s} {'chunks':>6s}  {'base ms':>9s} {'new ms':>9s}  "
+    print(f"{'task':13s} {'chunks':>6s}  {'base ms':>9s} {'new ms':>9s}  "
           f"{'ratio':>6s} {'q1':>6s} {'q3':>6s}")
     for task, (base, new) in times.items():
         q1, ratio, q3 = _quartiles([n / b for b, n in zip(base, new)])
-        print(f"{task:12s} {len(base):6d}  {1e3 * statistics.median(base):9.3f} "
+        print(f"{task:13s} {len(base):6d}  {1e3 * statistics.median(base):9.3f} "
               f"{1e3 * statistics.median(new):9.3f}  {ratio:6.3f} "
               f"{q1:6.3f} {q3:6.3f}")
     return 0

@@ -45,15 +45,20 @@ in every other field (G, both stationary points, planewave_ok,
 low_confidence, method_used and ln_T_asymptotic), and how many queries
 raised ConvergenceError on each side (a failure's partial ln_T and
 quad_error_ln are compared too).  A field that differs anywhere gets a
-line of its own.  For the `cli` set it prints "same" or "different" per
-file.  The script exits 0 when every field and every file is identical and
-1 otherwise.
+line of its own.  For each set where ln_T moved it then prints how many
+values moved, the largest |delta ln_T| over the larger of the two sides'
+quad_error_ln (at most 1 means every move is within both estimates; n/a
+where a moved value has none), and the largest move of y_star_numeric in
+ulps.  For the `cli` set it prints "same" or "different" per file.  The
+script exits 0 when every field and every file is identical and 1
+otherwise.
 """
 
 import argparse
 import contextlib
 import filecmp
 import json
+import math
 import os
 import re
 import shlex
@@ -260,6 +265,31 @@ def _compare(base, new):
     return same, worst
 
 
+def _moves(name, base, new):
+    """The line that says how far ln_T moved in a set, or None where no
+    value moved: the count, the largest |delta ln_T| over the larger of
+    the two sides' quad_error_ln, and the largest y_star_numeric move."""
+    ln_T, err, y_star = (FIELDS.index(f) + 1 for f in (
+        "ln_T", "quad_error_ln", "y_star_numeric"))
+    moved, worst = 0, 0.0
+    for b, n in zip(base, new):
+        if b[ln_T] == n[ln_T]:
+            continue
+        moved += 1
+        errs = [float.fromhex(r[err]) for r in (b, n) if r[err] is not None]
+        if worst is None or None in (b[ln_T], n[ln_T]) or not errs:
+            worst = None
+            continue
+        delta = abs(float.fromhex(b[ln_T]) - float.fromhex(n[ln_T]))
+        worst = max(worst, delta / max(errs) if max(errs) else math.inf)
+    if not moved:
+        return None
+    _, y_ulp = _field(base, new, y_star, False)
+    return (f"  {name}: {moved} ln_T moved, largest |delta| / quad_error_ln "
+            f"{'n/a' if worst is None else f'{worst:.3g}'}, largest "
+            f"y_star_numeric move {'n/a' if y_ulp is None else y_ulp} ulp")
+
+
 def _field(base, new, col, exact):
     """(identical count, largest ulp difference or None) of column col."""
     b, n = [r[col] for r in base], [r[col] for r in new]
@@ -315,6 +345,10 @@ def main(argv=None):
     for name, f, same, count, worst in differing:
         print(f"  {name}: {f} identical in {same} of {count}, largest "
               f"difference {'n/a' if worst is None else f'{worst} ulp'}")
+    for name in base:
+        line = _moves(name, base[name], new[name])
+        if line:
+            print(line)
     print(f"cli: {sum(same for _, same in files)} of {len(files)} files "
           "byte-identical")
     for name, same in files:

@@ -214,8 +214,10 @@ def _sweep_chunk(text, idx, grid_cols, cols, json, first):
     text holds the A, B and gamma axes, each value formatted once per
     sweep, and idx each row's indices into them.  Every row's cells go
     into one flat list, a column at a time, and each run of rows that hold
-    a result is rendered by one %.  A failed row keeps its coordinates,
-    the route and the plane-wave verdict, and notes its partial ln_T.
+    a result is rendered by one %; where the run is the whole chunk, the
+    list is neither sliced nor kept beside the format and its output.  A
+    failed row keeps its coordinates, the route and the plane-wave
+    verdict, and notes its partial ln_T.
     """
     fmt, _, sep, _ = _SWEEP_TABLES[json]
     n = len(idx[0])
@@ -234,8 +236,14 @@ def _sweep_chunk(text, idx, grid_cols, cols, json, first):
     rows, lo = [] if first else [""], 0
     for i in sorted(cols["failures"]) + [n]:
         if lo < i:
-            rows.append(sep.join([fmt] * (i - lo))
-                        % tuple(cells[_CELLS * lo:_CELLS * i]))
+            if i - lo == n:
+                # the tuple holds every cell: drop the list before the
+                # format and its output are built
+                run = tuple(cells)
+                cells.clear()
+            else:
+                run = tuple(cells[_CELLS * lo:_CELLS * i])
+            rows.append(sep.join([fmt] * (i - lo)) % run)
         if i < n:
             row = (*(float(c[i]) for c in grid_cols[:3]), method[i], None,
                    None, None, ok[i],

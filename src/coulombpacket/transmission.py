@@ -16,7 +16,7 @@ code path ever forms T itself -- only ln T.
 Queries are evaluated as columns (_evaluate_columns), one array block per
 route (_routes); evaluate and evaluate_many, the one way to ask for ln T,
 are its view as result objects.  Every saddle y* is solved one query at a
-time by saddle_point_numeric, through _saddles.
+time by saddle_point_numeric, by Newton's method, through _saddle.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ __all__ = [
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
+# the density exponent at y = 1/2 beyond which the piece left of y = 1 is
+# exp-sinh (see _pieces)
+_LN700 = math.log(700.0)
 
 METHODS = ("quadrature", "steepest_descent", "bessel_gamma1", "auto")
 
@@ -83,8 +86,10 @@ _DE_KEEP = 40.0
 # the move of ln T between levels at which a query stops, unless its
 # rounding floor is larger
 _DE_TARGET = 1e-9
-# pieces per query (see _pieces)
+# pieces per query (see _pieces), and the (ln weight, start, length,
+# rule) of the last, tanh-sinh on y in (0, 1/2) as d = 1 - y from 1 down
 _PIECES = 5
+_LOW_PIECE = (math.log(0.5), 1.0, -0.5, _TANH_SINH)
 # the rounding floor of quad_error_ln, per unit of the magnitudes in ln T
 _ROUNDING = 4.0 * 2.0 ** -52
 # queries that evaluate_many and the CLI's sweep and ratio evaluate at a
@@ -95,10 +100,13 @@ CHUNK = 1024
 # grid 16 peak at 1.43 MB, as 32 did with one column at a time; 32 now
 # run the 200-point sweeps of one gamma 6% faster with 1.8x the peak
 _BLOCK = 16
-# ln(y* - 1) of the farthest saddle that _saddle_bracket searches for
+# ln(y* - 1) beyond which a row whose saddle is not solved (G overflows)
+# takes the large-G asymptote (see _pieces)
 _SADDLE_FAR = math.log(1e6)
-# (xtol, rtol, maxiter) of the saddle root in t = ln(y-1)
-_SADDLE_TOL = (1e-14, 8.9e-16, 200)
+# Newton steps after which the saddle solve gives up, and the step, per
+# unit of max(1, |t|), after which it stops
+_SADDLE_STEPS = 100
+_SADDLE_EPS = 2.0 ** -52
 # the routes, as method_used names them, in METHODS order
 _ROUTES = np.array(METHODS[:3])
 _QUADRATURE, _STEEPEST, _BESSEL, _AUTO = range(len(METHODS))
@@ -168,126 +176,67 @@ def _G(A: float, B: float, gamma: float, beta: float) -> float:
     return G
 
 
-def _saddle_shifted(t: float, lnG: float, gamma: float) -> float:
-    # saddle equation in t = ln(y-1):  lnG - 2 ln(1+e^t) - (gamma-1) t = 0,
-    # with ln(1+e^t) computed as np.logaddexp(0.0, t) does, in its branches
-    # and operand order, on floats
+def _saddle_shifted(t: float, lnG: float,
+                    gamma: float) -> tuple[float, float]:
+    """The saddle equation in t = ln(y-1), lnG - 2 ln(1+e^t) - (gamma-1) t,
+    and its slope -2 sigma(t) - (gamma-1), both from one e^(-|t|); the
+    first with ln(1+e^t) computed as np.logaddexp(0.0, t) does, in its
+    branches and operand order, on floats."""
     if t == 0.0:
-        ln1p_exp = _LN2
-    else:
-        ln1p_exp = max(t, 0.0) + math.log1p(math.exp(-abs(t)))
-    return lnG - 2.0 * ln1p_exp - (gamma - 1.0) * t
-
-
-def _brentq(f, xa, xb, args, xtol, rtol, maxiter):
-    """A root of f(x, *args) in the sign-changing bracket [xa, xb].
-
-    Brent's method step for step as in scipy's brentq.c: the same
-    bookkeeping (xblk, spre, scur), tolerance delta = (xtol + rtol|x|)/2
-    and interpolate/extrapolate/bisect choice, so each call returns the
-    bits scipy.optimize.brentq would.  Raises ConvergenceError after
-    maxiter steps.
-    """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = float(f(xpre, *args))
-    fcur = float(f(xcur, *args))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise DomainError(f"f({xa}) and f({xb}) must differ in sign")
-    for _ in range(maxiter):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur, *args))
-    raise ConvergenceError(f"root not found in {maxiter} iterations")
-
-
-def _saddle_bracket(G: float, gamma: float) -> tuple[float, float]:
-    """A bracket [t_lo, t_hi] of the saddle root in t = ln(y-1), gamma != 1:
-    the residual is at least 0 at t_lo and at most 0 at t_hi."""
-    lnG = math.log(G)
-    t_cap = _SADDLE_FAR  # search window (1, 1 + 1e6) in y
-    if gamma > 1.0:
-        # strictly decreasing in t
-        t_hi = max(lnG / (gamma + 1.0), 0.0) + 1.0
-        t_lo = min(lnG / (gamma + 1.0), lnG / (gamma - 1.0), 0.0) - 1.0
-    else:
-        # two branches; the upper one (local maximum of h) lies right of the
-        # critical point y_c = 2/(gamma+1)
-        t_c = math.log((1.0 - gamma) / (1.0 + gamma))
-        if _saddle_shifted(t_c, lnG, gamma) <= 0.0:
-            raise ConvergenceError(
-                f"integrand exponent has no stationary point on (1, inf) "
-                f"for G={G}, gamma={gamma}")
-        t_lo = t_c
-        t_hi = max(t_c, lnG / (gamma + 1.0)) + 1.0
-    steps = 0
-    while _saddle_shifted(t_hi, lnG, gamma) > 0.0:
-        t_hi += 2.0
-        steps += 1
-        if t_hi > t_cap or steps > 400:
-            raise ConvergenceError(
-                f"no saddle bracket below y = 1 + 1e6 (G={G}, gamma={gamma})")
-    # for gamma < 1 the residual is already positive at t_lo = t_c
-    step = 2.0
-    while _saddle_shifted(t_lo, lnG, gamma) < 0.0:
-        t_lo -= step
-        step *= 2.0
-        if t_lo < -1e8:
-            raise ConvergenceError(
-                f"saddle point indistinguishable from 1 (G={G}, gamma={gamma})")
-    return t_lo, t_hi
+        return lnG - 2.0 * _LN2 - (gamma - 1.0) * t, -gamma
+    w = math.exp(-abs(t))
+    if t > 0.0:
+        return (lnG - 2.0 * (t + math.log1p(w)) - (gamma - 1.0) * t,
+                -2.0 / (1.0 + w) - (gamma - 1.0))
+    return (lnG - 2.0 * math.log1p(w) - (gamma - 1.0) * t,
+            -2.0 * w / (1.0 + w) - (gamma - 1.0))
 
 
 def saddle_point_numeric(G: float, gamma: float) -> float:
     """The stationary point y* > 1 of the integrand exponent.
 
-    Solves G/y^2 = (y-1)^(gamma-1) in t = ln(y-1), where the equation is
-    monotone for gamma >= 1 and has a well-separated upper branch for
-    gamma < 1.  For gamma = 1 the root is sqrt(G) in closed form.
+    Solves G/y^2 = (y-1)^(gamma-1) in t = ln(y-1) by Newton's method from
+    a point right of the root: ln G/(gamma+1), or ln G/(gamma-1) where
+    G < 1, as 2 ln(1+e^t) >= max(0, 2t).  Right of the critical point t_c
+    of gamma < 1, and everywhere for gamma > 1, the residual is concave
+    and decreasing, so every step stays right of the root and decreases t.
+    The solve stops at the first step that does not, or after one that
+    moves t by at most _SADDLE_EPS max(1, |t|), which leaves y within
+    rounding of the root.  For gamma < 1 the upper branch, the local
+    maximum of h, exists only where the residual is positive at t_c.  For
+    gamma = 1 the root is sqrt(G) in closed form.  Raises ConvergenceError
+    where there is no stationary point, where it rounds to y = 1, or after
+    _SADDLE_STEPS steps.
     """
     G = require_positive("G", G)
     gamma = require_positive("gamma", gamma)
     if gamma == 1.0:
         return math.sqrt(G)
-    t_lo, t_hi = _saddle_bracket(G, gamma)
-    t_star = _brentq(_saddle_shifted, t_lo, t_hi, (math.log(G), gamma),
-                     *_SADDLE_TOL)
-    y_star = 1.0 + math.exp(t_star)
+    lnG = math.log(G)
+    if gamma < 1.0:
+        t_c = math.log((1.0 - gamma) / (1.0 + gamma))
+        if _saddle_shifted(t_c, lnG, gamma)[0] <= 0.0:
+            raise ConvergenceError(
+                f"integrand exponent has no stationary point on (1, inf) "
+                f"for G={G}, gamma={gamma}")
+    # the residual is at most ln G - max(0, 2t) - (gamma-1) t, 0 here; ln G
+    # > 0 wherever gamma < 1 has a root, as the residual at t_c < 0 is
+    # below ln G
+    t = lnG / (gamma + 1.0 if lnG >= 0.0 else gamma - 1.0)
+    for _ in range(_SADDLE_STEPS):
+        f, slope = _saddle_shifted(t, lnG, gamma)
+        step = f / slope
+        if not step > 0.0:
+            break
+        t -= step
+        # next to a root at t = 0 the rounded residual would crawl there
+        # geometrically, as its ln(1 + e^t) rounds to ln 2
+        if step <= _SADDLE_EPS * max(1.0, abs(t)):
+            break
+    else:
+        raise ConvergenceError(f"saddle point not settled in {_SADDLE_STEPS} "
+                               f"Newton steps (G={G}, gamma={gamma})")
+    y_star = 1.0 + math.exp(t)
     if y_star <= 1.0:
         raise ConvergenceError(
             f"saddle point indistinguishable from 1 (G={G}, gamma={gamma})")
@@ -301,27 +250,43 @@ def saddle_point_approx(G: float, gamma: float) -> float:
     return G ** (1.0 / (gamma + 1.0)) + (gamma - 1.0) / (gamma + 1.0)
 
 
+def _saddle(A: float, B: float, gamma: float,
+            beta: float) -> tuple[float, float]:
+    """G of one row by _G, and its stationary point y* by
+    saddle_point_numeric, nan where G is 0 or inf or the solve raises
+    ConvergenceError."""
+    G = _G(A, B, gamma, beta)
+    if 0.0 < G < math.inf:
+        try:
+            return G, saddle_point_numeric(G, gamma)
+        except ConvergenceError:
+            pass
+    return G, math.nan
+
+
 def _saddles(A, B, gamma, consts):
-    """G and the stationary point y* of each row, as lists, with beta from
-    consts[gamma]: G by _G, and y* by saddle_point_numeric, nan where G is
-    0 or inf or the solve raises ConvergenceError."""
+    """G and y* (_saddle) of each row, as lists, with beta from
+    consts[gamma]; the closed-form routes' diagnostics."""
     G, y_num = [], []
     for a, b, g in zip(A.tolist(), B.tolist(), gamma.tolist()):
-        Gi = _G(a, b, g, consts[g][0])
-        y = math.nan
-        if 0.0 < Gi < math.inf:
-            try:
-                y = saddle_point_numeric(Gi, g)
-            except ConvergenceError:
-                pass
+        Gi, y = _saddle(a, b, g, consts[g][0])
         G.append(Gi)
         y_num.append(y)
     return G, y_num
 
 
+def _shape_consts(gamma: float):
+    """The constants of a gamma that every row of it shares: beta and
+    ln N (shape_constants), ln beta, and the power p = max(1, 1/gamma) of
+    the engine's coordinate q (_coordinates) with ln p."""
+    beta, log_N = shape_constants(gamma)
+    p = max(1.0, 1.0 / gamma)
+    return beta, log_N, math.log(beta), p, math.log(p)
+
+
 def _head(method_used: str, gamma: float, G: float, y_num, planewave_ok):
     """The result fields every (A, B, gamma) route shares, from G and the
-    numeric stationary point y_num (None where unreachable), as _saddles
+    numeric stationary point y_num (None where unreachable), as _saddle
     derives them, and the plane-wave verdict.
 
     G is None when it overflows.  Results publish only stationary points
@@ -360,11 +325,11 @@ _DE_PASSES = [(levels, np.array(levels) - 1, _DE_STRIDE >> np.array(levels))
               for levels in ((1, 2), (3,), (4,))]
 
 
-def _coordinates(A: float, gamma: float, B: float, beta: float, far: bool):
+def _coordinates(A: float, gamma: float, half_lnB: float, const, far: bool):
     """The three coordinates of the integral of a query of packet shape
-    (gamma, B, beta), each as the columns (a, s, e, ln c, p, gamma p, k,
-    ln d_max, p - 1) that _log_terms takes plus ln(c p), the log of its
-    Jacobian's constant.
+    gamma, with const = _shape_consts(gamma), and (1/2) ln B = half_lnB,
+    each as the columns (a, s, e, ln c, p, gamma p, k, ln d_max, p - 1)
+    that _log_terms takes plus ln(c p), the log of its Jacobian's constant.
 
     Right and left of y = 1 the coordinate is q, with y = 1 +- c q^p,
     c = sqrt(B) beta^(-1/gamma) and p = max(1, 1/gamma); the left one
@@ -373,15 +338,13 @@ def _coordinates(A: float, gamma: float, B: float, beta: float, far: bool):
     (y* >= 2) and the mass sits where -A/y is far from -A.
     """
     g = gamma
-    p = max(1.0, 1.0 / g)
-    ln_beta = math.log(beta)
-    half_lnB = 0.5 * math.log(B)
+    _, _, ln_beta, p, ln_p = const
     ln_c = half_lnB - ln_beta / g
     q = (ln_c, p, g if g >= 1.0 else 1.0, 0.0)
     kernel = ((-A, 1.0, 1.0), (A, -1.0, 1.0)) if far else (
         (A, 1.0, -1.0), (-A, -1.0, -1.0))
-    return ((kernel[0] + q + (math.inf, p - 1.0), ln_c + math.log(p)),
-            (kernel[1] + q + (-_LN2, p - 1.0), ln_c + math.log(p)),
+    return ((kernel[0] + q + (math.inf, p - 1.0), ln_c + ln_p),
+            (kernel[1] + q + (-_LN2, p - 1.0), ln_c + ln_p),
             (kernel[1] + (0.0, 1.0, g, ln_beta - g * half_lnB, 0.0, 0.0), 0.0))
 
 
@@ -423,14 +386,16 @@ def _log_terms(x, c):
     return e
 
 
-def _pieces(A: float, gamma: float, B: float, beta: float, y_star: float):
+def _pieces(A: float, gamma: float, half_lnB: float, const, y_star: float,
+            rows: list) -> float:
     """The offset of the kernel (A, or 0 for a far saddle; see
-    _coordinates) and the _PIECES rows (coordinate columns, ln weight,
-    start, length, rule), in one flat list, of the integral of a query of
-    packet shape (gamma, B, beta) around its stationary point y_star from
-    _saddles (nan where none).  Where Brent's method found none beyond
-    y = 1 + 1e6, or G overflows, the saddle is at the large-G asymptote
-    ln(y* - 1) = ln G/(gamma + 1), taken from logs.
+    _coordinates), returned, and the _PIECES rows (coordinate columns, ln
+    weight, start, length, rule), appended flat to rows, of the integral
+    of a query of packet shape gamma (const = _shape_consts(gamma)) and
+    (1/2) ln B = half_lnB around its stationary point y_star from _saddle
+    (nan where none).  Where there is none because G overflows, the saddle
+    is at the large-G asymptote ln(y* - 1) = ln G/(gamma + 1), taken from
+    logs, when that lies beyond y = 1 + 1e6.
 
     A piece maps the nodes x of its rule to start + length x.  In q right
     of y = 1: tanh-sinh on (0, q*); for gamma >= 1 with q* < 1, tanh-sinh
@@ -438,23 +403,25 @@ def _pieces(A: float, gamma: float, B: float, beta: float, y_star: float):
     an exp-sinh tail, from q* with the curvature width of h at y* as its
     scale (at least p - 1, as the Jacobian q^(p-1) moves the peak of a
     wide gamma < 1 packet out to there), from the wall at 1 with scale
-    1/gamma, or from 0 with scale 1 where there is no saddle.  Left of y = 1: q up to y = 1/2, by
-    tanh-sinh, or by exp-sinh with scale 1 cut at y = 1/2 where the
-    density exponent there exceeds 700.  Then tanh-sinh in y on (0, 1/2),
-    where exp(-A/y) switches on, its nodes taken as d = 1 - y from 1 down.
-    An empty piece has length 0 and start 1.
+    1/gamma, or from 0 with scale 1 where there is no saddle.  Left of
+    y = 1: q up to y = 1/2, by tanh-sinh, or by exp-sinh with scale 1 cut
+    at y = 1/2 where the density exponent there exceeds 700.  Then
+    tanh-sinh in y on (0, 1/2), where exp(-A/y) switches on, its nodes
+    taken as d = 1 - y from 1 down (_LOW_PIECE).  An empty piece has
+    length 0 and start 1.
     """
     # ln(y* - 1), or None where there is no saddle above y = 1
     ln_d = None
     if y_star > 1.0:
         ln_d = math.log(y_star - 1.0)
     else:
-        ln_G = math.log(A) + 0.5 * gamma * math.log(B) - math.log(gamma * beta)
+        ln_G = math.log(A) + gamma * half_lnB - math.log(gamma * const[0])
         if ln_G > (gamma + 1.0) * _SADDLE_FAR:
             ln_d = ln_G / (gamma + 1.0)
     far = ln_d is not None and ln_d >= 0.0
-    (right, ln_cp), (left, _), (low, _) = _coordinates(A, gamma, B, beta, far)
-    g, ln_c, p = gamma, right[3], right[4]
+    (right, ln_cp), (left, _), (low, _) = _coordinates(A, gamma, half_lnB,
+                                                       const, far)
+    g, ln_c, p, ln_p = gamma, right[3], right[4], const[4]
     q_star = 0.0
     tail = (0.0, 1.0)
     if ln_d is not None:
@@ -468,30 +435,27 @@ def _pieces(A: float, gamma: float, B: float, beta: float, y_star: float):
         if curv > 0.0:
             ln_K = (math.log(A) + math.log(r) - math.log1p(math.exp(ln_d))
                     + math.log(curv))
-            tail = (q_star, max(math.exp(ln_q - math.log(p) - 0.5 * ln_K),
-                                p - 1.0))
+            tail = (q_star, max(math.exp(ln_q - ln_p - 0.5 * ln_K), p - 1.0))
         else:
             tail = (q_star, max(q_star, p - 1.0))
     wall = 1.0 - q_star if g >= 1.0 and q_star < 1.0 else 0.0
     if wall:
         tail = (1.0, 1.0 / g)
     ln_half = -_LN2 - ln_c  # q^p at y = 1/2
-    if g * ln_half > math.log(700.0):
+    if g * ln_half > _LN700:
         near = (_EXP_SINH, 1.0)
     else:
         near = (_TANH_SINH, math.exp(ln_half / p))
-    spans = [(_TANH_SINH, right, 0.0, q_star),
-             (_TANH_SINH, right, q_star, wall),
-             (_EXP_SINH, right) + tail,
-             (near[0], left, 0.0, near[1]),
-             (_TANH_SINH, low, 1.0, -0.5)]
-    rows = []
-    for rule, cols, start, length in spans:
+    for rule, cols, start, length in ((_TANH_SINH, right, 0.0, q_star),
+                                      (_TANH_SINH, right, q_star, wall),
+                                      (_EXP_SINH, right) + tail,
+                                      (near[0], left, 0.0, near[1])):
         rows += cols
-        rows += (math.log(abs(length)) + (0.0 if cols is low else ln_cp),
-                 start, length, rule) if length else (
-                     -math.inf, 1.0, 0.0, rule)
-    return 0.0 if far else A, rows
+        rows += ((math.log(length) + ln_cp, start, length, rule) if length
+                 else (-math.inf, 1.0, 0.0, rule))
+    rows += low
+    rows += _LOW_PIECE
+    return 0.0 if far else A
 
 
 def _node_terms(cols, pieces, count, node):
@@ -608,25 +572,28 @@ def _rounding_floor(ln_I, ln_scale, offset):
                         + abs(ln_scale))
 
 
-def _quadrature_block(A, B, gamma, consts, y_star):
+def _quadrature_block(A, B, gamma, consts):
     """Quadrature ln T of each row, the engine run on _BLOCK rows at a time.
 
-    Every row is set up on its own: its shape, from consts[gamma] = (beta,
-    ln N), and its pieces around its stationary point y_star, as _saddles
-    finds it.  Returns the columns ln_T and quad_error_ln, as lists, and
-    the failures, {row: message}; a failed row's ln_T and quad_error_ln
-    are its partial estimate, and the estimate is inf where nothing finite
-    is known.
+    Every row is set up on its own, in one pass: G and its stationary
+    point y* (_saddle), and its pieces around y* (_pieces), from
+    consts[gamma] = _shape_consts(gamma).  Returns the columns ln_T,
+    quad_error_ln, G and y* (nan where there is none), as lists, and the
+    failures, {row: message}; a failed row's ln_T and quad_error_ln are
+    its partial estimate, and the estimate is inf where nothing finite is
+    known.
     """
     n = len(A)
     coords = A.tolist(), B.tolist(), gamma.tolist()
-    offset, ln_scale, rows = [], [], []
-    for a, b, g, y in zip(*coords, y_star):
-        beta, ln_N = consts[g]
-        off, pieces = _pieces(a, g, b, beta, y)
-        offset.append(off)
-        ln_scale.append(ln_N - 0.5 * math.log(b))
-        rows += pieces
+    G, y_star, offset, ln_scale, rows = [], [], [], [], []
+    for a, b, g in zip(*coords):
+        const = consts[g]
+        Gi, y = _saddle(a, b, g, const[0])
+        half_lnB = 0.5 * math.log(b)
+        offset.append(_pieces(a, g, half_lnB, const, y, rows))
+        G.append(Gi)
+        y_star.append(y)
+        ln_scale.append(const[1] - half_lnB)
     cols = np.fromiter(rows, float, len(rows)).reshape(n * _PIECES, -1).T
     ln_I, move, ok = [], [], []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -653,7 +620,7 @@ def _quadrature_block(A, B, gamma, consts, y_star):
         elif ln_Ti > err_i:
             failures[i] = (f"quadrature gave ln T = {ln_Ti!r} > 0 beyond its "
                            f"error {err_i:.2e} for A={a}, B={b}, gamma={g}")
-    return ln_T, err, failures
+    return ln_T, err, G, y_star, failures
 
 
 def _steepest_block(A, B, gamma, consts):
@@ -807,9 +774,10 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
     index into METHODS, each row valid as BarrierQuery checks it.  Each
     route that _routes picks evaluates all its rows in one block: the
     steepest-descent closed form in arrays, the Bessel form with one
-    log_bessel_k1 call, quadrature with its per-row saddle (_saddles) and
-    set-up and one engine call per _BLOCK rows.  shape_constants runs once
-    per distinct gamma.
+    log_bessel_k1 call, quadrature with one pass over its rows that solves
+    each saddle and sets up its pieces, then one engine call per _BLOCK
+    rows.  _shape_consts (and so shape_constants) runs once per distinct
+    gamma.
     Every value is bit-identical however the rows are batched or ordered.
 
     Returns a dict of columns: ln_T; quad_error_ln, nan where the route
@@ -818,13 +786,13 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
     quad_error_ln hold their partial estimate.  With diagnostics, the
     fields that only a TransmissionResult publishes are added: G and
     y_star (nan where there is none; the quadrature rows' from their
-    set-up, the others' solved only here, by _saddles), low_confidence
+    set-up pass, the others' solved only here, by _saddles), low_confidence
     (steepest-descent rows) and ln_T_asymptotic (nan off the Bessel route).
     """
     n = len(A)
     route = _routes(A, B, gamma, method)
     routes = set(route.tolist())
-    consts = {g: shape_constants(g) for g in set(gamma.tolist())}
+    consts = {g: _shape_consts(g) for g in set(gamma.tolist())}
     columns = np.empty((5, n))
     columns.fill(math.nan)
     ln_T, err, G, y_star, asymptotic = columns
@@ -840,10 +808,8 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
     for code in routes:
         i = rows(code)
         if code == _QUADRATURE:
-            Gq, yq = _saddles(A[i], B[i], gamma[i], consts)
-            G[i], y_star[i] = Gq, yq
-            ln_T[i], err[i], failed = _quadrature_block(
-                A[i], B[i], gamma[i], consts, yq)
+            ln_T[i], err[i], G[i], y_star[i], failed = _quadrature_block(
+                A[i], B[i], gamma[i], consts)
         elif code == _STEEPEST:
             ln_T[i], low[i], failed = _steepest_block(
                 A[i], B[i], gamma[i], consts)
@@ -878,7 +844,7 @@ def evaluate_many(queries) -> list:
     _evaluate_columns, run on CHUNK queries at a time, which bounds memory
     on every route; evaluate's query is a chunk of one.  Only here are the
     saddle diagnostics of the closed-form queries solved, one row at a time
-    by _saddles, as the quadrature queries' saddles are.  So each value is
+    by _saddle, as the quadrature queries' saddles are.  So each value is
     bit-identical however the queries are batched or ordered.
     """
     queries = list(queries)

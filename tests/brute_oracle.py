@@ -15,6 +15,7 @@ different quadrature rules, different root finder.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -228,19 +229,29 @@ def simpson_ln_T(A, B, gamma, n_seg=2 ** 17, return_err=False):
 
 # ------------------------------------------------------------- bisection
 
+@functools.lru_cache(maxsize=4)
+def _saddle_grid(y_max):
+    """The scan grid of bisect_saddle, with 2 ln y and ln(y-1) at its
+    points; a scan then allocates two arrays of its size, not four."""
+    y = 1.0 + np.logspace(-12, math.log10(y_max), 200001)
+    with np.errstate(divide="ignore"):
+        return y, 2.0 * np.log(y), np.log(y - 1.0)
+
+
 def bisect_saddle(G, gamma, y_max=1e7, iters=220):
     """Largest root of G/y^2 = (y-1)^(gamma-1) on (1, y_max) by bisection.
 
-    Scans a fine log grid for the last sign change of
-    psi(y) = ln G - 2 ln y - (gamma-1) ln(y-1), then bisects it down to
-    double-precision width.  Returns None when no sign change exists.
+    Scans a fine log grid, y - 1 from 1e-12 to y_max, for the last sign
+    change of psi(y) = ln G - 2 ln y - (gamma-1) ln(y-1), then bisects it
+    down to double-precision width.  Returns None when no sign change
+    exists.
     """
-    y = 1.0 + np.logspace(-12, math.log10(y_max), 200001)
-
-    with np.errstate(divide="ignore"):
-        psi = math.log(G) - 2.0 * np.log(y) - (gamma - 1.0) * np.log(y - 1.0)
-    sign = np.sign(psi)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    y, two_ln_y, ln_ym1 = _saddle_grid(y_max)
+    psi = np.subtract(math.log(G), two_ln_y)
+    psi -= np.multiply(gamma - 1.0, ln_ym1)
+    # strict sign changes, as sign(psi[i]) sign(psi[i+1]) < 0 finds them
+    pos, neg = psi > 0.0, psi < 0.0
+    flips = np.nonzero((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:]))[0]
     if len(flips) == 0:
         return None
     i = flips[-1]  # upper branch = local maximum of the exponent

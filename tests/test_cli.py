@@ -1040,6 +1040,33 @@ def test_bit_diff_counts_identical_values_and_ulps():
     assert compare([(5e-324).hex()], [(-5e-324).hex()]) == (0, 2)
     assert compare([None, one], [one, one]) == (1, None)
 
+    # the line of a set whose ln_T moved: rows are [failed, *FIELDS], floats
+    # as hex; the larger quad_error_ln of the two sides scales each move
+    moves = _script("bit_diff")._moves
+
+    def row(ln_T, err, y):
+        return [False, ln_T.hex(), None if err is None else err.hex(), None,
+                None if y is None else y.hex(), None, None, True, None,
+                "quadrature"]
+
+    base = [row(-1.0, 1e-10, 2.0), row(-2.0, 1e-10, 3.0),
+            row(-3.0, 2e-10, None)]
+    new = [row(-1.0, 1e-10, 2.0), row(-2.0 + 5e-11, 2e-10, 3.0),
+           row(-3.0 - 1e-10, 1e-10, None)]
+    new[1][4] = math.nextafter(3.0, 4.0).hex()
+    new[1][4] = math.nextafter(float.fromhex(new[1][4]), 4.0).hex()
+    assert moves("grid", base, new) == (
+        "  grid: 2 ln_T moved, largest |delta| / quad_error_ln 0.5, "
+        "largest y_star_numeric move 2 ulp")
+    assert moves("grid", base, base) is None
+    # a moved value with no estimate on either side, and a y* that
+    # appears on one side only
+    new[2][2] = base[2][2] = None
+    new[0][4] = None
+    assert moves("fast", base, new) == (
+        "  fast: 2 ln_T moved, largest |delta| / quad_error_ln n/a, "
+        "largest y_star_numeric move n/a ulp")
+
 
 # --- validate ---------------------------------------------------------------
 

@@ -151,49 +151,62 @@ def test_saddle_root_satisfies_stationarity(lnG, gamma):
     assert abs(resid) <= 1e-9 + slope * 2.0 * math.ulp(y)
 
 
-def _saddle_brackets(count, gamma_lo, gamma_hi, seed):
-    """(args, t_lo, t_hi) of the saddle solve for seeded random (G, gamma)
-    with a stationary point."""
+def _saddle_samples(count, gamma_lo, gamma_hi, seed):
+    """Seeded random (G, gamma), drawn until count of them have a
+    stationary point by bisect_saddle, with those drawn between that have
+    none."""
+    from brute_oracle import bisect_saddle
+
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
+    out, found = [], 0
+    while found < count:
         lnG, gamma = rng.uniform(-8.0, 30.0), rng.uniform(gamma_lo, gamma_hi)
         G = math.exp(lnG)
-        try:
-            t_lo, t_hi = tr._saddle_bracket(G, gamma)
-        except ConvergenceError:
-            continue
-        out.append(((math.log(G), gamma), t_lo, t_hi))
+        y = bisect_saddle(G, gamma, y_max=1e13)
+        found += y is not None
+        out.append((G, gamma, y))
     return out
 
 
-def test_brentq_matches_scipy_bit_for_bit():
-    from scipy import optimize
+def test_saddle_newton_matches_bisection_oracle():
+    # y* against the independent bisection, to 1e-13 relative, and a raise
+    # exactly where it finds no root: 2000 seeded (G, gamma) with a saddle
+    # and those drawn between them without one (below gamma = 1, or y*
+    # rounds to 1); the exact root t = 0 of ln G = 2 ln 2; gamma = 1 +- 1e-6,
+    # where Newton starts far from the root or the slope is nearly flat;
+    # and ln G = +-700, saddles out to y* ~ 1e276.  The oracle scans y - 1
+    # over (1e-12, y_max); no y* here has y* - 1 below that and above 0.
+    from brute_oracle import bisect_saddle
 
-    brackets = (_saddle_brackets(1000, 0.1, 1.0, seed=31)
-                + _saddle_brackets(1000, 1.0, 10.0, seed=32))
-    # at t = 0 the residual of ln G = 2 ln 2 is exactly 0, at either end
-    zero = 2.0 * math.log(2.0)
-    brackets += [((zero, g), lo, hi) for g in (0.5, 2.0)
-                 for lo, hi in ((0.0, 1.0), (-1.0, 0.0))]
-    for args, t_lo, t_hi in brackets:
-        kw = dict(args=args, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-        ours = tr._brentq(tr._saddle_shifted, t_lo, t_hi, **kw)
-        theirs = optimize.brentq(tr._saddle_shifted, t_lo, t_hi, **kw)
-        assert ours == theirs, (args, t_lo, t_hi)
+    cases = (_saddle_samples(1000, 0.1, 1.0, seed=31)
+             + _saddle_samples(1000, 1.0, 10.0, seed=32))
+    assert sum(y is not None for _, _, y in cases) == 2000
+    edges = [(4.0, g) for g in (0.5, 2.0, 1.0 - 1e-6, 1.0 + 1e-6)]
+    edges += [(math.exp(lnG), g)
+              for g in (0.1000001, 0.11, 0.5, 0.99, 1.0 - 1e-6, 1.0 + 1e-6,
+                        1.01, 2.0, 10.0)
+              for lnG in (-700.0, -20.0, -1.0, -1e-6, 1e-6, 1.0, 30.0, 700.0)]
+    cases += [(G, g, bisect_saddle(G, g, y_max=1e300)) for G, g in edges]
+    for G, gamma, expected in cases:
+        if expected is None:
+            with pytest.raises(ConvergenceError):
+                saddle_point_numeric(G, gamma)
+        else:
+            assert saddle_point_numeric(G, gamma) == pytest.approx(
+                expected, rel=1e-13, abs=0.0), (G, gamma)
 
 
 def test_unreached_saddle_is_published_as_none(monkeypatch):
-    # with 6 steps, a saddle the solve does not reach is published as None,
-    # exactly where saddle_point_numeric raises on its own
-    monkeypatch.setattr(tr, "_SADDLE_TOL", tr._SADDLE_TOL[:2] + (6,))
+    # with 3 Newton steps, a saddle the solve does not settle is published
+    # as None, exactly where saddle_point_numeric raises on its own
+    monkeypatch.setattr(tr, "_SADDLE_STEPS", 3)
     rng = np.random.default_rng(35)
     queries = [BarrierQuery(A, B, g, "steepest_descent") for A, B, g in zip(
         np.exp(rng.uniform(math.log(1.0), math.log(1e4), 60)),
         np.exp(rng.uniform(math.log(1e-6), math.log(1.0), 60)),
         rng.uniform(0.2, 6.0, 60))]
     block = [r.y_star_numeric for r in evaluate_many(queries)]
-    assert block.count(None) > 10      # 4 at the default maxiter
+    assert block.count(None) > 10      # 42; 4 at the default cap
     alone = []
     for q in queries:
         try:
@@ -218,18 +231,8 @@ def test_saddle_residual_matches_logaddexp_form_bit_for_bit():
             with np.errstate(invalid="ignore"):
                 expected = (lnG - 2.0 * np.logaddexp(0.0, t)
                             - (gamma - 1.0) * t)
-            assert tr._saddle_shifted(t, lnG, gamma).hex() == \
+            assert tr._saddle_shifted(t, lnG, gamma)[0].hex() == \
                 float(expected).hex(), (t, lnG, gamma)
-
-
-def test_brentq_gives_up_with_convergence_error():
-    (args, t_lo, t_hi), = _saddle_brackets(1, 1.0, 10.0, seed=33)
-    with pytest.raises(ConvergenceError):
-        tr._brentq(tr._saddle_shifted, t_lo, t_hi, args=args, xtol=1e-14,
-                   rtol=8.9e-16, maxiter=2)
-    with pytest.raises(DomainError):     # no sign change in [t_hi, t_hi + 1]
-        tr._brentq(tr._saddle_shifted, t_hi, t_hi + 1.0, args=args,
-                   xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
 
 def test_saddle_point_approx_form_and_convergence():
@@ -259,7 +262,8 @@ def _coordinate_exponents(A, shape, y):
     out = []
     for far in (False, True):
         (right, _), (left, _), (low, _) = tr._coordinates(
-            A, shape.gamma, shape.B, shape.beta, far)
+            A, shape.gamma, 0.5 * math.log(shape.B),
+            tr._shape_consts(shape.gamma), far)
         offset = 0.0 if far else A
         ln_c, p = right[3], right[4]
         reach = [(low, 1.0 - y, 1.0)] if y < 1.0 else []
