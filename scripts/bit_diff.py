@@ -27,6 +27,10 @@ that every route's blocks hold many queries:
           acceptance checks take.  A raised ConvergenceError is recorded
           as evaluate_many's failures are.
 
+- moments: central_moment of order 0, 2 and 4 over MOMENT_GAMMAS x
+          MOMENT_BS, and of order 2 and 4 at MOMENT_EDGES, where the
+          moment is near or beyond the largest double.
+
 The `cli` set then runs the command line of each tree in that subprocess
 and compares the files it writes byte for byte:
 
@@ -49,14 +53,20 @@ line of its own.  For each set where ln_T moved it then prints how many
 values moved, the largest |delta ln_T| over the larger of the two sides'
 quad_error_ln (at most 1 means every move is within both estimates; n/a
 where a moved value has none), and the largest move of y_star_numeric in
-ulps.  For the `cli` set it prints "same" or "different" per file.  The
-script exits 0 when every field and every file is identical and 1
+ulps.  For the moments set it prints how many values are bit-identical,
+the largest difference in ulps and relative where both sides are finite,
+and the infinite values and failures on each side.  For the `cli` set it prints "same" or "different" per file, and
+each line that differs in a differing *.out file.  A change to
+central_moment alone moves the moments set and, through the
+packet_identities check, that line of validate.out, and nothing else.
+The script exits 0 when every field and every file is identical and 1
 otherwise.
 """
 
 import argparse
 import contextlib
 import filecmp
+import itertools
 import json
 import math
 import os
@@ -110,6 +120,12 @@ FAILURE_RUNS = {
                     "--B-min", "1e-13", "--B-max", "10", "--B-count", "511",
                     "--method", "bessel", "saddle"],
 }
+# central_moment's grid, and (gamma, B) whose moments of order 2 and 4
+# are near or beyond the largest double
+MOMENT_GAMMAS = (0.1000001, 0.11, 0.2, 0.3, 0.5, 0.7, 0.99, 1.0, 1.01, 1.5,
+                 2.0, 3.0, 4.0, 7.0, 10.0)
+MOMENT_BS = (1e-12, 1e-8, 1e-4, 1e-2, 1.0, 25.0, 1e4)
+MOMENT_EDGES = ((10.0, 1.7e308), (2.0, 1e200), (0.11, 1e300))
 FLOAT_FIELDS = ("ln_T", "quad_error_ln", "G", "y_star_numeric",
                 "y_star_approx", "ln_T_asymptotic")
 OTHER_FIELDS = ("planewave_ok", "low_confidence", "method_used")
@@ -209,6 +225,13 @@ def _worker(src, out_dir):
         except ConvergenceError as exc:
             return exc
 
+    def moment(gamma, B, k):
+        try:
+            return [False, _hex(coulombpacket.central_moment(
+                coulombpacket.PacketShape.from_gamma(gamma, B), k))]
+        except ConvergenceError:
+            return [True, None]
+
     out = {}
     for name, points in _points().items():
         queries = [BarrierQuery(A, B, g, method=m) for A, B, g, m in points]
@@ -220,6 +243,10 @@ def _worker(src, out_dir):
                      + [_hex(getattr(r, f, None)) for f in FLOAT_FIELDS]
                      + [getattr(r, f, None) for f in OTHER_FIELDS]
                      for r in results]
+    out["moments"] = (
+        [moment(g, B, k) for g in MOMENT_GAMMAS for B in MOMENT_BS
+         for k in (0, 2, 4)]
+        + [moment(g, B, k) for g, B in MOMENT_EDGES for k in (2, 4)])
     from coulombpacket.cli import main as cli_main
 
     for name, argv in _cli_runs().items():
@@ -299,6 +326,37 @@ def _field(base, new, col, exact):
     return same, 0 if same == len(b) else None
 
 
+def _moment_line(base, new):
+    """(whether the moments set is identical, the line that says how far
+    it moved): bit-identical values, the largest difference in ulps and
+    relative where both sides are finite, and the infinite values and
+    failures on each side."""
+    b, n = [r[1] for r in base], [r[1] for r in new]
+    same = sum(x == y for x, y in zip(b, n))
+    finite = [(x, y) for x, y in zip(b, n) if x != y and None not in (x, y)
+              and math.isfinite(float.fromhex(x) * float.fromhex(y))]
+    _, ulp = _compare(*zip(*finite)) if finite else (0, 0)
+    rel = max((abs(float.fromhex(y) / float.fromhex(x) - 1.0)
+               for x, y in finite), default=0.0)
+    inf = [sum(v == "inf" for v in side) for side in (b, n)]
+    failed = [sum(r[0] for r in side) for side in (base, new)]
+    # a failure is None, so a failure on one side only differs too
+    return (same == len(b),
+            f"moments: {same} of {len(b)} bit-identical, largest finite "
+            f"difference {ulp} ulp, relative {rel:.2g}; inf base/new "
+            f"{inf[0]}/{inf[1]}, failed base/new {failed[0]}/{failed[1]}")
+
+
+def _changed_lines(base_path, new_path):
+    """[(base line, new line)] of the lines that differ between two files,
+    paired in order; a missing line is empty."""
+    with open(base_path, encoding="utf-8") as fb, \
+            open(new_path, encoding="utf-8") as fn:
+        pairs = itertools.zip_longest(fb.read().splitlines(),
+                                      fn.read().splitlines(), fillvalue="")
+        return [(b, n) for b, n in pairs if b != n]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base_src", metavar="BASE_SRC")
@@ -318,6 +376,12 @@ def main(argv=None):
         files = [(name, filecmp.cmp(*(os.path.join(d, name) for d in dirs),
                                     shallow=False))
                  for name in _cli_runs()]
+        # the lines that differ in each differing standard output
+        out_lines = {name: _changed_lines(*(os.path.join(d, name)
+                                            for d in dirs))
+                     for name, same in files
+                     if name.endswith(".out") and not same}
+    moments = base.pop("moments"), new.pop("moments")
     identical = True
     differing = []
     print(f"{'set':14s} {'points':>6s}  {'ln_T same':>9s} {'max ulp':>7s}  "
@@ -349,11 +413,16 @@ def main(argv=None):
         line = _moves(name, base[name], new[name])
         if line:
             print(line)
+    same_moments, line = _moment_line(*moments)
+    identical &= same_moments
+    print(line)
     print(f"cli: {sum(same for _, same in files)} of {len(files)} files "
           "byte-identical")
     for name, same in files:
         identical &= same
         print(f"  {name:22s} {'same' if same else 'different'}")
+        for b, n in out_lines.get(name, ()):
+            print(f"    - {b}\n    + {n}")
     print("all bit-identical" if identical else "values differ")
     return 0 if identical else 1
 

@@ -17,12 +17,13 @@ from .correlation import (
     sigma_p_of_r,
 )
 from .errors import ConvergenceError, DomainError, RangeError, RegimeError
-from .packet import PacketShape, central_moment, log_density
+from .packet import PacketShape, log_density
 from .physical import BarrierScale, ParticleSpec, big_A, little_a
 from .specfun import LogMagnitude, log_bessel_k1
 from .transmission import (
     BarrierQuery,
     TransmissionResult,
+    central_moment,
     evaluate,
     evaluate_many,
     planewave_validity,

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import packet, physical
 from .errors import AcceptanceDataError
-from .packet import PacketShape, central_moment
+from .packet import PacketShape
 from .transmission import (
     BarrierQuery,
+    central_moment,
     evaluate,
     saddle_point_approx,
     saddle_point_numeric,

@@ -9,6 +9,10 @@ variance B = sigma_p/p0^2.  The two derived constants
 are fixed so that the density integrates to 1 over the whole real line and
 its second central moment equals B.  gamma = 2 is the Gaussian case
 (beta = 1/2), gamma = 1 the two-sided exponential (beta = sqrt(2)).
+
+Here are the constants, the density and tabulated densities.  The moments
+that confirm those two identities (central_moment) are integrated by the
+quadrature engine in transmission.
 """
 
 from __future__ import annotations
@@ -18,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    RangeError,
-    TableFormatError,
-    require_positive,
-)
+from .errors import RangeError, TableFormatError, require_positive
 from .specfun import log_gamma
 
 __all__ = [
@@ -34,9 +32,7 @@ __all__ = [
     "DensityTable",
     "shape_constants",
     "density_exponent",
-    "exponent_offset",
     "log_density",
-    "central_moment",
     "read_density_table",
 ]
 
@@ -120,18 +116,10 @@ def density_exponent(u, beta, gamma, half_lnB):
 
     Evaluated as beta exp(gamma (ln|u| - (1/2) ln B)), so extreme B cause
     no premature under/overflow; at u = 0, ln|u| = -inf gives exactly 0,
-    the gamma > 0 limit.  Takes floats or arrays.  Inverse of
-    exponent_offset.
+    the gamma > 0 limit.  Takes floats or arrays.
     """
     with np.errstate(divide="ignore", over="ignore"):
         return beta * np.exp(gamma * (np.log(np.abs(u)) - half_lnB))
-
-
-def exponent_offset(s, ln_beta, gamma, sqB):
-    """The offset |u| = |y - 1| at which the density exponent equals s >= 0:
-    sqrt(B) exp((ln s - ln beta) / gamma).  Inverse of density_exponent."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return sqB * np.exp((np.log(s) - ln_beta) / gamma)
 
 
 def log_density(y, shape: PacketShape):
@@ -146,99 +134,6 @@ def log_density(y, shape: PacketShape):
     if np.ndim(y) == 0:
         return float(out)
     return out
-
-
-def _moment_integrand_factory(shape: PacketShape, k: int):
-    """Smooth positive-side moment integrand in a gamma-dependent variable,
-    evaluated on an array of points > 0.
-
-    gamma < 1: substitute s = beta (|u|/sqrt(B))^gamma, which makes the
-    density exponent exactly linear and lifts the cusp at u = 0; the
-    jacobian factor s^((k+1)/gamma - 1) is then smooth (positive exponent).
-    gamma >= 1: that same factor would be singular at s = 0, but the plain
-    scaled variable w = u/sqrt(B) is already smooth, so integrate in w.
-    Either way the log density is log_N - (1/2) ln B minus the density
-    exponent of the offset u itself, not of y = 1 + u, which would round
-    away offsets below about 1e-16 next to the cusp; so the constants under
-    test are actually exercised.  A point whose log is nan or -inf (an
-    under- or overflowing offset far out on a tail) contributes 0.
-    """
-    g = shape.gamma
-    sqB = math.sqrt(shape.B)
-    ln_sqB = math.log(sqB)
-    half_lnB = 0.5 * math.log(shape.B)
-    ln_norm = shape.log_N - half_lnB
-
-    def log_density_at(u):
-        return ln_norm - density_exponent(u, shape.beta, g, half_lnB)
-
-    def finish(ln_val):
-        return np.exp(np.where(np.isnan(ln_val), -np.inf, ln_val))
-
-    if g >= 1.0:
-        def f(w):
-            u = sqB * w
-            return finish(log_density_at(u) + ln_sqB + k * np.log(u))
-
-        return f
-
-    ln_beta = math.log(shape.beta)
-    ln_du_ds_const = half_lnB - math.log(g) - ln_beta / g
-
-    def f(s):
-        u = exponent_offset(s, ln_beta, g, sqB)
-        ln_val = (log_density_at(u) + ln_du_ds_const
-                  + (1.0 / g - 1.0) * np.log(s))
-        if k:
-            ln_val = ln_val + k * np.log(u)
-        return finish(ln_val)
-
-    return f
-
-
-def _exp_sinh(f):
-    """Int_0^inf f(x) dx by the exp-sinh rule: the trapezoid rule in t on
-    f(x) dx/dt with x = exp((pi/2) sinh t), over |t| <= 4.5 (x from 2e-31
-    to 5e30; see Bailey, Jeyabalan & Li, Exp. Math. 14 (2005)).
-
-    The step starts at 1/2 and is halved, each level adding the new odd
-    nodes to the previous sum, until two successive levels agree to 1e-11
-    relative.  f takes and returns arrays.  Raises ConvergenceError if
-    they still differ at step 1/512.
-    """
-    def weighted(t):
-        x = np.exp(0.5 * np.pi * np.sinh(t))
-        return float(np.sum(f(x) * x * (0.5 * np.pi * np.cosh(t))))
-
-    h, n = 0.5, 9  # nodes t = j h for |j| <= n
-    total = weighted(np.arange(-n, n + 1) * h)
-    est = h * total
-    for _ in range(8):
-        h, n = 0.5 * h, 2 * n
-        total += weighted(np.arange(1 - n, n, 2) * h)
-        prev, est = est, h * total
-        if abs(est - prev) <= 1e-11 * abs(est):
-            return est
-    raise ConvergenceError(
-        f"exp-sinh rule failed to reach 1e-11 (last levels {prev!r}, "
-        f"{est!r})")
-
-
-def central_moment(shape: PacketShape, k: int) -> float:
-    """k-th central moment <(y-1)^k> of the packet density, k in {0,1,2,4}.
-
-    Evaluated by the exp-sinh rule (_exp_sinh) to 1e-11 relative, in the
-    substituted variable (see :func:`_moment_integrand_factory`); odd
-    moments vanish by the exact y -> 2-y symmetry of the density.
-    """
-    if k not in (0, 1, 2, 4):
-        raise DomainError(f"central moment order k={k!r} not supported")
-    if k == 1:
-        return 0.0
-    f = _moment_integrand_factory(shape, k)
-    # density mass and moments split evenly between u < 0 and u > 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return 2.0 * _exp_sinh(f)
 
 
 @dataclass(frozen=True)

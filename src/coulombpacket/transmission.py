@@ -16,7 +16,9 @@ code path ever forms T itself -- only ln T.
 Queries are evaluated as columns (_evaluate_columns), one array block per
 route (_routes); evaluate and evaluate_many, the one way to ask for ln T,
 are its view as result objects.  Every saddle y* is solved one query at a
-time by saddle_point_numeric, by Newton's method, through _saddle.
+time by saddle_point_numeric, by Newton's method, through _saddle.  The
+same quadrature engine gives the packet density's central moments
+(central_moment), with A = 0, which confirm its normalisation and variance.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .packet import (
     GAMMA_MAX,
     GAMMA_MIN,
     DensityTable,
+    PacketShape,
     shape_constants,
 )
 from .specfun import (
@@ -52,6 +55,7 @@ __all__ = [
     "saddle_point_numeric",
     "saddle_point_approx",
     "ln_T_from_table",
+    "central_moment",
     "evaluate",
     "evaluate_many",
     "route",
@@ -476,7 +480,8 @@ def _de_quadrature(cols, ln_scale, offset):
     """ln of the integrals of a block of queries by one nested
     double-exponential rule; cols holds the _PIECES rows per query that
     _pieces makes, as columns, and ln_scale and offset list per query what
-    turns its ln integral into ln T (see _rounding_floor).
+    turns its ln integral into ln T (see _rounding_floor).  central_moment
+    passes one query of its own rows, whose ln T is the log of the moment.
 
     Level 0 evaluates every piece at its nodes of step 1/8 and keeps, per
     piece, the nodes from the first to the last whose term exceeds
@@ -570,6 +575,45 @@ def _rounding_floor(ln_I, ln_scale, offset):
     magnitude summed into ln T = ln_scale - offset + ln_I."""
     return _ROUNDING * (abs(ln_scale - offset + ln_I) + offset + abs(ln_I)
                         + abs(ln_scale))
+
+
+def central_moment(shape: PacketShape, k: int) -> float:
+    """k-th central moment <(y-1)^k> of the packet density, k in {0,1,2,4}.
+
+    Twice the integral over u = y - 1 > 0, by the DE engine (_de_quadrature)
+    as one exp-sinh piece in q (_coordinates) from q = 0 with scale 1 and no
+    kernel (A = 0).  As u^k du = c^(k+1) p q^(p(k+1)-1) dq, order k raises
+    the Jacobian's power to p(k+1) - 1 and adds k ln c to the piece's ln
+    weight.  beta and ln N come from shape, so a perturbed constant shows.
+    The rule stops at a move of 1e-9 in the log of the moment, or at its
+    rounding floor; odd moments vanish by the exact y -> 2-y symmetry of
+    the density.  Raises ConvergenceError where the rule does not reach
+    its stop or the moment leaves the double range.
+    """
+    if k not in (0, 1, 2, 4):
+        raise DomainError(f"central moment order k={k!r} not supported")
+    if k == 1:
+        return 0.0
+    g = shape.gamma
+    p = max(1.0, 1.0 / g)
+    half_lnB = 0.5 * math.log(shape.B)
+    (right, ln_cp), _, _ = _coordinates(
+        0.0, g, half_lnB,
+        (shape.beta, shape.log_N, math.log(shape.beta), p, math.log(p)), False)
+    cols = right[:-1] + (p * (k + 1) - 1.0,)
+    pieces = [cols + (ln_cp + k * right[3], 0.0, 1.0, _EXP_SINH)]
+    pieces += [cols + (-math.inf, 1.0, 0.0, _EXP_SINH)] * (_PIECES - 1)
+    ln_scale = shape.log_N - half_lnB
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        (ln_I,), (move,), (ok,) = _de_quadrature(np.array(pieces).T,
+                                                  [ln_scale], [0.0])
+        moment = 2.0 * float(np.exp(ln_scale + ln_I))
+    if not (ok and moment < math.inf):
+        raise ConvergenceError(
+            f"central moment k={k} at gamma={g}, B={shape.B} gave {moment!r}"
+            f" (last move {move:.2e}): it did not reach its stop or leaves "
+            f"the double range")
+    return moment
 
 
 def _quadrature_block(A, B, gamma, consts):

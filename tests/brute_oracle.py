@@ -52,7 +52,7 @@ def mp_log_k1(z, dps=30):
 
 
 def mp_central_moment(gamma, B, k, dps=40):
-    """Closed form <u^k> = B^(k/2) * Gamma((k+1)/g) Gamma(1/g)^(k/2-... )
+    """Closed form of the even central moment <u^k>, u = y - 1, as a float.
 
     Derived by the s = beta(|u|/sqrt(B))^gamma substitution:
        <u^k> = 2 N B^(k/2) beta^(-(k+1)/g) Gamma((k+1)/g) / g
@@ -122,12 +122,18 @@ def mp_ln_T_saddle(A, B, gamma, dps=40, widths=60):
     of the saddle, which bisect_saddle finds: for packets so sharp at the
     saddle (huge A) that mp_ln_T's scan steps over the whole peak.  Beyond
     60 widths the integrand is below e^-1800 of its peak wherever the
-    exponent is about quadratic over the window."""
+    exponent is about quadratic over the window.  Raises ValueError where
+    bisect_saddle finds no saddle in its scan, as below y - 1 = 1e-12."""
     with mp.workdps(dps):
         Am, Bm, g = mp.mpf(A), mp.mpf(B), mp.mpf(gamma)
         beta, lnN = mp_shape_constants(gamma, dps)
-        y_star = mp.mpf(bisect_saddle(float(Am * Bm ** (g / 2) / (g * beta)),
-                                      gamma))
+        y_star = bisect_saddle(float(Am * Bm ** (g / 2) / (g * beta)), gamma)
+        if y_star is None:
+            raise ValueError(
+                f"mp_ln_T_saddle: at A={A}, B={B}, gamma={gamma} the saddle "
+                f"lies below the scan of bisect_saddle (y - 1 >= 1e-12), or "
+                f"there is none")
+        y_star = mp.mpf(y_star)
         curvature = (2 * Am / y_star ** 3 + beta * g * (g - 1)
                      * (y_star - 1) ** (g - 2) / Bm ** (g / 2))
         w = widths / mp.sqrt(curvature)

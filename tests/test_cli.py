@@ -1068,6 +1068,22 @@ def test_bit_diff_counts_identical_values_and_ulps():
         "largest y_star_numeric move n/a ulp")
 
 
+def test_bit_diff_moment_line_keeps_infinite_values_apart():
+    # rows are [failed, moment as hex]; an inf that became finite is counted,
+    # not measured in ulps or relative to the finite side
+    line = _script("bit_diff")._moment_line
+    base = [[False, (1.0).hex()], [False, (2.0).hex()],
+            [False, math.inf.hex()], [True, None]]
+    new = [[False, (1.0).hex()], [False, math.nextafter(2.0, 3.0).hex()],
+           [False, (1.7e308).hex()], [True, None]]
+    assert line(base, base) == (True, (
+        "moments: 4 of 4 bit-identical, largest finite difference 0 ulp, "
+        "relative 0; inf base/new 1/1, failed base/new 1/1"))
+    assert line(base, new) == (False, (
+        "moments: 2 of 4 bit-identical, largest finite difference 1 ulp, "
+        "relative 2.2e-16; inf base/new 1/0, failed base/new 1/1"))
+
+
 # --- validate ---------------------------------------------------------------
 
 def test_validate_reports_every_check(run_cli):

@@ -14,17 +14,15 @@ from coulombpacket.errors import (
     RangeError,
     TableFormatError,
 )
-from coulombpacket import packet
 from coulombpacket.packet import (
     DensityTable,
     PacketShape,
-    central_moment,
     density_exponent,
-    exponent_offset,
     log_density,
     read_density_table,
     shape_constants,
 )
+from coulombpacket.transmission import central_moment
 
 
 # --- shape constants -----------------------------------------------------
@@ -155,8 +153,6 @@ def test_density_exponent_and_its_inverse(gamma, B):
     np.testing.assert_allclose(
         s, shape.beta * (np.abs(u) / math.sqrt(B)) ** gamma, rtol=1e-13)
     assert s[2] == 0.0
-    back = exponent_offset(s, math.log(shape.beta), gamma, math.sqrt(B))
-    np.testing.assert_allclose(back, np.abs(u), rtol=1e-12)
     # constants given as (P, 1) columns broadcast over a (P, n) grid
     cols = [np.full((2, 1), c) for c in (shape.beta, gamma, half_lnB)]
     grid = np.vstack([u, -u])
@@ -180,16 +176,20 @@ def test_log_density_tails_decrease(gamma, b_exp, u, factor):
 
 # --- moments ---------------------------------------------------------------
 
-@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 4.0])
-@pytest.mark.parametrize("B", [1e-4, 1.0, 25.0])
+def _kurtosis(gamma):
+    # <u^4> / B^2 = Gamma(5/g) Gamma(1/g) / Gamma(3/g)^2
+    return math.exp(gammaln(5.0 / gamma) + gammaln(1.0 / gamma)
+                    - 2.0 * gammaln(3.0 / gamma))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 4.0, 0.1000001, 10.0])
+@pytest.mark.parametrize("B", [1e-4, 1.0, 25.0, 1e-12, 1e4])
 def test_central_moments_match_closed_forms(gamma, B):
     shape = PacketShape.from_gamma(gamma, B)
     assert central_moment(shape, 0) == pytest.approx(1.0, abs=1e-9)
     assert central_moment(shape, 2) == pytest.approx(B, rel=1e-8)
-    # <u^4> = B^2 Gamma(5/g) Gamma(1/g) / Gamma(3/g)^2
-    kurt = math.exp(gammaln(5.0 / gamma) + gammaln(1.0 / gamma)
-                    - 2.0 * gammaln(3.0 / gamma))
-    assert central_moment(shape, 4) == pytest.approx(B * B * kurt, rel=1e-7)
+    assert central_moment(shape, 4) == pytest.approx(B * B * _kurtosis(gamma),
+                                                     rel=1e-7)
 
 
 @pytest.mark.parametrize("B", [1e-4, 1e-8, 1e-12])
@@ -199,6 +199,23 @@ def test_central_moments_resolve_the_cusp_at_small_gamma(B):
     shape = PacketShape.from_gamma(0.11, B)
     assert central_moment(shape, 0) == pytest.approx(1.0, abs=1e-12)
     assert central_moment(shape, 2) == pytest.approx(B, rel=1e-12)
+    assert central_moment(shape, 4) == pytest.approx(B * B * _kurtosis(0.11),
+                                                     rel=1e-12)
+
+
+def test_central_moment_at_the_edge_of_the_double_range():
+    # the variance 1.7e308 is a double, but terms of its quadrature sum in
+    # w = u/sqrt(B) exceed the largest double, so the sum must stay in logs
+    # until the final exp
+    shape = PacketShape.from_gamma(10.0, 1.7e308)
+    assert central_moment(shape, 2) == pytest.approx(1.7e308, rel=1e-8)
+
+
+def test_central_moment_beyond_the_double_range_raises():
+    # <u^4> = 3 B^2 = 3e400 at gamma = 2 is no double: a ConvergenceError,
+    # not inf or a bare OverflowError
+    with pytest.raises(ConvergenceError):
+        central_moment(PacketShape.from_gamma(2.0, 1e200), 4)
 
 
 def test_fourth_moment_special_cases():
@@ -207,23 +224,6 @@ def test_fourth_moment_special_cases():
         pytest.approx(3.0 * 0.25, rel=1e-8)
     assert central_moment(PacketShape.from_gamma(1.0, 0.5), 4) == \
         pytest.approx(6.0 * 0.25, rel=1e-8)
-
-
-@pytest.mark.parametrize("f, exact", [
-    (lambda x: np.exp(-x), 1.0),
-    (lambda x: x ** 4 * np.exp(-x), 24.0),
-    (lambda x: 1.0 / (1.0 + x * x), 0.5 * math.pi),
-    (lambda x: np.exp(-x * x) / np.sqrt(x), math.gamma(0.25) / 2.0),
-])
-def test_exp_sinh_rule_on_known_integrals(f, exact):
-    assert packet._exp_sinh(f) == pytest.approx(exact, rel=1e-11)
-
-
-def test_exp_sinh_rule_refuses_a_jump():
-    # the trapezoid error at a jump halves with the step, so successive
-    # levels never agree to 1e-11
-    with pytest.raises(ConvergenceError):
-        packet._exp_sinh(lambda x: np.where(x < 1.0, 1.0, 0.0))
 
 
 def test_central_moment_unsupported_orders():

@@ -419,14 +419,24 @@ def test_quadrature_stops_at_its_rounding_floor(A, B, gamma):
     assert abs(res.ln_T - mp_ln_T_saddle(A, B, gamma)) <= res.quad_error_ln
 
 
-@pytest.mark.parametrize("A, B, gamma", [(1e11, 1e-3, 2.0), (1e9, 1.0, 10.0)])
-def test_oracle_refuses_a_peak_narrower_than_its_scan(A, B, gamma):
-    # the scan keeps a single point of the peak, a window of zero width,
-    # where mp_ln_T returned -inf without an error
-    from brute_oracle import mp_ln_T
+@pytest.mark.parametrize("oracle, A, B, gamma, why", [
+    pytest.param("mp_ln_T", 1e11, 1e-3, 2.0, "use mp_ln_T_saddle",
+                 id="100000000000.0-0.001-2.0"),
+    pytest.param("mp_ln_T", 1e9, 1.0, 10.0, "use mp_ln_T_saddle",
+                 id="1000000000.0-1.0-10.0"),
+    pytest.param("mp_ln_T_saddle", 1e-6, math.exp(-30.0) / 1e-6, 2.0,
+                 "saddle lies below the scan", id="saddle-below-scan"),
+])
+def test_oracle_refuses_a_peak_narrower_than_its_scan(oracle, A, B, gamma,
+                                                      why):
+    # mp_ln_T's scan keeps a single point of a sharp peak, a window of zero
+    # width, where it returned -inf without an error; mp_ln_T_saddle's scan
+    # of y - 1 starts at 1e-12, and below it the saddle is not found, where
+    # it raised TypeError
+    import brute_oracle
 
-    with pytest.raises(ValueError, match=r"A=.*use mp_ln_T_saddle"):
-        mp_ln_T(A, B, gamma)
+    with pytest.raises(ValueError, match=rf"A=.*{why}"):
+        getattr(brute_oracle, oracle)(A, B, gamma)
 
 
 def test_quadrature_estimate_is_never_nan():
