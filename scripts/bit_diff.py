@@ -6,8 +6,8 @@
 BASE_SRC and SRC (default: this checkout's src/) are directories that hold
 a `coulombpacket` package, for example the src/ of a `git archive` of the
 parent commit.  Each tree is imported in its own subprocess, which
-evaluates each set of points but `single` with one evaluate_many call, so
-that every route's blocks hold many queries:
+evaluates each set of points but `single` and `quad/edges/one` with one
+evaluate_many call, so that every route's blocks hold many queries:
 
 - grid:   the benchmark's 1600-point quadrature sweep grid;
 - pool:   its 2000-point quadrature pool;
@@ -19,13 +19,21 @@ that every route's blocks hold many queries:
 - steepest/edges: steepest-descent points where G underflows to 0 or
           overflows, gamma < 1 has no saddle, the saddle rounds to y = 1,
           gamma = 1, ln T > 0, or ln T overflows;
+- quad/edges: quadrature on the 448-point box QUAD_EDGES, from A = 0.1
+          to 1e17, B = 5e-324 to 1e300 and gamma = 0.1000001 to 10.  The
+          benchmark's points reach none of _pieces' far-saddle,
+          overflowing-G or subnormal-B branches; these reach all three,
+          and up to A = 1e17, where queries stop at their rounding floor
+          (quadrature's failures begin near A = 1e20, outside the box);
 - single: the oracle points, the steepest-descent edges, and 100 points
           log-uniform over the pool's box (every fourth at gamma = 1) by
           quadrature and by steepest descent, with those of A >= 10 at
           gamma = 1 by the Bessel form; each point with its own evaluate
           call, the batch of one that `transmit`, `validate` and the
           acceptance checks take.  A raised ConvergenceError is recorded
-          as evaluate_many's failures are.
+          as evaluate_many's failures are;
+- quad/edges/one: the quad/edges points, each with its own evaluate call
+          as in `single`.
 
 - moments: central_moment of order 0, 2 and 4 over MOMENT_GAMMAS x
           MOMENT_BS, and of order 2 and 4 at MOMENT_EDGES, where the
@@ -99,6 +107,12 @@ STEEPEST_EDGES = (
     (1e5, 1e-13, 10.0), (0.1, 1e4, 0.11),
     (1.7e308, 1e-300, 10.0),                       # ln T overflows to +inf
 )
+# quadrature's edge box, as A x B x gamma
+QUAD_EDGES = ((0.1, 1.0, 10.0, 1e3, 1e6, 1e11, 1e15, 1e17),
+              (5e-324, 1e-300, 1e-13, 1e-6, 1.0, 1e4, 1e100, 1e300),
+              (0.1000001, 0.5, 0.99, 1.0, 1.01, 2.0, 10.0))
+# the sets whose points each get their own evaluate call
+SINGLE_SETS = ("single", "quad/edges/one")
 # a grid that --method auto splits between the Bessel route (gamma = 1,
 # A >= 10, A^2 B >= 8) and quadrature, with points on both sides of each
 AUTO_GRID = ["sweep", "--A", "5", "10", "700", "--gammas", "0.5", "1", "2",
@@ -152,6 +166,7 @@ def _points():
     A, B, gamma = log_uniform(SINGLE_SEED, SINGLE_BOX_SIZE)
     gamma[::4] = [1.0] * len(gamma[::4])
     single_box = list(zip(A, B, gamma))
+    edges = [(*p, quad) for p in itertools.product(*QUAD_EDGES)]
     return {
         "grid": [(*p, quad) for p in inputs.quad_sweep_points()],
         "pool": [(*p, quad) for p in inputs.pool_points()],
@@ -160,11 +175,13 @@ def _points():
         "fast/steepest": [r for r in fast if r[3] == steep],
         "steepest/box": [(A, B, g, steep) for A, B, g in box],
         "steepest/edges": [(*p, steep) for p in STEEPEST_EDGES],
+        "quad/edges": edges,
         "single": ([(*p, quad) for p in inputs.ORACLE_POINTS]
                    + [(*p, steep) for p in STEEPEST_EDGES]
                    + [(*p, m) for m in (quad, steep) for p in single_box]
                    + [(A, B, 1.0, "bessel_gamma1") for A, B, _ in single_box
                       if A >= 10.0]),
+        "quad/edges/one": edges,
     }
 
 
@@ -235,7 +252,7 @@ def _worker(src, out_dir):
     out = {}
     for name, points in _points().items():
         queries = [BarrierQuery(A, B, g, method=m) for A, B, g, m in points]
-        if name == "single":
+        if name in SINGLE_SETS:
             results = [evaluate_one(q) for q in queries]
         else:
             results = evaluate_many(queries)

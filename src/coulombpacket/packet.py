@@ -162,7 +162,7 @@ class DensityTable:
             raise TableFormatError("densities must be non-negative")
         if self.mass() > 1.0 + 1e-6:
             raise TableFormatError(
-                f"table mass {self.mass():.8f} exceeds 1 beyond tolerance")
+                f"table mass {self.mass():.10g} exceeds 1 beyond tolerance")
 
     def mass(self) -> float:
         """Trapezoid mass of the table; at most 1 + 1e-6 by construction."""

@@ -14,10 +14,11 @@ All constants are CODATA-2018, pinned in one table for reproducible output.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import RegimeError, require_positive
+from .errors import DomainError, RegimeError, require_positive
 
 __all__ = [
     "FINE_STRUCTURE",
@@ -69,18 +70,52 @@ def _effective_mass(spec: ParticleSpec, reduced_mass: bool) -> float:
     return spec.mass_amu / 2.0 if reduced_mass else spec.mass_amu
 
 
-def v0_over_c(spec: ParticleSpec, reduced_mass: bool = False) -> float:
-    """Mean packet velocity over c: sqrt(2 E / m c^2), non-relativistic."""
+def _exp(x: float) -> float:
+    """e^x, inf where that overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _ln_v0_over_c(spec: ParticleSpec, reduced_mass: bool) -> float:
+    """ln(v0/c), from logs."""
     m = _effective_mass(spec, reduced_mass)
-    return math.sqrt(2.0 * spec.kinetic_energy_ev / (m * AMU_EV))
+    return 0.5 * (math.log(2.0) + math.log(spec.kinetic_energy_ev)
+                  - math.log(m) - math.log(AMU_EV))
+
+
+def v0_over_c(spec: ParticleSpec, reduced_mass: bool = False) -> float:
+    """Mean packet velocity over c: sqrt(2 E / m c^2), non-relativistic;
+    from logs where 2 E / m c^2 leaves the normal doubles, and inf where
+    v0/c itself overflows."""
+    m = _effective_mass(spec, reduced_mass)
+    ratio = 2.0 * spec.kinetic_energy_ev / (m * AMU_EV)
+    if sys.float_info.min <= ratio < math.inf:
+        return math.sqrt(ratio)
+    return _exp(_ln_v0_over_c(spec, reduced_mass))
 
 
 def big_A(spec: ParticleSpec, reduced_mass: bool = False) -> float:
-    """Reduced barrier strength A = a/p0 = 2 pi Z alpha / (v0/c).
+    """Reduced barrier strength A = a/p0 = 2 pi Z alpha / (v0/c), from logs
+    where v0/c is subnormal.
 
-    Raises RegimeError when v0/c exceeds 0.1 (see little_a).
+    Raises RegimeError when v0/c exceeds 0.1 (see little_a), and
+    DomainError where A exceeds the largest double.
     """
-    return little_a(spec, reduced_mass).a_over_mc / v0_over_c(spec, reduced_mass)
+    a_over_mc = little_a(spec, reduced_mass).a_over_mc
+    v0c = v0_over_c(spec, reduced_mass)
+    if v0c >= sys.float_info.min:
+        A = a_over_mc / v0c
+    else:
+        A = _exp(math.log(2.0 * math.pi * FINE_STRUCTURE) + math.log(spec.Z)
+                 - _ln_v0_over_c(spec, reduced_mass))
+    if A == math.inf:
+        raise DomainError(
+            f"A = 2 pi Z alpha/(v0/c) exceeds the largest double "
+            f"{sys.float_info.max!r} at Z={spec.Z!r}, mass "
+            f"{spec.mass_amu!r} u, energy {spec.kinetic_energy_ev!r} eV")
+    return A
 
 
 def little_a(spec: ParticleSpec, reduced_mass: bool = False) -> BarrierScale:

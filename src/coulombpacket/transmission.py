@@ -101,8 +101,8 @@ _ROUNDING = 4.0 * 2.0 ** -52
 CHUNK = 1024
 # queries per quadrature engine call; bounds the engine's memory, which
 # holds every column of a pass spread over its nodes.  On the 1600-point
-# grid 16 peak at 1.43 MB, as 32 did with one column at a time; 32 now
-# run the 200-point sweeps of one gamma 6% faster with 1.8x the peak
+# grid the engine's tracemalloc peak is 1.46 MB at 16 and 2.26 MB at 32,
+# which run the 200-point sweeps of one gamma 8% faster
 _BLOCK = 16
 # ln(y* - 1) beyond which a row whose saddle is not solved (G overflows)
 # takes the large-G asymptote (see _pieces)
@@ -485,17 +485,21 @@ def _de_quadrature(cols, ln_scale, offset):
 
     Level 0 evaluates every piece at its nodes of step 1/8 and keeps, per
     piece, the nodes from the first to the last whose term exceeds
-    e^-_DE_KEEP of its query's largest, and one more on each side.  Each
+    e^-_DE_KEEP of its query's largest, and one more on each side within
+    the node table: its span, found from the first and the last such node
+    (argmax on the piece's row and on it reversed), and empty where it has
+    none.  Level 0's sum is over the nodes of those spans alone.  Each
     later level halves the step: it adds the midpoints inside those spans,
     for the queries still running; levels 1 and 2 take one array pass,
     then 3 and 4 one each (_DE_PASSES).  A query stops at the first level
     whose ln integral moves by at most _DE_TARGET from the last, or by at
     most its rounding floor where that is larger (taken at level 0), and
     after level 4 at the latest; one that stops at level 1 drops the level
-    2 terms of its pass.  Each level's sum is a bincount over the query's
-    own nodes of that level in order, so its bits depend neither on what
-    else is in the block nor on the pass.  The caller holds the np.errstate
-    that silences the -inf and overflow of nodes far out on a tail.
+    2 terms of its pass.  Each level's sum, level 0's too, is a bincount
+    over the query's own nodes of that level in order, piece by piece, so
+    its bits depend neither on what else is in the block nor on the pass.
+    The caller holds the np.errstate that silences the -inf and overflow
+    of nodes far out on a tail.
 
     Returns per query the ln integral, its last move and whether that
     reached the query's stop.
@@ -510,25 +514,31 @@ def _de_quadrature(cols, ln_scale, offset):
     terms[live] = _node_terms(
         cols, live, width,
         (base[live, None] + _DE_COARSE).ravel()).reshape(live.size, width)
-    by_query = terms.reshape(nq, -1)
-    peak = by_query.max(axis=1)
+    peak = terms.reshape(nq, -1).max(axis=1)
     keep = terms > (peak - _DE_KEEP).repeat(_PIECES)[:, None]
     # each piece's span, the coarse steps from the node before its first
-    # kept node to the one after its last: a kept node at or after each
-    # step's right end, and one at or before its left end
-    steps = np.logical_or.accumulate(keep, axis=1)[:, 1:]
-    steps &= np.logical_or.accumulate(keep[:, ::-1], axis=1)[:, :0:-1]
-    span = steps.sum(axis=1)
-    base += _DE_STRIDE * steps.argmax(axis=1)
-    # level 0's sum over the nodes at the ends of those steps
-    inside = np.zeros(keep.shape, dtype=bool)
-    inside[:, :-1] = steps
-    inside[:, 1:] |= steps
-    scaled = by_query - peak[:, None]
+    # kept node to the one after its last, within the table; none where
+    # it keeps no node
+    first = keep.argmax(axis=1)
+    start = np.maximum(first - 1, 0)
+    span = np.minimum(width - keep[:, ::-1].argmax(axis=1), width - 1)
+    span -= start
+    span *= keep[np.arange(n_piece), first]
+    base += _DE_STRIDE * start
+    # level 0's sum over the nodes at the ends of those steps, piece by
+    # piece, as the later levels sum theirs
+    count = span + (span > 0)
+    before = count.cumsum()
+    before -= count
+    node = np.arange(before[-1] + count[-1])
+    node += (start - before + width * np.arange(n_piece)).repeat(count)
+    q = node // (width * _PIECES)
+    scaled = terms.ravel()[node]
+    scaled -= peak[q]
     np.exp(scaled, out=scaled)
-    total = np.where(inside.reshape(nq, -1), scaled, 0.0).cumsum(axis=1)[:, -1]
+    total = np.bincount(q, scaled, nq)
     # free level 0's arrays before the larger ones of the later levels
-    del terms, by_query, keep, steps, inside, scaled
+    del terms, keep, node, q, scaled
     # each query's stop: _DE_TARGET, or the rounding floor at level 0's ln
     # integral where that is larger
     stop = np.array([max(_DE_TARGET, _rounding_floor(*v)) for v in zip(

@@ -820,6 +820,17 @@ def test_from_table_without_density_above_zero_exits_5(run_cli, tmp_path,
     assert "no density at y > 0" in err
 
 
+def test_from_table_huge_mass_message_stays_short(run_cli, tmp_path):
+    # the mass, 0.5 + 2.5e307, is named in a few digits, not in 300
+    table = tmp_path / "t.csv"
+    table.write_text("y,density\n0.5,1\n1.0,1\n1.5,1e308\n",
+                     encoding="utf-8")
+    code, out, err = run_cli("from-table", "--file", table, "--A", 50)
+    assert (code, out) == (5, "")
+    assert "table mass 2.5e+307 exceeds 1" in err
+    assert len(err) < 200
+
+
 # --- physical ----------------------------------------------------------------
 
 def test_physical_json(run_cli):
@@ -855,6 +866,27 @@ def test_physical_invalid_spec_exits_2(run_cli):
     code, _, _ = run_cli("physical", "--Z", 0, "--mass-amu", 2,
                          "--energy-eV", 1e4)
     assert code == 2
+
+
+def test_physical_where_m_c2_overflows(run_cli):
+    # m c^2 overflows, so v0/c comes from logs; A = 1e300 A(1, 1, 1)
+    code, out, _ = run_cli("physical", "--Z", 1e300, "--mass-amu", 1e300,
+                           "--energy-eV", 1e300)
+    assert code == 0
+    doc = json.loads(out)
+    _, one, _ = run_cli("physical", "--Z", 1, "--mass-amu", 1,
+                        "--energy-eV", 1)
+    assert doc["A"] == pytest.approx(1e300 * json.loads(one)["A"], rel=1e-11)
+    assert doc["v0_over_c"] == pytest.approx(
+        json.loads(one)["v0_over_c"], rel=1e-11)
+
+
+def test_physical_A_beyond_the_doubles_exits_2(run_cli):
+    # A is about 9.9e602
+    code, out, err = run_cli("physical", "--Z", 1e300, "--mass-amu", 1e300,
+                             "--energy-eV", 1e-300)
+    assert (code, out) == (2, "")
+    assert "exceeds the largest double" in err
 
 
 # --- output contract -------------------------------------------------------

@@ -92,3 +92,33 @@ def test_relativistic_regime_rejected():
 def test_particle_spec_validation(kwargs):
     with pytest.raises(DomainError):
         ParticleSpec(**kwargs)
+
+
+@pytest.mark.parametrize("Z, mass, energy", [
+    (1e300, 1e300, 1e300),            # m c^2 overflows
+    (1e-300, 1e308, 1e-300),          # v0/c is subnormal, 4.6e-309
+    (1e-300, 1.7e308, 5e-324),        # v0/c has 7 bits, 7.9e-321
+    (1.0, 1e-300, 1e-300),            # 2 E / m c^2 is normal: plain
+])
+def test_big_A_from_logs_where_v0_leaves_the_doubles(Z, mass, energy):
+    # A = 2 pi Z alpha sqrt(m c^2 / 2 E) scales as Z sqrt(m / E)
+    A1 = big_A(ParticleSpec(Z=1.0, mass_amu=1.0, kinetic_energy_ev=1.0))
+    A = big_A(ParticleSpec(Z=Z, mass_amu=mass, kinetic_energy_ev=energy))
+    assert A == pytest.approx(Z / math.sqrt(energy) * math.sqrt(mass) * A1,
+                              rel=1e-12)
+
+
+def test_big_A_beyond_the_doubles_is_a_domain_error():
+    spec = ParticleSpec(Z=1e300, mass_amu=1e300, kinetic_energy_ev=1e-300)
+    one = ParticleSpec(Z=1.0, mass_amu=1.0, kinetic_energy_ev=1.0)
+    assert v0_over_c(spec) == pytest.approx(1e-300 * v0_over_c(one),
+                                            rel=1e-12)
+    with pytest.raises(DomainError, match="largest double"):
+        big_A(spec)
+
+
+def test_v0_over_c_overflow_is_relativistic():
+    spec = ParticleSpec(Z=1.0, mass_amu=5e-324, kinetic_energy_ev=1.7e308)
+    assert v0_over_c(spec) == math.inf
+    with pytest.raises(RegimeError):
+        big_A(spec)

@@ -377,6 +377,50 @@ def test_levels_1_and_2_take_one_pass(monkeypatch, A, B, gamma, passes):
     assert len(calls) == passes
 
 
+# the coarse nodes that level 0 keeps, per piece of two queries: first kept
+# node 0, last kept node 72, one isolated node, two kept runs with a gap,
+# a live piece that keeps nothing, both ends, and a dead piece (None)
+SPAN_KEPT = ([0, 1, 2], [70, 72], [30], [10, 11, 12, 40, 41], [],
+             [0, 72], [72], None, [0], [])
+
+
+def test_level_0_spans_run_from_first_to_last_kept_node(monkeypatch):
+    # a piece's span runs over the coarse steps from the node before its
+    # first kept node to the one after its last, within the node table;
+    # levels 1 and 2 evaluate exactly the midpoints inside it, and nothing
+    # for a piece that keeps no node
+    width = tr._DE_COARSE.size
+    cols = np.zeros((13, len(SPAN_KEPT)))
+    cols[11] = [kept is not None for kept in SPAN_KEPT]   # length: live
+    cols[12, ::2] = tr._EXP_SINH                           # rule
+    calls = []
+
+    def crafted(cols, pieces, count, node):
+        calls.append((pieces, count, node))
+        if len(calls) == 1:
+            # level 0: a kept node's term is the peak, the rest far below
+            terms = np.full((pieces.size, width), -100.0)
+            for row, i in enumerate(pieces):
+                terms[row, SPAN_KEPT[i]] = 0.0
+            return terms.ravel()
+        return np.full(node.size, -np.inf)
+
+    monkeypatch.setattr(tr, "_node_terms", crafted)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tr._de_quadrature(cols, [0.0, 0.0], [0.0, 0.0])
+    # the levels 1 and 2 pass
+    pieces, count, node = calls[1]
+    owner = pieces.repeat(count)
+    for i, kept in enumerate(SPAN_KEPT):
+        expected = []
+        if kept:
+            lo = tr._DE_STRIDE * max(kept[0] - 1, 0)
+            hi = tr._DE_STRIDE * min(kept[-1] + 1, width - 1)
+            expected = [int(cols[12, i]) + j for j in range(lo, hi)
+                        if j % 4 == 0 and j % tr._DE_STRIDE]
+        assert sorted(node[owner == i].tolist()) == expected, (i, kept)
+
+
 def test_quadrature_failure_carries_partial_estimate(monkeypatch):
     def unconverged(rows, *scale):
         return np.array([-123.0]), np.array([3.4e-4]), np.array([False])
