@@ -47,8 +47,15 @@ and compares the files it writes byte for byte:
           `ratio` examples of README.md; a `--method auto` grid whose
           rows go to both routes that auto picks, as CSV and as JSON;
           three sweeps with failure rows (FAILURE_RUNS), as CSV and as
-          JSON; and the standard output of `validate` and of the
-          `transmit` example of README.md (the files named *.out).
+          JSON; two ratio studies with failure rows (RATIO_RUNS); and the
+          standard output of `validate` and of the `transmit` example of
+          README.md (the files named *.out).  The ratio studies are there
+          because ratio evaluates each chunk of points once per route and
+          renders each point from its two results: the first spans two
+          chunks of 1024 points (and three of 512, the chunks of its
+          quadrature and steepest-descent rows taken side by side), with
+          21 points whose quadrature fails, and in the second steepest
+          descent fails too.
 
 The points come from perfbench/inputs.py, which is only read.  For each
 set the script prints how many ln_T and quad_error_ln values are
@@ -134,6 +141,17 @@ FAILURE_RUNS = {
                     "--B-min", "1e-13", "--B-max", "10", "--B-count", "511",
                     "--method", "bessel", "saddle"],
 }
+# ratio studies with failure rows: 1200 points at A = 1e20, 21 of whose
+# quadrature rows fail, over two chunks; and steepest descent where ln T
+# overflows to +inf
+RATIO_RUNS = {
+    "ratio-quad-fail": ["ratio", "--A", "1e20", "--gammas", "0.5", "2",
+                            "10", "--B-min", "1e-300", "--B-max", "1e300",
+                            "--B-count", "400"],
+    "ratio-saddle-inf": ["ratio", "--A", "1.7e308", "--gammas", "10",
+                         "--B-min", "1e-300", "--B-max", "1e-299",
+                         "--B-count", "2"],
+}
 # central_moment's grid, and (gamma, B) whose moments of order 2 and 4
 # are near or beyond the largest double
 MOMENT_GAMMAS = (0.1000001, 0.11, 0.2, 0.3, 0.5, 0.7, 0.99, 1.0, 1.01, 1.5,
@@ -212,6 +230,8 @@ def _cli_runs():
         runs[f"auto.{fmt}"] = AUTO_GRID + ["--format", fmt]
         for name, argv in FAILURE_RUNS.items():
             runs[f"{name}.{fmt}"] = argv + ["--format", fmt]
+    for name, argv in RATIO_RUNS.items():
+        runs[f"{name}.csv"] = argv
     runs["validate.out"] = ["validate"]
     return runs
 

@@ -35,23 +35,29 @@ class CheckResult:
 
 
 def load_targets(path=None) -> dict:
-    """Load the frozen oracle targets; raise AcceptanceDataError when absent."""
+    """Load the frozen oracle targets; raise AcceptanceDataError when they
+    are absent, unreadable, not UTF-8 JSON, or lack a table that a check
+    reads."""
     try:
-        if path is not None:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        ref = resources.files("coulombpacket").joinpath(
-            "data/acceptance_targets.json")
-        with ref.open(encoding="utf-8") as fh:
-            return json.load(fh)
+        with (open(path, encoding="utf-8") if path is not None else
+              resources.files("coulombpacket").joinpath(
+                  "data/acceptance_targets.json").open(encoding="utf-8")) as fh:
+            targets = json.load(fh)
     except FileNotFoundError as exc:
         raise AcceptanceDataError(
             f"frozen oracle targets not found ({exc}); "
             "regenerate with scripts/freeze_acceptance_targets.py"
         ) from exc
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers UnicodeDecodeError and json.JSONDecodeError
         raise AcceptanceDataError(
             f"frozen oracle targets unreadable: {exc}") from exc
+    missing = [k for k in ("gamma1_closed_form", "enhancement")
+               if not isinstance(targets, dict) or k not in targets]
+    if missing:
+        raise AcceptanceDataError(
+            f"frozen oracle targets lack {', '.join(missing)}")
+    return targets
 
 
 def check_worked_example(targets) -> CheckResult:

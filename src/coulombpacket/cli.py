@@ -301,19 +301,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_ratio(args) -> int:
     """Write the ratio table, streamed as cmd_sweep streams its grid, one
-    string per chunk: each point's quadrature and steepest-descent rows are
-    neighbours in the grid, and a point that a chunk boundary splits is
-    written with the later chunk."""
+    string per chunk of points: each chunk's columns are evaluated once by
+    quadrature and once by steepest descent, and each point's row is
+    rendered from its two results."""
     try:
         b_vals = _b_values(args.B_min, args.B_max, args.B_count)
-        grid = _grid([args.A], args.gammas, b_vals,
-                     ["quadrature", "steepest_descent"])
+        # a steepest-descent query is valid wherever a quadrature one is
+        grid = _grid([args.A], args.gammas, b_vals, ["quadrature"])
     except (DomainError, RangeError) as exc:
         print(f"invalid ratio study: {exc}", file=sys.stderr)
         return 2
+    steepest = METHODS.index("steepest_descent")
 
-    def row(A, B, g, ln_q, fail_q, ln_s, fail_s):
-        if fail_q or fail_s:
+    def row(A, B, g, ln_q, ln_s, failed):
+        if failed:
             return ",".join(map(_token, (A, B, g, None, None, None,
                                          "no convergence")))
         # R can under/overflow a float; render via its log instead.
@@ -323,18 +324,14 @@ def cmd_ratio(args) -> int:
 
     def lines():
         yield RATIO_HEADER + "\n"
-        # (A, B, gamma, ln_T, failed) of each row not yet written
-        rows = []
         for _, (A, B, g, m) in grid:
-            cols = _evaluate_columns(A, B, g, m)
-            failed = np.zeros(len(A), dtype=bool)
-            failed[list(cols["failures"])] = True
-            rows += zip(A.tolist(), B.tolist(), g.tolist(),
-                        cols["ln_T"].tolist(), failed.tolist())
-            done = len(rows) // 2 * 2
-            yield "".join(row(*q, *s[3:]) + "\n" for q, s in zip(
-                rows[0:done:2], rows[1:done:2]))
-            del rows[:done]
+            quad, saddle = (_evaluate_columns(A, B, g, methods) for methods
+                            in (m, np.full_like(m, steepest)))
+            failed = quad["failures"].keys() | saddle["failures"].keys()
+            yield "".join(row(*point, i in failed) + "\n" for i, point in
+                          enumerate(zip(A.tolist(), B.tolist(), g.tolist(),
+                                        quad["ln_T"].tolist(),
+                                        saddle["ln_T"].tolist())))
 
     return _write_lines(args.out, lines())
 

@@ -217,7 +217,7 @@ def read_density_table(path) -> DensityTable:
                     raise TableFormatError(
                         f"y values must be strictly increasing "
                         f"({ys[-2]!r} then {ys[-1]!r})", line=lineno)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TableFormatError(f"cannot read table file: {exc}") from exc
     if not header_seen:
         raise TableFormatError("missing 'y,density' header", line=1)

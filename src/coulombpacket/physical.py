@@ -131,7 +131,7 @@ def little_a(spec: ParticleSpec, reduced_mass: bool = False) -> BarrierScale:
     v0c = v0_over_c(spec, reduced_mass)
     if v0c > RELATIVISTIC_THRESHOLD:
         raise RegimeError(
-            f"v0/c = {v0c:.4f} exceeds {RELATIVISTIC_THRESHOLD}; "
+            f"v0/c = {v0c:.4g} exceeds {RELATIVISTIC_THRESHOLD}; "
             "non-relativistic map invalid")
     a_over_mc = 2.0 * math.pi * spec.Z * FINE_STRUCTURE
     m_kg = _effective_mass(spec, reduced_mass) * AMU_KG

@@ -268,17 +268,6 @@ def _saddle(A: float, B: float, gamma: float,
     return G, math.nan
 
 
-def _saddles(A, B, gamma, consts):
-    """G and y* (_saddle) of each row, as lists, with beta from
-    consts[gamma]; the closed-form routes' diagnostics."""
-    G, y_num = [], []
-    for a, b, g in zip(A.tolist(), B.tolist(), gamma.tolist()):
-        Gi, y = _saddle(a, b, g, consts[g][0])
-        G.append(Gi)
-        y_num.append(y)
-    return G, y_num
-
-
 def _shape_consts(gamma: float):
     """The constants of a gamma that every row of it shares: beta and
     ln N (shape_constants), ln beta, and the power p = max(1, 1/gamma) of
@@ -286,22 +275,6 @@ def _shape_consts(gamma: float):
     beta, log_N = shape_constants(gamma)
     p = max(1.0, 1.0 / gamma)
     return beta, log_N, math.log(beta), p, math.log(p)
-
-
-def _head(method_used: str, gamma: float, G: float, y_num, planewave_ok):
-    """The result fields every (A, B, gamma) route shares, from G and the
-    numeric stationary point y_num (None where unreachable), as _saddle
-    derives them, and the plane-wave verdict.
-
-    G is None when it overflows.  Results publish only stationary points
-    above 1: the gamma = 1 root sqrt(G) drops below 1 when G < 1 (peak at
-    the cusp).
-    """
-    finite = 0.0 < G < math.inf
-    return dict(G=G if G < math.inf else None, planewave_ok=planewave_ok,
-                method_used=method_used,
-                y_star_approx=saddle_point_approx(G, gamma) if finite else None,
-                y_star_numeric=y_num if y_num and y_num > 1.0 else None)
 
 
 def _de_nodes():
@@ -820,7 +793,7 @@ def route(query: BarrierQuery) -> str:
     return str(_ROUTES[code])
 
 
-def _evaluate_columns(A, B, gamma, method, diagnostics=False):
+def _evaluate_columns(A, B, gamma, method):
     """Evaluate queries given as columns; the one way that any query is
     evaluated.
 
@@ -834,33 +807,27 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
     gamma.
     Every value is bit-identical however the rows are batched or ordered.
 
-    Returns a dict of columns: ln_T; quad_error_ln, nan where the route
-    gives none; planewave_ok, a list; method_used, the route of each row;
-    and failures, {row: message} of the rows that failed, whose ln_T and
-    quad_error_ln hold their partial estimate.  With diagnostics, the
-    fields that only a TransmissionResult publishes are added: G and
-    y_star (nan where there is none; the quadrature rows' from their
-    set-up pass, the others' solved only here, by _saddles), low_confidence
-    (steepest-descent rows) and ln_T_asymptotic (nan off the Bessel route).
+    Returns a dict of the columns that the blocks compute: ln_T;
+    quad_error_ln, and G and y_star from the quadrature rows' set-up pass,
+    each nan where the route gives none; planewave_ok, a list;
+    method_used, the route of each row; low_confidence, set only on
+    steepest-descent rows; and failures, {row: message} of the rows that
+    failed, whose ln_T and quad_error_ln hold their partial estimate.
+    consts holds the _shape_consts of each distinct gamma, which
+    evaluate_many reuses for the fields that only a result publishes.
     """
     n = len(A)
     route = _routes(A, B, gamma, method)
     routes = set(route.tolist())
     consts = {g: _shape_consts(g) for g in set(gamma.tolist())}
-    columns = np.empty((5, n))
+    columns = np.empty((4, n))
     columns.fill(math.nan)
-    ln_T, err, G, y_star, asymptotic = columns
+    ln_T, err, G, y_star = columns
     low = np.zeros(n, dtype=bool)
     failures = {}
-
-    def rows(*codes):
-        # the rows of the routes codes; all of them as a slice, not a copy
-        if routes <= set(codes):
-            return slice(None)
-        return np.isin(route, codes).nonzero()[0]
-
     for code in routes:
-        i = rows(code)
+        # the route's rows; all of them as a slice, not a copy
+        i = slice(None) if len(routes) == 1 else (route == code).nonzero()[0]
         if code == _QUADRATURE:
             ln_T[i], err[i], G[i], y_star[i], failed = _quadrature_block(
                 A[i], B[i], gamma[i], consts)
@@ -872,34 +839,29 @@ def _evaluate_columns(A, B, gamma, method, diagnostics=False):
         if failed:
             at = range(n)[i] if isinstance(i, slice) else i.tolist()
             failures.update((at[k], why) for k, why in failed.items())
-    cols = {"ln_T": ln_T, "quad_error_ln": err,
+    return {"ln_T": ln_T, "quad_error_ln": err, "G": G, "y_star": y_star,
             "planewave_ok": [a * math.sqrt(b) < PLANEWAVE_THRESHOLD
                              for a, b in zip(A.tolist(), B.tolist())],
-            "method_used": _ROUTES[route], "failures": failures}
-    if diagnostics:
-        if routes - {_QUADRATURE}:
-            i = rows(_STEEPEST, _BESSEL)
-            G[i], y_star[i] = _saddles(A[i], B[i], gamma[i], consts)
-        if _BESSEL in routes:
-            i = rows(_BESSEL)
-            ln_common, z = _bessel_terms(A[i], B[i], consts[1.0][1])
-            asymptotic[i] = [c + log_bessel_k1_asymptotic(zi)
-                             for c, zi in zip(ln_common.tolist(), z.tolist())]
-        cols.update(G=G, y_star=y_star, low_confidence=low,
-                    ln_T_asymptotic=asymptotic)
-    return cols
+            "method_used": _ROUTES[route], "low_confidence": low,
+            "failures": failures, "consts": consts}
 
 
 def evaluate_many(queries) -> list:
     """Evaluate queries; one result per query, in order.
 
     A query that fails gets its ConvergenceError in place of a result, so
-    one failure costs the batch nothing else.  The results are a view of
+    one failure costs the batch nothing else.  The results are built from
     _evaluate_columns, run on CHUNK queries at a time, which bounds memory
     on every route; evaluate's query is a chunk of one.  Only here are the
-    saddle diagnostics of the closed-form queries solved, one row at a time
-    by _saddle, as the quadrature queries' saddles are.  So each value is
-    bit-identical however the queries are batched or ordered.
+    fields made that only a result publishes, with the shape constants of
+    the column pass: the closed-form queries' G and y* one query at a time
+    by _saddle, as the quadrature queries' are, and the Bessel queries'
+    ln_T_asymptotic from _bessel_terms.  So each value is bit-identical
+    however the queries are batched or ordered.
+
+    G is None where it overflows.  Results publish only stationary points
+    above 1: the gamma = 1 root sqrt(G) drops below 1 when G < 1 (peak at
+    the cusp).
     """
     queries = list(queries)
     results = []
@@ -907,25 +869,36 @@ def evaluate_many(queries) -> list:
         chunk = queries[lo:lo + CHUNK]
         A, B, gamma = np.array([(q.A, q.B, q.gamma) for q in chunk],
                                dtype=float).T
-        cols = _evaluate_columns(
-            A, B, gamma, [METHODS.index(q.method) for q in chunk],
-            diagnostics=True)
-        failures = cols["failures"]
-        for i, (m, g, ok, ln_T, err, G, y, low, asym) in enumerate(zip(
-                cols["method_used"].tolist(), gamma.tolist(),
-                cols["planewave_ok"], *(cols[k].tolist() for k in (
-                    "ln_T", "quad_error_ln", "G", "y_star", "low_confidence",
-                    "ln_T_asymptotic")))):
+        cols = _evaluate_columns(A, B, gamma,
+                                 [METHODS.index(q.method) for q in chunk])
+        consts, failures = cols["consts"], cols["failures"]
+        bessel = (cols["method_used"] == "bessel_gamma1").nonzero()[0]
+        asymptotic = {}
+        if bessel.size:
+            ln_common, z = _bessel_terms(A[bessel], B[bessel], consts[1.0][1])
+            asymptotic = {i: c + log_bessel_k1_asymptotic(zi) for i, c, zi in
+                          zip(bessel.tolist(), ln_common.tolist(), z.tolist())}
+        for i, (a, b, g, m, ok, ln_T, err, G, y, low) in enumerate(zip(
+                A.tolist(), B.tolist(), gamma.tolist(),
+                cols["method_used"].tolist(), cols["planewave_ok"],
+                *(cols[k].tolist() for k in (
+                    "ln_T", "quad_error_ln", "G", "y_star",
+                    "low_confidence")))):
             err = None if math.isnan(err) else err
             if i in failures:
                 results.append(ConvergenceError(failures[i], ln_T=ln_T,
                                                 quad_error_ln=err))
                 continue
+            if m != "quadrature":
+                G, y = _saddle(a, b, g, consts[g][0])
             results.append(TransmissionResult(
-                ln_T=ln_T, quad_error_ln=err,
+                ln_T=ln_T, G=G if G < math.inf else None, planewave_ok=ok,
+                method_used=m, y_star_numeric=y if y > 1.0 else None,
+                y_star_approx=(saddle_point_approx(G, g)
+                               if 0.0 < G < math.inf else None),
+                quad_error_ln=err,
                 low_confidence=low if m == "steepest_descent" else None,
-                ln_T_asymptotic=None if math.isnan(asym) else asym,
-                **_head(m, g, G, None if math.isnan(y) else y, ok)))
+                ln_T_asymptotic=asymptotic.get(i)))
     return results
 
 

@@ -44,8 +44,8 @@ def _fail_above(monkeypatch, b_limit):
     import coulombpacket.cli as cli_mod
     real = tr._evaluate_columns
 
-    def flaky(A, B, gamma, method, **kw):
-        cols = real(A, B, gamma, method, **kw)
+    def flaky(A, B, gamma, method):
+        cols = real(A, B, gamma, method)
         for i in np.flatnonzero(B > b_limit).tolist():
             cols["ln_T"][i], cols["quad_error_ln"][i] = -1.0, 0.5
             cols["failures"][i] = "forced"
@@ -494,8 +494,8 @@ RATIO_GRID = ("ratio", "--A", 700, "--gammas", 1, 2, "--B-min", 1e-6,
 @pytest.mark.parametrize("forced", [False, True])
 def test_chunk_boundaries_leave_no_trace(run_cli, tmp_path, monkeypatch,
                                          forced):
-    # 20 mixed rows (a multiple of 5), 12 quad rows, 10 ratio points = 20
-    # queries; chunks of 5 split a ratio point's two queries
+    # 20 mixed rows (a multiple of 5), 12 quad rows, 10 ratio points, each
+    # chunk of which is evaluated twice, once per route
     import coulombpacket.cli as cli_mod
     if forced:
         _fail_above(monkeypatch, 2e-5)          # rows of each grid fail
@@ -506,10 +506,10 @@ def test_chunk_boundaries_leave_no_trace(run_cli, tmp_path, monkeypatch,
         return inner(A, B, gamma, method)
 
     monkeypatch.setattr(cli_mod, "_evaluate_columns", recording)
-    runs = [(MIXED_GRID, "csv", 20), (MIXED_GRID, "json", 20),
-            (QUAD_GRID, "csv", 12), (QUAD_GRID, "json", 12),
-            (RATIO_GRID, None, 20)]
-    for argv, fmt, count in runs:
+    runs = [(MIXED_GRID, "csv", 20, 1), (MIXED_GRID, "json", 20, 1),
+            (QUAD_GRID, "csv", 12, 1), (QUAD_GRID, "json", 12, 1),
+            (RATIO_GRID, None, 10, 2)]
+    for argv, fmt, count, calls in runs:
         extra = () if fmt is None else ("--format", fmt)
         texts = []
         for chunk in (1, 5, 10**6):
@@ -518,13 +518,38 @@ def test_chunk_boundaries_leave_no_trace(run_cli, tmp_path, monkeypatch,
             out = tmp_path / f"{chunk}.out"
             assert run_cli(*argv, *extra, "--out", out) == (0, "", "")
             full, rest = divmod(count, min(chunk, count))
-            assert sizes == [min(chunk, count)] * full + [rest] * (rest > 0)
+            chunks = [min(chunk, count)] * full + [rest] * (rest > 0)
+            assert sizes == [c for c in chunks for _ in range(calls)]
             texts.append(out.read_bytes())
         assert texts[0] == texts[1] == texts[2], (argv, fmt)
         if fmt == "json":
             assert len(_strict_json(texts[0].decode())) == count
         failures = texts[0].count(b"no convergence")
         assert (failures > 0) is forced
+
+
+@pytest.mark.parametrize("route", ["quadrature", "steepest_descent"])
+def test_ratio_point_fails_where_either_route_fails(run_cli, tmp_path,
+                                                    monkeypatch, route):
+    # the rows with B > 2e-5 fail on one route alone, over chunks of 3
+    import coulombpacket.cli as cli_mod
+    real = cli_mod._evaluate_columns
+
+    def flaky(A, B, gamma, method):
+        cols = real(A, B, gamma, method)
+        if tr.METHODS[method[0]] == route:
+            cols["failures"].update(
+                (i, "forced") for i in np.flatnonzero(B > 2e-5).tolist())
+        return cols
+
+    monkeypatch.setattr(cli_mod, "_evaluate_columns", flaky)
+    monkeypatch.setattr(cli_mod, "CHUNK", 3)
+    out = tmp_path / "ratio.csv"
+    assert run_cli(*RATIO_GRID, "--out", out) == (0, "", "")
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    failed = [r.endswith(",,,no convergence") for r in rows]
+    assert failed == [float(r.split(",")[1]) > 2e-5 for r in rows]
+    assert failed.count(True) == 4
 
 
 # (A values, gammas, (B-min, B-max, B-count), methods): gamma = 1 on every
@@ -629,8 +654,8 @@ def test_sweep_memory_does_not_grow_with_the_grid(run_cli, tmp_path,
 def test_sweep_writes_one_string_per_chunk(run_cli, tmp_path, monkeypatch,
                                            fmt):
     # each chunk's rows reach _write_lines as one string, after the
-    # table's head and before its tail; ratio writes one per chunk too,
-    # each with the points that its chunk completes
+    # table's head and before its tail; ratio writes one per chunk of
+    # points too
     import coulombpacket.cli as cli_mod
     real, handed = cli_mod._write_lines, []
 
@@ -656,11 +681,11 @@ def test_sweep_writes_one_string_per_chunk(run_cli, tmp_path, monkeypatch,
     if fmt == "csv":
         handed.clear()
         monkeypatch.setattr(cli_mod, "CHUNK", 5)
-        assert run_cli("ratio", "--gammas", 2, "--B-count", 5,
+        assert run_cli("ratio", "--gammas", 2, "--B-count", 7,
                        "--out", out) == (0, "", "")
         assert "".join(handed) == out.read_text(encoding="utf-8")
         assert handed[0] == RATIO_HEADER + "\n"
-        assert [c.count("\n") for c in handed[1:]] == [2, 3]
+        assert [c.count("\n") for c in handed[1:]] == [5, 2]
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -802,6 +827,14 @@ def test_from_table_malformed_exits_5(run_cli, tmp_path):
     assert "malformed" in err
 
 
+def test_from_table_not_utf8_exits_5(run_cli, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli("from-table", "--file", bad, "--A", 50)
+    assert code == 5
+    assert "malformed" in err and "utf-8" in err
+
+
 def test_from_table_invalid_A_exits_2(run_cli, gaussian_table):
     code, _, _ = run_cli("from-table", "--file", gaussian_table, "--A", -3)
     assert code == 2
@@ -860,6 +893,15 @@ def test_physical_relativistic_exits_6(run_cli):
                            "5.48579909065e-4", "--energy-eV", 1e4)
     assert code == 6
     assert "relativistic" in err
+
+
+def test_physical_relativistic_message_stays_short(run_cli):
+    # v0/c = 4.6e145: the message names it in a few significant digits
+    code, out, err = run_cli("physical", "--Z", 1, "--mass-amu", 1,
+                             "--energy-eV", 1e300)
+    assert (code, out) == (6, "")
+    assert "v0/c = 4.634e+145 exceeds 0.1" in err
+    assert len(err) < 120
 
 
 def test_physical_invalid_spec_exits_2(run_cli):
@@ -1142,6 +1184,21 @@ def test_validate_unreadable_targets_exit_1(run_cli, tmp_path):
     code, _, err = run_cli("validate", "--targets", bad)
     assert code == 1
     assert "could not run" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "no-tables"])
+def test_validate_targets_that_cannot_be_used_exit_1(run_cli, tmp_path,
+                                                     kind):
+    bad = tmp_path / "targets"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe" if kind == "not-utf8" else b"{}")
+    code, out, err = run_cli("validate", "--targets", bad)
+    assert (code, out) == (1, "")
+    assert err.startswith("validation could not run")
+    if kind == "no-tables":
+        assert "lack gamma1_closed_form, enhancement" in err
 
 
 # --- packaging ----------------------------------------------------------

@@ -7,6 +7,7 @@ tests/brute_oracle.py) agreeing with each other to better than 1e-11
 before being frozen here.
 """
 
+import contextlib
 import dataclasses
 import math
 
@@ -739,18 +740,25 @@ def test_steepest_bits_do_not_depend_on_batching(monkeypatch):
     monkeypatch.setattr(tr, "CHUNK", 32)
     _assert_batching_keeps_bits(queries, rng)
 
-    # the block's G, stationary points and plane-wave verdict are the
-    # per-query head's, over two blocks of the box
+    # the batch's G, stationary points and plane-wave verdict are those of
+    # each query alone, from _G, saddle_point_numeric, saddle_point_approx
+    # and planewave_validity, over two chunks of the box
     cols = [np.exp(rng.uniform(math.log(lo), math.log(hi), 2000))
             for lo, hi in ((0.1, 1e5), (1e-13, 1e4), (0.11, 10.0))]
     box = [BarrierQuery(A, B, g, "steepest_descent") for A, B, g in zip(*cols)]
     for q, res in zip(box, evaluate_many(box)):
-        (G,), (y,) = tr._saddles(*(np.array([v]) for v in (q.A, q.B, q.gamma)),
-                                 {q.gamma: shape_constants(q.gamma)})
-        head = tr._head(res.method_used, q.gamma, G,
-                        None if math.isnan(y) else y,
-                        planewave_validity(q.A, q.B)[1])
-        assert _bits([res]) == _bits([dataclasses.replace(res, **head)])
+        G = tr._G(q.A, q.B, q.gamma, shape_constants(q.gamma)[0])
+        finite = 0.0 < G < math.inf
+        y = None
+        if finite:
+            with contextlib.suppress(ConvergenceError):
+                y = saddle_point_numeric(G, q.gamma)
+        alone = dict(G=G if G < math.inf else None,
+                     y_star_numeric=y if y and y > 1.0 else None,
+                     y_star_approx=(saddle_point_approx(G, q.gamma)
+                                    if finite else None),
+                     planewave_ok=planewave_validity(q.A, q.B)[1])
+        assert _bits([res]) == _bits([dataclasses.replace(res, **alone)])
 
     # the edges are really reached
     edges = evaluate_many(queries[:len(STEEPEST_EDGES)])
