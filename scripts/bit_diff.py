@@ -33,7 +33,17 @@ evaluate_many call, so that every route's blocks hold many queries:
           acceptance checks take.  A raised ConvergenceError is recorded
           as evaluate_many's failures are;
 - quad/edges/one: the quad/edges points, each with its own evaluate call
-          as in `single`.
+          as in `single`;
+- table:  ln_T_from_table at each A of TABLE_AS on fixed tables: one per
+          (gamma, B) of TABLE_SHAPES, on seeded uneven y from
+          max(0, 1 - 8 sqrt(B)) to 1 + 8 sqrt(B); the Gaussian of the
+          tests' gaussian_table fixture (gamma = 2, B = 0.01, 2001 points
+          on [0.5, 2]); and rows 0, 5e-324 and 1 of density 0.5, whose
+          middle step's dy/2 underflows to 0.  No benchmark workload and
+          no other set reaches the table route, so only this set shows a
+          change to it.  Its results carry no quad_error_ln, so its moves
+          line gives n/a for the ratio; a table that a tree rejects with a
+          ValueError counts as failed.
 
 - moments: central_moment of order 0, 2 and 4 over MOMENT_GAMMAS x
           MOMENT_BS, and of order 2 and 4 at MOMENT_EDGES, where the
@@ -62,13 +72,14 @@ set the script prints how many ln_T and quad_error_ln values are
 bit-identical and the largest difference in ulps, how many results match
 in every other field (G, both stationary points, planewave_ok,
 low_confidence, method_used and ln_T_asymptotic), and how many queries
-raised ConvergenceError on each side (a failure's partial ln_T and
-quad_error_ln are compared too).  A field that differs anywhere gets a
-line of its own.  For each set where ln_T moved it then prints how many
-values moved, the largest |delta ln_T| over the larger of the two sides'
-quad_error_ln (at most 1 means every move is within both estimates; n/a
-where a moved value has none), and the largest move of y_star_numeric in
-ulps.  For the moments set it prints how many values are bit-identical,
+raised ConvergenceError (in the table set, ValueError) on each side (a
+failure's partial ln_T and quad_error_ln are compared too).  A field that
+differs anywhere gets a line of its own.  For each set where ln_T moved it
+then prints how many values moved, the largest |delta ln_T| where both
+sides have a value, that over the larger of the two sides' quad_error_ln
+(at most 1 means every move is within both estimates; n/a where a moved
+value has none), and the largest move of y_star_numeric in ulps.  For the
+moments set it prints how many values are bit-identical,
 the largest difference in ulps and relative where both sides are finite,
 and the infinite values and failures on each side.  For the `cli` set it prints "same" or "different" per file, and
 each line that differs in a differing *.out file.  A change to
@@ -152,6 +163,12 @@ RATIO_RUNS = {
                          "--B-min", "1e-300", "--B-max", "1e-299",
                          "--B-count", "2"],
 }
+# the table set: the A of every table, the (gamma, B) of its seeded
+# tables, and their seed
+TABLE_AS = (0.5, 10.0, 50.0, 700.0)
+TABLE_SHAPES = tuple(itertools.product((0.5, 1.0, 2.0, 5.0),
+                                       (1e-4, 1e-2, 0.25)))
+TABLE_SEED = 20261022
 # central_moment's grid, and (gamma, B) whose moments of order 2 and 4
 # are near or beyond the largest double
 MOMENT_GAMMAS = (0.1000001, 0.11, 0.2, 0.3, 0.5, 0.7, 0.99, 1.0, 1.01, 1.5,
@@ -203,6 +220,24 @@ def _points():
     }
 
 
+def _tables():
+    """[(y, density)] of the table set, as the module docstring lists."""
+    import numpy as np
+
+    rng = np.random.default_rng(TABLE_SEED)
+    tables = []
+    for gamma, B in TABLE_SHAPES:
+        w = math.sqrt(B)
+        lo = max(0.0, 1.0 - 8.0 * w)
+        y = np.unique(np.append(rng.uniform(lo, 1.0 + 8.0 * w, 300), lo))
+        d = np.exp(-0.5 * (np.abs(y - 1.0) / w) ** gamma)
+        tables.append((y, d / (0.5 * np.sum((d[1:] + d[:-1]) * np.diff(y)))))
+    y = np.linspace(0.5, 2.0, 2001)
+    tables.append((y, np.exp(-(y - 1.0) ** 2 / 0.02) / math.sqrt(0.02 * math.pi)))
+    tables.append((np.array([0.0, 5e-324, 1.0]), np.full(3, 0.5)))
+    return tables
+
+
 def _cli_runs():
     """{file name: CLI argv without --out}, for the cli set."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -247,10 +282,12 @@ def _worker(src, out_dir):
     sys.path.insert(0, os.path.abspath(src))
     import coulombpacket
     from coulombpacket.errors import ConvergenceError
+    from coulombpacket.packet import DensityTable
     from coulombpacket.transmission import (
         BarrierQuery,
         evaluate,
         evaluate_many,
+        ln_T_from_table,
     )
 
     where = os.path.dirname(os.path.abspath(coulombpacket.__file__))
@@ -269,17 +306,27 @@ def _worker(src, out_dir):
         except ConvergenceError:
             return [True, None]
 
+    def from_table(y, d, A):
+        try:
+            return ln_T_from_table(DensityTable(y=y, density=d), A)
+        except ValueError as exc:
+            return exc
+
+    def rows(results):
+        return [[isinstance(r, Exception)]
+                + [_hex(getattr(r, f, None)) for f in FLOAT_FIELDS]
+                + [getattr(r, f, None) for f in OTHER_FIELDS]
+                for r in results]
+
     out = {}
     for name, points in _points().items():
         queries = [BarrierQuery(A, B, g, method=m) for A, B, g, m in points]
         if name in SINGLE_SETS:
-            results = [evaluate_one(q) for q in queries]
+            out[name] = rows([evaluate_one(q) for q in queries])
         else:
-            results = evaluate_many(queries)
-        out[name] = [[isinstance(r, ConvergenceError)]
-                     + [_hex(getattr(r, f, None)) for f in FLOAT_FIELDS]
-                     + [getattr(r, f, None) for f in OTHER_FIELDS]
-                     for r in results]
+            out[name] = rows(evaluate_many(queries))
+    out["table"] = rows([from_table(y, d, A) for y, d in _tables()
+                         for A in TABLE_AS])
     out["moments"] = (
         [moment(g, B, k) for g in MOMENT_GAMMAS for B in MOMENT_BS
          for k in (0, 2, 4)]
@@ -331,25 +378,31 @@ def _compare(base, new):
 
 def _moves(name, base, new):
     """The line that says how far ln_T moved in a set, or None where no
-    value moved: the count, the largest |delta ln_T| over the larger of
-    the two sides' quad_error_ln, and the largest y_star_numeric move."""
+    value moved: the count, the largest |delta ln_T| alone and over the
+    larger of the two sides' quad_error_ln, and the largest y_star_numeric
+    move."""
     ln_T, err, y_star = (FIELDS.index(f) + 1 for f in (
         "ln_T", "quad_error_ln", "y_star_numeric"))
-    moved, worst = 0, 0.0
+    moved, worst, largest = 0, 0.0, 0.0
     for b, n in zip(base, new):
         if b[ln_T] == n[ln_T]:
             continue
         moved += 1
-        errs = [float.fromhex(r[err]) for r in (b, n) if r[err] is not None]
-        if worst is None or None in (b[ln_T], n[ln_T]) or not errs:
+        if None in (b[ln_T], n[ln_T]):
             worst = None
             continue
         delta = abs(float.fromhex(b[ln_T]) - float.fromhex(n[ln_T]))
+        largest = max(largest, delta)
+        errs = [float.fromhex(r[err]) for r in (b, n) if r[err] is not None]
+        if worst is None or not errs:
+            worst = None
+            continue
         worst = max(worst, delta / max(errs) if max(errs) else math.inf)
     if not moved:
         return None
     _, y_ulp = _field(base, new, y_star, False)
-    return (f"  {name}: {moved} ln_T moved, largest |delta| / quad_error_ln "
+    return (f"  {name}: {moved} ln_T moved, largest |delta| {largest:.3g}, "
+            f"largest |delta| / quad_error_ln "
             f"{'n/a' if worst is None else f'{worst:.3g}'}, largest "
             f"y_star_numeric move {'n/a' if y_ulp is None else y_ulp} ulp")
 

@@ -37,7 +37,7 @@ class CheckResult:
 def load_targets(path=None) -> dict:
     """Load the frozen oracle targets; raise AcceptanceDataError when they
     are absent, unreadable, not UTF-8 JSON, or lack a table that a check
-    reads."""
+    reads, or rows in it, or a row's valid query and finite ln_T."""
     try:
         with (open(path, encoding="utf-8") if path is not None else
               resources.files("coulombpacket").joinpath(
@@ -57,6 +57,21 @@ def load_targets(path=None) -> dict:
     if missing:
         raise AcceptanceDataError(
             f"frozen oracle targets lack {', '.join(missing)}")
+    # each row must give the queries that its check makes
+    for key, method in (("gamma1_closed_form", "bessel_gamma1"),
+                        ("enhancement", "quadrature")):
+        try:
+            if not targets[key]:
+                raise ValueError("no rows")
+            for row in targets[key]:
+                BarrierQuery(row["A"], row["B"], row["gamma"]
+                             if key == "enhancement" else 1.0, method)
+                if not math.isfinite(row["ln_T"]):
+                    raise ValueError(f"ln_T {row['ln_T']!r} in {row!r}")
+        except (LookupError, TypeError, ValueError) as exc:
+            raise AcceptanceDataError(
+                f"frozen oracle targets have a bad {key} table "
+                f"({type(exc).__name__}: {exc})") from exc
     return targets
 
 
@@ -147,7 +162,9 @@ def check_enhancement_magnitudes(targets) -> CheckResult:
         A, B, g, ref = row["A"], row["B"], row["gamma"], row["ln_T"]
         lq = evaluate(BarrierQuery(A, B, g, "quadrature")).ln_T
         pinned = abs(lq - ref) <= 1e-4
-        lo, hi, source = windows[(B, g)]
+        # a point without a window fails: nan bounds hold no ln T
+        lo, hi, source = windows.get((B, g), (math.nan, math.nan,
+                                              "no window"))
         inside = lo <= lq <= hi
         ok &= pinned and inside
         msgs.append(f"(B={B:g},g={g:g}): {lo:.5f} <= {lq:.5f} <= {hi:.5f} "

@@ -343,7 +343,8 @@ def cmd_from_table(args) -> int:
         print(f"invalid A: {exc}", file=sys.stderr)
         return 2
     except TableFormatError as exc:
-        print(f"malformed density table: {exc}", file=sys.stderr)
+        where = "" if exc.line is None else f"line {exc.line}: "
+        print(f"malformed density table: {where}{exc}", file=sys.stderr)
         return 5
     print(_render_json(_result_pairs(res)))
     return 0

@@ -165,16 +165,20 @@ class DensityTable:
                 f"table mass {self.mass():.10g} exceeds 1 beyond tolerance")
 
     def mass(self) -> float:
-        """Trapezoid mass of the table; at most 1 + 1e-6 by construction."""
-        return float(_trapz(self.density, self.y))
+        """Trapezoid mass of the table; at most 1 + 1e-6 by construction,
+        and inf where the sum overflows."""
+        with np.errstate(over="ignore"):
+            return float(_trapz(self.density, self.y))
 
     def reduced_variance(self) -> float:
         """B-like diagnostic: Var[y]/E[y]^2 under the (mass-normalized) table."""
         m0 = self.mass()
         if m0 <= 0.0:
             return 0.0
-        m1 = float(_trapz(self.density * self.y, self.y)) / m0
-        m2 = float(_trapz(self.density * self.y ** 2, self.y)) / m0
+        # a moment that overflows is inf
+        with np.errstate(over="ignore"):
+            m1 = float(_trapz(self.density * self.y, self.y)) / m0
+            m2 = float(_trapz(self.density * self.y ** 2, self.y)) / m0
         var = max(m2 - m1 * m1, 0.0)
         if m1 <= 0.0:
             return math.inf

@@ -1,10 +1,11 @@
-"""Log-domain special functions and arithmetic primitives.
+"""Log-domain special functions.
 
 Everything downstream works with natural logs of positive magnitudes:
 transmission probabilities reach e^-1000 and below, far outside the range
-of IEEE doubles, while their logs stay comfortably representable.  The
-helpers here are the only places allowed to move between a magnitude and
-its log, apart from final display code.
+of IEEE doubles, while their logs stay comfortably representable.  Here
+are ln Γ, ln K₁ and LogMagnitude, which renders a log without
+exponentiating it; the sums of exponentials are the quadrature engine's
+(transmission._exp_sums).
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "log_gamma",
     "log_bessel_k1",
     "log_bessel_k1_asymptotic",
-    "log_sum_exp",
-    "log_diff_exp",
 ]
 
 _LN10 = math.log(10.0)
@@ -174,44 +173,3 @@ def log_bessel_k1_asymptotic(z: float) -> float:
     """
     z = require_positive("z", z)
     return 0.5 * math.log(math.pi / (2.0 * z)) - z
-
-
-def log_sum_exp(terms, weights=None) -> float:
-    """ln Σᵢ wᵢ exp(termᵢ) with positive weights, stabilized by the max term.
-
-    ``terms`` of -inf are allowed (zero contributions); an all--inf input
-    returns -inf.  Exact under a uniform additive shift of all terms.  The
-    terms are summed in input order.
-    """
-    terms = np.asarray(terms, dtype=float)
-    if terms.size == 0:
-        raise DomainError("log_sum_exp needs at least one term")
-    if np.any(np.isnan(terms)) or np.any(terms == np.inf):
-        raise DomainError("log_sum_exp terms must be < +inf and not NaN")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != terms.shape:
-            raise DomainError("weights must match terms in shape")
-        # every weight is positive and finite when both extremes are
-        require_positive("weights", weights.min())
-        require_positive("weights", weights.max())
-    peak = terms.max()
-    if peak == -np.inf:
-        return -math.inf
-    scaled = np.exp(terms - peak).ravel()
-    if weights is not None:
-        scaled *= weights.ravel()
-    return float(peak + np.log(np.bincount(np.zeros(scaled.size, np.intp),
-                                           scaled)[0]))
-
-
-def log_diff_exp(ln_hi: float, ln_lo: float) -> float:
-    """ln(exp(ln_hi) - exp(ln_lo)) for ln_hi ≥ ln_lo; -inf when equal."""
-    if ln_lo == -math.inf:
-        return ln_hi
-    if ln_lo > ln_hi:
-        raise DomainError("log_diff_exp needs ln_hi >= ln_lo")
-    d = ln_lo - ln_hi
-    if d == 0.0:
-        return -math.inf
-    return ln_hi + math.log1p(-math.exp(d))

@@ -42,11 +42,7 @@ from .packet import (
     PacketShape,
     shape_constants,
 )
-from .specfun import (
-    log_bessel_k1,
-    log_bessel_k1_asymptotic,
-    log_sum_exp,
-)
+from .specfun import log_bessel_k1, log_bessel_k1_asymptotic
 
 __all__ = [
     "BarrierQuery",
@@ -468,7 +464,7 @@ def _de_quadrature(cols, ln_scale, offset):
     whose ln integral moves by at most _DE_TARGET from the last, or by at
     most its rounding floor where that is larger (taken at level 0), and
     after level 4 at the latest; one that stops at level 1 drops the level
-    2 terms of its pass.  Each level's sum, level 0's too, is a bincount
+    2 terms of its pass.  Each level's sum, level 0's too, is one _exp_sums
     over the query's own nodes of that level in order, piece by piece, so
     its bits depend neither on what else is in the block nor on the pass.
     The caller holds the np.errstate that silences the -inf and overflow
@@ -506,12 +502,9 @@ def _de_quadrature(cols, ln_scale, offset):
     node = np.arange(before[-1] + count[-1])
     node += (start - before + width * np.arange(n_piece)).repeat(count)
     q = node // (width * _PIECES)
-    scaled = terms.ravel()[node]
-    scaled -= peak[q]
-    np.exp(scaled, out=scaled)
-    total = np.bincount(q, scaled, nq)
+    total = _exp_sums(terms.ravel()[node], q, peak, nq)
     # free level 0's arrays before the larger ones of the later levels
-    del terms, keep, node, q, scaled
+    del terms, keep, node, q
     # each query's stop: _DE_TARGET, or the rounding floor at level 0's ln
     # integral where that is larger
     stop = np.array([max(_DE_TARGET, _rounding_floor(*v)) for v in zip(
@@ -538,10 +531,8 @@ def _de_quadrature(cols, ln_scale, offset):
         node += (base[pieces] + stride - 2 * stride * before).repeat(count)
         terms = _node_terms(cols, pieces, count, node)
         q = (pieces // _PIECES).repeat(count)
-        terms -= peak[q]
-        np.exp(terms, out=terms)
         for lev, lo, hi in zip(levels, [0] + ends, ends):
-            new = np.bincount(q[lo:hi], terms[lo:hi], nq)[run]
+            new = _exp_sums(terms[lo:hi], q[lo:hi], peak, nq)[run]
             prev = total[run]
             moved = np.abs(np.log1p((new - prev) / (2.0 * prev)))
             move[run] = moved
@@ -551,6 +542,15 @@ def _de_quadrature(cols, ln_scale, offset):
     # the step of the last level is 2^-(3 + level)
     ln_I = peak + np.log(np.ldexp(total, -3 - level))
     return ln_I, move, move <= stop
+
+
+def _exp_sums(x, q, shift, n):
+    """The n sums of exp(x - shift[q]) over the x of each q, in order: the
+    one log-sum-exp, whose logs plus shift are the sums' logs.  Overwrites
+    x; an x of -inf adds nothing."""
+    x -= shift[q]
+    np.exp(x, out=x)
+    return np.bincount(q, x, n)
 
 
 def _rounding_floor(ln_I, ln_scale, offset):
@@ -745,22 +745,22 @@ def _bessel_block(A, B, log_N):
 def ln_T_from_table(table: DensityTable, A: float) -> TransmissionResult:
     """Log-domain trapezoid average of exp(-A/y) over a tabulated density.
 
-    Raises TableFormatError when no trapezoid term carries density at
-    y > 0, since ln T would then be -inf.
+    Each step's two terms carry ln(dy/2); a step whose dy/2 underflows to
+    0 adds nothing.  Raises TableFormatError when no trapezoid term
+    carries density at y > 0, since ln T would then be -inf.
     """
     A = require_positive("A", A)
     y = table.y
-    d = table.density
-    lng = np.full(y.shape, -np.inf)
-    mask = (y > 0.0) & (d > 0.0)
-    with np.errstate(divide="ignore"):
-        lng[mask] = -A / y[mask] + np.log(d[mask])
-    dy = np.diff(y)
-    terms = np.concatenate([lng[:-1], lng[1:]])
-    weights = np.concatenate([0.5 * dy, 0.5 * dy])
-    if np.all(terms == -np.inf):
+    # -A/0, -A/subnormal and ln 0 are -inf: terms that add nothing
+    with np.errstate(divide="ignore", over="ignore"):
+        lng = -A / y + np.log(table.density)
+        half = np.log(0.5 * np.diff(y))
+    terms = np.concatenate([lng[:-1] + half, lng[1:] + half])
+    peak = terms.max(keepdims=True)
+    if peak[0] == -np.inf:
         raise TableFormatError("table has no density at y > 0")
-    ln_T = log_sum_exp(terms, weights)
+    ln_T = peak[0] + np.log(
+        _exp_sums(terms, np.zeros(terms.size, np.intp), peak, 1)[0])
     # an infinite reduced variance fails the plane-wave test, as it should
     _, pw_ok = planewave_validity(A, table.reduced_variance())
     return TransmissionResult(ln_T=float(ln_T), G=None, planewave_ok=pw_ok,

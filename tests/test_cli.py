@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import coulombpacket
+from coulombpacket import acceptance
 import coulombpacket.transmission as tr
 from coulombpacket.cli import RATIO_HEADER, SWEEP_HEADER, SWEEP_KEYS
 from coulombpacket.errors import ConvergenceError
@@ -864,6 +865,41 @@ def test_from_table_huge_mass_message_stays_short(run_cli, tmp_path):
     assert len(err) < 200
 
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows, code, message", [
+    # dy/2 of the middle step underflows to 0: that step adds nothing
+    (["0,0.5", "5e-324,0.5", "1,0.5"], 0, None),
+    # -A/y overflows to -inf at subnormal y
+    (["1e-320,0.5", "2e-320,0.5", "1,0.5"], 0, None),
+    # the mass overflows
+    (["0.5,1e308", "1.5,1e308"], 5,
+     "malformed density table: table mass inf exceeds 1 beyond tolerance\n"),
+    # the second moment overflows: the plane-wave test fails
+    (["0.5,1e-200", "1e200,1e-200"], 0, None),
+], ids=["subnormal-step", "subnormal-y", "mass-overflow", "moment-overflow"])
+def test_from_table_extreme_tables_warn_nothing(run_cli, tmp_path, rows,
+                                                code, message):
+    table = tmp_path / "t.csv"
+    table.write_text("y,density\n" + "\n".join(rows) + "\n",
+                     encoding="utf-8")
+    got, out, err = run_cli("from-table", "--file", table, "--A", 5)
+    assert (got, err) == (code, message or "")
+    if code == 0:
+        doc = json.loads(out)
+        assert doc["planewave_ok"] is False
+        if rows[1] == "5e-324,0.5":
+            assert doc["ln_T"] == pytest.approx(-6.38629436112, abs=1e-11)
+
+
+def test_from_table_message_names_the_line(run_cli, tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("y,density\n0.5,1\nabc,2\n", encoding="utf-8")
+    code, out, err = run_cli("from-table", "--file", table, "--A", 5)
+    assert (code, out) == (5, "")
+    assert err == ("malformed density table: line 3: non-numeric cell in "
+                   "'abc,2'\n")
+
 # --- physical ----------------------------------------------------------------
 
 def test_physical_json(run_cli):
@@ -1130,7 +1166,8 @@ def test_bit_diff_counts_identical_values_and_ulps():
     new[1][4] = math.nextafter(3.0, 4.0).hex()
     new[1][4] = math.nextafter(float.fromhex(new[1][4]), 4.0).hex()
     assert moves("grid", base, new) == (
-        "  grid: 2 ln_T moved, largest |delta| / quad_error_ln 0.5, "
+        "  grid: 2 ln_T moved, largest |delta| 1e-10, "
+        "largest |delta| / quad_error_ln 0.5, "
         "largest y_star_numeric move 2 ulp")
     assert moves("grid", base, base) is None
     # a moved value with no estimate on either side, and a y* that
@@ -1138,7 +1175,14 @@ def test_bit_diff_counts_identical_values_and_ulps():
     new[2][2] = base[2][2] = None
     new[0][4] = None
     assert moves("fast", base, new) == (
-        "  fast: 2 ln_T moved, largest |delta| / quad_error_ln n/a, "
+        "  fast: 2 ln_T moved, largest |delta| 1e-10, "
+        "largest |delta| / quad_error_ln n/a, "
+        "largest y_star_numeric move n/a ulp")
+    # a value on one side only counts as moved, but has no |delta|
+    new[1][1] = None
+    assert moves("fast", base, new) == (
+        "  fast: 2 ln_T moved, largest |delta| 1e-10, "
+        "largest |delta| / quad_error_ln n/a, "
         "largest y_star_numeric move n/a ulp")
 
 
@@ -1199,6 +1243,33 @@ def test_validate_targets_that_cannot_be_used_exit_1(run_cli, tmp_path,
     assert err.startswith("validation could not run")
     if kind == "no-tables":
         assert "lack gamma1_closed_form, enhancement" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"gamma1_closed_form": [{}], "enhancement": []},
+     "bad gamma1_closed_form table (KeyError: 'A')"),
+    ({"gamma1_closed_form": [], "enhancement": []},
+     "bad gamma1_closed_form table (ValueError: no rows)"),
+], ids=["row-without-A", "no-rows"])
+def test_validate_targets_without_usable_rows_exit_1(run_cli, tmp_path, doc,
+                                                     message):
+    bad = tmp_path / "targets.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli("validate", "--targets", bad)
+    assert (code, out) == (1, "")
+    assert err.startswith("validation could not run") and message in err
+
+
+def test_validate_enhancement_row_without_window_fails(run_cli, tmp_path):
+    doc = acceptance.load_targets()
+    doc["enhancement"].append({"A": 700.0, "B": 0.5, "gamma": 2.0,
+                               "ln_T": -136.0})
+    bad = tmp_path / "targets.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli("validate", "--targets", bad)
+    assert code == 1
+    line, = [l for l in out.splitlines() if "enhancement_magnitudes" in l]
+    assert line.startswith("FAIL") and "(no window) inside=False" in line
 
 
 # --- packaging ----------------------------------------------------------

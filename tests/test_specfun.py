@@ -13,10 +13,9 @@ from coulombpacket.specfun import (
     LogMagnitude,
     log_bessel_k1,
     log_bessel_k1_asymptotic,
-    log_diff_exp,
     log_gamma,
-    log_sum_exp,
 )
+from coulombpacket.transmission import _exp_sums
 
 
 # --- log_gamma ---------------------------------------------------------
@@ -135,31 +134,30 @@ def test_log_bessel_k1_domain(z):
         log_bessel_k1_asymptotic(z)
 
 
-# --- log-sum-exp / log-diff-exp ------------------------------------------
+# --- log-sum-exp -----------------------------------------------------------
+
+def log_sum_exp(terms):
+    """ln of the sum of exp(terms) by the engine's _exp_sums, shifted by the
+    largest term: shift + ln(sum)."""
+    t = np.array(terms, dtype=float)
+    shift = t.max(keepdims=True)
+    return float(shift[0] + np.log(
+        _exp_sums(t, np.zeros(t.size, np.intp), shift, 1)[0]))
+
 
 def test_log_sum_exp_examples():
     assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2.0), abs=1e-15)
     assert log_sum_exp([-1000.0, -1000.0]) == pytest.approx(
         -1000.0 + math.log(2.0), abs=1e-12)
-    assert log_sum_exp([0.0], weights=[3.0]) == pytest.approx(math.log(3.0))
+    # a weight folded into its term
+    assert log_sum_exp([math.log(3.0)]) == pytest.approx(math.log(3.0))
     # -inf terms are zero contributions, not errors
     assert log_sum_exp([-math.inf, 0.0]) == 0.0
-    assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
-
-
-@pytest.mark.parametrize("bad", [[], [math.nan], [math.inf], [0.0, math.inf]])
-def test_log_sum_exp_rejects_bad_terms(bad):
-    with pytest.raises(DomainError):
-        log_sum_exp(bad)
-
-
-def test_log_sum_exp_weight_validation():
-    with pytest.raises(DomainError):
-        log_sum_exp([0.0, 1.0], weights=[1.0])      # shape mismatch
-    with pytest.raises(DomainError):
-        log_sum_exp([0.0], weights=[0.0])
-    with pytest.raises(DomainError):
-        log_sum_exp([0.0], weights=[-2.0])
+    # each q sums its own terms, shifted by its own shift
+    sums = _exp_sums(np.array([0.0, -700.0, 1.0, -700.0]),
+                     np.array([0, 1, 0, 1]), np.array([1.0, -700.0]), 2)
+    assert sums.tolist() == pytest.approx([1.0 + math.exp(-1.0), 2.0],
+                                          rel=1e-15)
 
 
 @given(
@@ -172,15 +170,6 @@ def test_log_sum_exp_shift_invariance(terms, shift):
     t = np.asarray(terms)
     assert log_sum_exp(t + shift) == pytest.approx(
         log_sum_exp(t) + shift, rel=1e-13, abs=1e-9)
-
-
-def test_log_diff_exp():
-    assert log_diff_exp(math.log(5.0), math.log(3.0)) == pytest.approx(
-        math.log(2.0), abs=1e-14)
-    assert log_diff_exp(0.0, -math.inf) == 0.0
-    assert log_diff_exp(1.0, 1.0) == -math.inf
-    with pytest.raises(DomainError):
-        log_diff_exp(0.0, 1.0)
 
 
 # --- LogMagnitude --------------------------------------------------------
